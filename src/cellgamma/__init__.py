@@ -17,7 +17,6 @@ from .hyperbolic import (BaseFields, PotentialPerturbation, ShockSolution,
                          build_base_fields, build_shock_grid,
                          compute_shock_cell_energy, reduce_to_static_frame,
                          viscous_profile_oracle_1d)
-from .kernels import HAVE_COMPILED
 from .model import (EntropyPair, FluxFunction, FluxMap, GradientIntegrand,
                     JumpData, ModelSpecs, ScalarPotential, SpaceTimeJumpData,
                     catalog_lookup, validate_jump_data,
@@ -28,7 +27,7 @@ from .poisson import (BcVariant, duality_gap, leray_project, nonlocal_energy,
                       padded_box_nonlocal_energy, solve_cell_poisson)
 
 __all__ = [
-    "__version__", "HAVE_COMPILED", "CellGammaError",
+    "__version__", "CellGammaError",
     "ScalarPotential", "FluxMap", "GradientIntegrand", "EntropyPair",
     "FluxFunction", "JumpData", "SpaceTimeJumpData", "ModelSpecs",
     "catalog_lookup", "validate_jump_data", "validate_rankine_hugoniot",

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.fft import dst, idst
 
 from .errors import BadStrategy, DegenerateScale, InadmissibleProfile, NotConverged
-from .grid import StateField, TensorField, integrate
+from .grid import StateField, TensorField, cached_per_grid, integrate
 from .poisson import BcVariant, nonlocal_energy
 
 _GAUSS_X = np.array([0.5 - np.sqrt(0.15), 0.5, 0.5 + np.sqrt(0.15)])
@@ -208,11 +208,7 @@ _assemblers = {}
 
 
 def _assembler(grid):
-    a = _assemblers.get(id(grid))
-    if a is None or a.grid is not grid:
-        a = _LocalAssembler(grid)
-        _assemblers[id(grid)] = a
-    return a
+    return cached_per_grid(_assemblers, id(grid), lambda: _LocalAssembler(grid))
 
 
 # --- admissibility --------------------------------------------------------

@@ -298,10 +298,7 @@ def run_config(config, out_dir):
     elif sub == "duality":
         rows = _run_duality(config)
     elif sub == "gamma":
-        try:
-            rows, sweep = _run_gamma(config)
-        except ComputeFailed:
-            raise
+        rows, sweep = _run_gamma(config)
     elif sub == "oracle":
         rows = _run_oracle(config)
     elif sub == "catalog":
@@ -348,6 +345,9 @@ def main(argv=None):
                 f"the command line {args.subcommand!r}")
         if args.seed is not None:
             config["seed"] = args.seed
+            optimizer = config.get("optimizer")
+            if isinstance(optimizer, dict) and "seed" in optimizer:
+                optimizer["seed"] = args.seed
         threads = args.threads
         if threads is None:
             env = os.environ.get("CELLGAMMA_THREADS")

@@ -168,6 +168,26 @@ def build_cell_grid(frame, n_normal, n_lateral=None, n_axes=None):
     return CellGrid(frame=frame, n_axes=(n_normal,))
 
 
+GRID_CACHE_SIZE = 8
+
+
+def cached_per_grid(cache, key, build):
+    """``cache[key]``, made by ``build()`` on a miss.
+
+    ``key`` starts with ``id(grid)`` and the built value keeps a
+    reference to its grid, so no other grid can share the id while the
+    entry lives.  Above GRID_CACHE_SIZE entries the oldest is evicted:
+    a sweep that builds a grid per step neither grows the cache nor
+    keeps every grid alive.
+    """
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build()
+        if len(cache) > GRID_CACHE_SIZE:
+            cache.pop(next(iter(cache)), None)
+    return value
+
+
 # --- fields ---------------------------------------------------------------
 
 @dataclass

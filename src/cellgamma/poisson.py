@@ -8,16 +8,21 @@ module.  That makes the duality identities (projection orthogonality,
 energy identity, Dirichlet <= Neumann) hold to round-off rather than to
 truncation order.
 
-Method: real FFT along the lateral periodic axes; per lateral mode the
-normal operator is D^T W D + mu W with D the one-sided-closed normal
-derivative stencil, a symmetric positive (semi)definite band matrix of
-bandwidth 2 solved by a batched banded Cholesky.  Factors are cached
-per (grid, bc).  Lateral modes with mu = 0 (the zero mode and, on even
-axes, pure Nyquist modes) carry the constant kernel; they are solved
-with the first normal node pinned, and the Neumann gauge (weighted mean
-of H equal to zero) is restored in real space.  Their right-hand sides
-are compatible by construction: D annihilates constants, so
-1^T D^T(w m) = 0 identically.
+Method: real FFT along the lateral periodic axes; per lateral mode k the
+normal operator is A0 + mu_k W, with A0 = D^T W D, D the one-sided-closed
+normal derivative stencil and W the normal quadrature weights.  All modes
+are solved at once by fast diagonalization (Lynch, Rice & Thomas, Numer.
+Math. 6 (1964) 185-199): the generalized eigenbasis A0 V = W V diag(lam),
+V^T W V = I, on the solved rows (all nodes for Neumann, the interior for
+Dirichlet) is computed once per (grid, bc) and cached, and each solve is
+H = V diag(1/(lam + mu_k)) V^T b, two matrix products for every mode.
+D annihilates exactly the constants, so the Neumann operator is singular
+in the lateral modes with mu = 0 (the zero mode and, on even axes, pure
+Nyquist modes).  There the constant eigenvector gets 1/(lam + mu) := 0:
+the pseudo-inverse solution, which is the Neumann gauge, H W-orthogonal
+to the constants in every kernel mode (to round-off times the condition
+of A0, about 1e-11 relative at 256 normal nodes).  The right-hand sides of those
+modes are compatible by construction: 1^T D^T(w m) = 0 identically.
 """
 
 from dataclasses import dataclass
@@ -26,8 +31,8 @@ import numpy as np
 import scipy.fft
 
 from .errors import NeumannIncompatible, ShapeMismatch, SolverDiverged
-from .grid import StateField, TensorField, gradient, integrate, normal_diff_matrix
-from .kernels import chol_factor_banded, chol_solve_banded
+from .grid import (StateField, TensorField, cached_per_grid, gradient,
+                   integrate, normal_diff_matrix)
 
 
 class BcVariant:
@@ -57,17 +62,9 @@ RESIDUAL_TOL = 1e-10
 _MU_TOL = 1e-12
 
 
-def _dense_to_band(a):
-    n = a.shape[0]
-    ab = np.zeros((3, n))
-    ab[0] = np.diag(a)
-    ab[1, : n - 1] = np.diag(a, -1)
-    ab[2, : n - 2] = np.diag(a, -2)
-    return ab
-
-
 class _CellSolverData:
-    """Per-(grid, bc) spectral data: lateral symbols and banded factors."""
+    """Per-(grid, bc) spectral data: lateral symbols and the generalized
+    eigenbasis of the normal operator on the solved rows."""
 
     def __init__(self, grid, bc):
         self.grid = grid
@@ -106,38 +103,25 @@ class _CellSolverData:
         self.D = normal_diff_matrix(n0, h0)
         self.A0 = self.D.T @ (self.w_nu[:, None] * self.D)
 
-        if bc == BcVariant.DIRICHLET:
-            ai = self.A0[1:n0 - 1, 1:n0 - 1]
-            ab = np.repeat(_dense_to_band(ai)[None], self.n_modes, axis=0)
-            ab[:, 0, :] += self.mu[:, None] * self.w_nu[1:n0 - 1]
-            self.factor = chol_factor_banded(ab)
-            self.singular = np.zeros(self.n_modes, dtype=bool)
-            self.factor_sing = None
-        else:
-            self.singular = self.mu <= _MU_TOL
-            ns = ~self.singular
-            n_ns = int(ns.sum())
-            if n_ns:
-                ab = np.repeat(_dense_to_band(self.A0)[None], n_ns, axis=0)
-                ab[:, 0, :] += self.mu[ns, None] * self.w_nu
-                self.factor = chol_factor_banded(ab)
-            else:
-                self.factor = None
-            # kernel modes: pin the first normal node, solve the rest
-            self.factor_sing = chol_factor_banded(
-                _dense_to_band(self.A0[1:, 1:])[None])
+        # V = W^-1/2 U from eigh(W^-1/2 A0 W^-1/2) on the solved rows
+        # (Dirichlet pins the end slabs): A0 V = W V diag(lam), V^T W V = I
+        self.rows = slice(1, n0 - 1) if bc == BcVariant.DIRICHLET else slice(None)
+        s = 1.0 / np.sqrt(self.w_nu[self.rows])
+        lam, u = np.linalg.eigh(s[:, None] * self.A0[self.rows, self.rows] * s)
+        self.V = s[:, None] * u
+        denom = lam[:, None] + self.mu
+        if bc == BcVariant.NEUMANN:
+            # the constants: smallest lam, zero up to round-off
+            denom[0, self.mu <= _MU_TOL] = np.inf
+        self.inv = 1.0 / denom
 
 
 _cache = {}
 
 
 def _solver_data(grid, bc):
-    key = (id(grid), bc)
-    data = _cache.get(key)
-    if data is None or data.grid is not grid:
-        data = _CellSolverData(grid, bc)
-        _cache[key] = data
-    return data
+    return cached_per_grid(_cache, (id(grid), bc),
+                           lambda: _CellSolverData(grid, bc))
 
 
 def _check_compat(grid, values, nu):
@@ -156,19 +140,6 @@ def _check_compat(grid, values, nu):
         raise NeumannIncompatible(
             f"normal flux imbalance {imbalance:.3e} exceeds {eps:.3e}; "
             "the Neumann cell problem requires (Psi(phi+) - Psi(phi-)).nu = 0")
-
-
-def _batch_solve(factor, b):
-    """Complex batched solve through the real banded kernels.
-
-    factor: (K, 3, n); b: (K, n, r) complex. Broadcast factors allowed.
-    """
-    k, n, r = b.shape
-    if factor.shape[0] == 1 and k > 1:
-        factor = np.broadcast_to(factor, (k,) + factor.shape[1:])
-    stacked = np.concatenate([b.real, b.imag], axis=2)
-    x = chol_solve_banded(factor, stacked)
-    return x[:, :, :r] + 1j * x[:, :, r:]
 
 
 def _mean_end_flux(grid, values, nu):
@@ -222,29 +193,19 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
 
     # variational rhs per mode: D^T(w m_nu) - w sum_ax (i sigma_ax) m_ax
     wn = data.w_nu[:, None, None]
-    rhs = np.einsum("ji,jkl->ikl", data.D, wn * hats[0])
+    rhs = np.tensordot(data.D, wn * hats[0], axes=(0, 0))
     for i, s in enumerate(data.sigma):
         rhs = rhs - wn * (1j * s)[None, :, None] * hats[i + 1]
 
+    rows = data.rows
     Hhat = np.zeros((n0, data.n_modes, l), dtype=np.complex128)
-    if bc == BcVariant.DIRICHLET:
-        b = np.transpose(rhs[1:n0 - 1], (1, 0, 2))
-        Hhat[1:n0 - 1] = np.transpose(_batch_solve(data.factor, b), (1, 0, 2))
-    else:
-        ns = ~data.singular
-        if ns.any():
-            b = np.transpose(rhs[:, ns, :], (1, 0, 2))
-            Hhat[:, ns, :] = np.transpose(_batch_solve(data.factor, b), (1, 0, 2))
-        if data.singular.any():
-            b = np.transpose(rhs[1:, data.singular, :], (1, 0, 2))
-            x = _batch_solve(data.factor_sing, b)
-            Hhat[1:, data.singular, :] = np.transpose(x, (1, 0, 2))
+    coef = np.tensordot(data.V, rhs[rows], axes=(0, 0)) * data.inv[:, :, None]
+    Hhat[rows] = np.tensordot(data.V, coef, axes=(1, 0))
 
     # relative residual of the normal equations over the solved rows
     # (Dirichlet pins the end slabs, so the end rows are not equations)
-    op = (np.einsum("ij,jkl->ikl", data.A0, Hhat)
+    op = (np.tensordot(data.A0, Hhat, axes=(1, 0))
           + data.mu[None, :, None] * (wn * Hhat))
-    rows = slice(1, n0 - 1) if bc == BcVariant.DIRICHLET else slice(None)
     num = np.linalg.norm((op - rhs)[rows])
     a_norm = (np.max(np.sum(np.abs(data.A0), axis=1))
               + float(np.max(data.mu)) * float(np.max(data.w_nu)))
@@ -267,10 +228,6 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
                              s=data.lat_shape, axes=lat_axes)
     else:
         H = Hhat[:, 0, :].real
-    if bc == BcVariant.NEUMANN:
-        w = grid.node_weights()
-        mean = np.sum(w[..., None] * H, axis=tuple(range(grid.dim))) / np.sum(w)
-        H = H - mean
     Hf = StateField(grid, H)
     return PotentialField(H=Hf, gradH=gradient(Hf), residual_norm=residual, bc=bc)
 

@@ -161,6 +161,20 @@ def test_flag_seed_overrides_config(tmp_path):
     assert d1["config_hash"] != d2["config_hash"]
 
 
+def test_flag_seed_overrides_optimizer_seed(tmp_path):
+    def run(name, optimizer_seed, flags=()):
+        cfg = dict(CELL_CONFIG, optimizer={"n_random": 1, "seed": optimizer_seed})
+        out = tmp_path / name
+        assert main(["cell", "--config", _write(tmp_path, cfg, name + ".json"),
+                     *flags, "--out", str(out)]) == 0
+        row = json.loads((out / "report.json").read_text())["rows"][0]
+        return {k: v for k, v in row.items() if k not in ("config_hash", "seed")}
+
+    flagged = run("flag", 3, ["--seed", "5"])
+    assert flagged == run("five", 5)
+    assert flagged != run("three", 3)
+
+
 def test_oracle_subcommand(tmp_path):
     cfg = {"subcommand": "oracle", "model": {"name": "double_well"},
            "jump": {"phi_plus": [1.0], "phi_minus": [-1.0], "nu": [1.0]},

@@ -1,11 +1,16 @@
 """Cell potential solves: analytic accuracy, exact duality identities,
 solvability guards, and the padded-box surrogate."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from cellgamma import cellopt, poisson
 from cellgamma.errors import NeumannIncompatible
-from cellgamma.grid import TensorField, build_cell_grid, build_frame, inner
+from cellgamma.grid import (GRID_CACHE_SIZE, StateField, TensorField,
+                            build_cell_grid, build_frame, gradient, inner)
 from cellgamma.poisson import (BcVariant, duality_gap, leray_project,
                                nonlocal_energy, padded_box_nonlocal_energy,
                                solve_cell_poisson)
@@ -40,6 +45,64 @@ def test_neumann_convergence_to_analytic():
     # second-order stencils: error drops ~4x per refinement
     assert errs[1] < 0.35 * errs[0]
     assert errs[2] < 0.35 * errs[1]
+
+
+@pytest.mark.parametrize("bc", BcVariant.CELL_KINDS)
+@pytest.mark.parametrize("n_lateral", [8, 7])
+def test_matches_dense_least_squares(bc, n_lateral):
+    # gradH against the dense minimizer of sum w |grad H - M|^2 over the
+    # bc class, with grad H built column by column from grid.gradient;
+    # an even lateral count adds the Nyquist kernel mode
+    g = build_cell_grid(build_frame([1.0, 0.0]), 9, n_lateral)
+    rng = np.random.default_rng(n_lateral)
+    M = TensorField(g, rng.standard_normal(g.shape + (2, 2)))
+    pot = solve_cell_poisson(M, bc, check_compat=False, shift_mean_flux=False)
+
+    free = np.ones(g.shape, dtype=bool)
+    if bc == BcVariant.DIRICHLET:
+        free[0] = free[-1] = False
+    cols = []
+    for i in np.flatnonzero(free):
+        e = np.zeros(g.shape + (1,))
+        e.flat[i] = 1.0
+        cols.append(gradient(StateField(g, e)).values[..., 0, :].ravel())
+    G = np.stack(cols, axis=1)
+    sw = np.repeat(np.sqrt(g.node_weights()).ravel(), g.dim)[:, None]
+    for a in range(M.rows):
+        h, *_ = np.linalg.lstsq(sw * G, sw[:, 0] * M.values[..., a, :].ravel(),
+                                rcond=None)
+        ref = (G @ h).reshape(g.shape + (g.dim,))
+        err = np.max(np.abs(pot.gradH.values[..., a, :] - ref))
+        assert err <= 1e-11 * np.max(np.abs(ref))
+
+    if bc == BcVariant.NEUMANN:
+        # the gauge: H is W-orthogonal to the constants in every lateral
+        # mode with mu = 0 (the zero mode and the Nyquist mode if even)
+        w = g.axis_weights(0)
+        Hhat = np.fft.rfft(pot.H.values, axis=1)
+        kernel = [0] + ([n_lateral // 2] if n_lateral % 2 == 0 else [])
+        scale = np.max(np.abs(Hhat))
+        for k in kernel:
+            assert np.max(np.abs(w @ Hhat[:, k])) <= 1e-12 * scale
+
+
+def test_per_grid_caches_bounded():
+    # one new grid per step, as in the gamma sweep: the solver and
+    # assembler caches stay bounded and let evicted grids go
+    frame = build_frame([1.0, 0.0])
+    grids = [build_cell_grid(frame, 9, 4) for _ in range(GRID_CACHE_SIZE + 3)]
+    first = weakref.ref(grids[0])
+    M = np.zeros((9, 4, 1, 2))
+    for g in grids:
+        for bc in BcVariant.CELL_KINDS:
+            solve_cell_poisson(TensorField(g, M), bc)
+        cellopt._assembler(g)
+    assert len(poisson._cache) == GRID_CACHE_SIZE
+    assert len(cellopt._assemblers) == GRID_CACHE_SIZE
+    assert (id(grids[-1]), BcVariant.NEUMANN) in poisson._cache
+    del grids, g
+    gc.collect()
+    assert first() is None
 
 
 def test_gradient_flux_gives_exact_energy():

@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .cellopt import (CellSolution, EnergyBreakdown, OptimizerOptions,
                       assemble_energy, compute_cell_energy, energy_gradient,
-                      optimize_scale, optimize_scale_general)
+                      optimize_scale)
 from .errors import CellGammaError
 from .gamma import (DomainSpec, SweepRow, build_recovery_field,
                     evaluate_full_energy, run_gamma_sweep)
@@ -37,7 +37,7 @@ __all__ = [
     "duality_gap", "padded_box_nonlocal_energy",
     "EnergyBreakdown", "CellSolution", "OptimizerOptions",
     "assemble_energy", "energy_gradient", "optimize_scale",
-    "optimize_scale_general", "compute_cell_energy",
+    "compute_cell_energy",
     "BaseFields", "PotentialPerturbation", "ShockSolution",
     "StaticReduction", "build_shock_grid", "build_base_fields",
     "assemble_st_energy", "compute_shock_cell_energy",

@@ -80,7 +80,6 @@ class OptimizerOptions:
     strategies: Optional[list] = None
     tie_rel: float = 1e-6
     require_converged: bool = False
-    threads: int = 1
 
 
 # --- multilinear element assembler ----------------------------------------
@@ -144,15 +143,6 @@ class _LocalAssembler:
                     i = i % grid.n_axes[ax]
                 idx.append(i)
             self.corner_idx.append(tuple(idx))
-
-        # normal coordinate of each gauss point (for two-sided models)
-        t0 = grid.axis_coords(0)[:-1]
-        tq = np.empty((self.nq,) + el_shape)
-        for q in range(self.nq):
-            qi = np.unravel_index(q, (3,) * d)
-            tq[q] = (t0 + _GAUSS_X[qi[0]] * self.h[0]).reshape(
-                (-1,) + (1,) * (d - 1))
-        self.tq = tq
 
         # stacked interpolation tables so one BLAS product yields the
         # values and all frame-coordinate derivatives at once
@@ -226,128 +216,76 @@ def _check_admissible(profile, jump, specs):
             raise InadmissibleProfile("profile leaves the unit sphere")
 
 
-def _two_sided_eval(tq, plus_fun, minus_fun, z):
-    mask = tq > 0.0
-    vp = plus_fun(z)
-    vm = minus_fun(z)
-    extra = vp.ndim - mask.ndim
-    m = mask.reshape(mask.shape + (1,) * extra)
-    return np.where(m, vp, vm)
-
-
 # --- energy assembly ------------------------------------------------------
 
-def _psi_field(grid, values, specs, jump):
-    """The flux M = Psi(zeta) on the nodes, honoring side coefficients."""
-    sc = jump.side_coefficients
-    if sc is None:
-        return specs.Psi.value(values)
-    t = grid.coords_normal()
-    mask = (t > 0.0)[..., None, None]
-    return np.where(mask, sc.Psi_plus.value(values), sc.Psi_minus.value(values))
-
-
-def _psi_is_zero(specs, jump):
-    sc = jump.side_coefficients
-    if sc is None:
-        return specs.Psi.is_zero
-    return sc.Psi_plus.is_zero and sc.Psi_minus.is_zero
-
-
-def _local_values(grid, values, specs, jump, L):
-    """One local assembly: int G(s grad zeta) and int W, with the
-    Gauss-point states z, the jets and the gradient scale s that
-    :func:`_local_gradient` needs.  s = 1 for homogeneous quadratic G
-    (the scale is applied in closed form by the caller) and s = L
-    otherwise."""
+def _local_values(grid, values, specs):
+    """One local assembly: int G(grad zeta) and int W(zeta), with the
+    Gauss-point states z and the jets that :func:`_local_gradient`
+    needs."""
     asm = _assembler(grid)
     z, dz = asm.gauss_states(values)
     jet = asm.jets(dz)
-    s = 1.0 if specs.G.homogeneous_quadratic else float(L)
-    gvals = specs.G.value(s * jet)
-    sc = jump.side_coefficients
-    if sc is None:
-        wvals = specs.W.value(z)
-    else:
-        wvals = _two_sided_eval(asm.tq, sc.W_plus.value, sc.W_minus.value, z)
-    return asm.integrate_q(gvals), asm.integrate_q(wvals), z, jet, s
+    return (asm.integrate_q(specs.G.value(jet)),
+            asm.integrate_q(specs.W.value(z)), z, jet)
 
 
-def _local_gradient(grid, specs, jump, z, jet, s):
-    """Nodal gradients gG, gW of the local terms, in the convention of
-    :func:`_local_values`."""
+def local_integrals(grid, values, specs):
+    """(int G(grad zeta), int W(zeta)) for the multilinear interpolant
+    of the nodal values, by the exact element quadrature."""
+    return _local_values(grid, values, specs)[:2]
+
+
+def _local_gradient(grid, specs, z, jet):
+    """Nodal gradients gG, gW of the two local integrals."""
     asm = _assembler(grid)
-    P = s * specs.G.gradient(s * jet)          # d/d(jet) of G(s jet)
-    coeff_d = np.einsum("q...mN,aN->q...ma", P, grid.frame.basis)
-    gG = asm.scatter(None, coeff_d)
-    sc = jump.side_coefficients
-    if sc is None:
-        dW = specs.W.gradient(z)
-    else:
-        dW = _two_sided_eval(asm.tq, sc.W_plus.gradient, sc.W_minus.gradient, z)
-    gW = asm.scatter(dW, None)
-    return gG, gW
+    coeff_d = np.einsum("q...mN,aN->q...ma", specs.G.gradient(jet),
+                        grid.frame.basis)
+    return asm.scatter(None, coeff_d), asm.scatter(specs.W.gradient(z), None)
 
 
-def _nonlocal_term(grid, values, specs, jump, bc):
+def _nonlocal_term(grid, values, specs, bc):
     """B_H = int |grad H|^2 for M = Psi(zeta) and its potential field
     (None when Psi vanishes)."""
-    if _psi_is_zero(specs, jump):
+    if specs.Psi.is_zero:
         return 0.0, None
-    M = TensorField(grid, _psi_field(grid, values, specs, jump))
+    M = TensorField(grid, specs.Psi.value(values))
     check = bc == BcVariant.NEUMANN
     return nonlocal_energy(M, bc, check_compat=check)
 
 
-def _nonlocal_gradient(grid, values, specs, jump, pot):
+def _nonlocal_gradient(grid, values, specs, pot):
     """The adjoint-exact nodal gradient 2 w (DPsi^T : grad H) of B_H,
     from the potential field (no extra linear solve)."""
-    sc = jump.side_coefficients
-    if sc is None:
-        jac = specs.Psi.jacobian(values)
-    else:
-        t = grid.coords_normal()
-        mask = (t > 0.0)[..., None, None, None]
-        jac = np.where(mask, sc.Psi_plus.jacobian(values),
-                       sc.Psi_minus.jacobian(values))
-    contr = np.einsum("...lNm,...lN->...m", jac, pot.gradH.values)
+    contr = np.einsum("...lNm,...lN->...m", specs.Psi.jacobian(values),
+                      pot.gradH.values)
     return 2.0 * grid.node_weights()[..., None] * contr
 
 
 class _Evaluation:
     """One local assembly and one potential solve at a profile.
 
-    For homogeneous quadratic G the parts EG, EW, BH do not depend on
-    L, so the energy and the gradient at any scale follow from them
-    with no further assembly or solve.  Otherwise they hold only at the
-    scale the profile was evaluated at.
+    G is homogeneous quadratic, so the energy at scale L is
+    L A + B / L with A = EG = int G(grad zeta) and B = EW + BH, and the
+    energy and the gradient at any scale follow from these parts with no
+    further assembly or solve.
     """
 
-    def __init__(self, grid, values, specs, jump, bc, L):
-        self.grid, self.values, self.specs, self.jump = grid, values, specs, jump
-        self.EG, self.EW, self.z, self.jet, self.s = _local_values(
-            grid, values, specs, jump, L)
-        self.BH, self.pot = _nonlocal_term(grid, values, specs, jump, bc)
-
-    def total(self, L):
-        if self.specs.G.homogeneous_quadratic:
-            return L * self.EG + (self.EW + self.BH) / L
-        return (self.EG + self.EW + self.BH) / L
+    def __init__(self, grid, values, specs, bc):
+        self.grid, self.values, self.specs = grid, values, specs
+        self.A, self.EW, self.z, self.jet = _local_values(grid, values, specs)
+        self.BH, self.pot = _nonlocal_term(grid, values, specs, bc)
+        self.B = self.EW + self.BH
 
     def gradient(self, L):
         """Partial derivatives of the total energy at scale L with
         respect to interior nodal values; pinned slabs get zero rows,
         and under the sphere constraint the tangential (Riemannian)
         projection is returned."""
-        grid, specs, jump = self.grid, self.specs, self.jump
-        gG, gW = _local_gradient(grid, specs, jump, self.z, self.jet, self.s)
-        if specs.G.homogeneous_quadratic:
-            g = L * gG + gW / L
-        else:
-            g = (gG + gW) / L
+        grid, specs = self.grid, self.specs
+        gG, gW = _local_gradient(grid, specs, self.z, self.jet)
+        g = L * gG + gW / L
         if self.pot is not None:
-            g = g + _nonlocal_gradient(grid, self.values, specs, jump,
-                                       self.pot) / L
+            g = g + _nonlocal_gradient(grid, self.values, specs, self.pot) / L
         g[0] = 0.0
         g[-1] = 0.0
         if specs.constraint.kind == "unit_sphere":
@@ -361,15 +299,10 @@ def assemble_energy(profile, L, specs, jump, bc=BcVariant.NEUMANN):
     if L <= 0:
         raise DegenerateScale("scale L must be positive")
     _check_admissible(profile, jump, specs)
-    grid = profile.grid
-    ev = _Evaluation(grid, profile.values, specs, jump, bc, L)
-    if specs.G.homogeneous_quadratic:
-        A = ev.EG
-    else:
-        # report the unscaled gradient integral for diagnostics
-        A = _local_values(grid, profile.values, specs, jump, 1.0)[0]
-    return EnergyBreakdown(grad_term=A, potential_term=ev.EW, nonlocal_term=float(ev.BH),
-                           L=float(L), total=float(ev.total(L)))
+    ev = _Evaluation(profile.grid, profile.values, specs, bc)
+    return EnergyBreakdown(grad_term=ev.A, potential_term=ev.EW,
+                           nonlocal_term=float(ev.BH), L=float(L),
+                           total=float(L * ev.A + ev.B / L))
 
 
 def energy_gradient(profile, L, specs, jump, bc=BcVariant.NEUMANN):
@@ -379,7 +312,7 @@ def energy_gradient(profile, L, specs, jump, bc=BcVariant.NEUMANN):
     if L <= 0:
         raise DegenerateScale("scale L must be positive")
     _check_admissible(profile, jump, specs)
-    ev = _Evaluation(profile.grid, profile.values, specs, jump, bc, L)
+    ev = _Evaluation(profile.grid, profile.values, specs, bc)
     return StateField(profile.grid, ev.gradient(L))
 
 
@@ -406,37 +339,9 @@ def optimize_scale(A, B):
     return L, float(L * A + B / L)
 
 
-def optimize_scale_general(profile, specs, jump, bc=BcVariant.NEUMANN):
-    """Golden-section search for the scale when G is not homogeneous
-    quadratic; relative tolerance 1e-4 on log2 L in [-8, 8]."""
-    if specs.G.homogeneous_quadratic:
-        e = assemble_energy(profile, 1.0, specs, jump, bc)
-        return optimize_scale(e.grad_term, e.potential_term + e.nonlocal_term)
-
-    def f(lg):
-        return assemble_energy(profile, 2.0 ** lg, specs, jump, bc).total
-
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = _LOG2_BRACKET
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > 1e-4 * max(1.0, abs(a) + abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    lg = 0.5 * (a + b)
-    return 2.0 ** lg, f(lg)
-
-
 # --- starting profiles ----------------------------------------------------
 
-def _smoothstep(s):
+def smoothstep(s):
     """Clamped cubic step: 0 for s <= -1, 1 for s >= 1, C1 in between."""
     s = np.clip(s, -1.0, 1.0)
     return 0.5 + 0.75 * s - 0.25 * s ** 3
@@ -490,7 +395,7 @@ def _antipodal_axes(a, specs, jump):
 
 def _tanh_profile(jump, specs, grid, width=0.15, plane_rank=0):
     t = grid.coords_normal()
-    sig = _smoothstep(t / width)
+    sig = smoothstep(t / width)
     if specs.constraint.kind == "unit_sphere":
         # rotate along a great circle; straight-line interpolation
         # followed by normalization degenerates to a step for
@@ -526,7 +431,7 @@ def _geodesic_profile(jump, specs, grid, width=0.3):
         return _tanh_profile(jump, specs, grid)
     arc = arc / arc[-1]
     t = grid.coords_normal()
-    s = _smoothstep(t / width)
+    s = smoothstep(t / width)
     v = np.empty(grid.shape + (specs.m,))
     for a in range(specs.m):
         v[..., a] = np.interp(s, arc, states[:, a])
@@ -643,62 +548,48 @@ def _parabola_step(a, E0, slope, Ea):
     return -slope * a * a / (2.0 * curv) if curv > 0.0 else np.inf
 
 
-def _minimize_start(values, specs, jump, grid, bc, opts):
-    """Preconditioned, projected Polak-Ribiere conjugate gradient with
-    restarts and Armijo backtracking.
+def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
+    """Minimize E(x, L) = L A(x) + B(x) / L over x and the scale L >= lmin
+    by preconditioned Polak-Ribiere (PR+) conjugate gradient with
+    restarts and Armijo backtracking.  Returns (x, L, E, iterations,
+    converged).
 
-    - Each line-search trial is one :class:`_Evaluation`.  For
-      homogeneous quadratic G its parts give the trial's optimal scale
-      in closed form, so the Armijo test is on the scale-reduced energy
-      min_L E(profile, L), whose gradient is the partial gradient at the
-      optimal scale; the accepted trial also gives the new energy and
-      gradient.  A start therefore makes one potential solve per trial
-      plus one for the start.  For other G the trial is tested at the
-      current scale, and the scale is re-optimized by golden section
-      every 10 iterations.
-    - Directions are preconditioned by :func:`_normal_h1_inverse` and,
-      under the sphere constraint, projected on the tangent space.
+    - ``evaluate(x)`` returns an object with the parts ``A`` and ``B``
+      and a method ``gradient(L)``, the partial gradient of E in x at
+      scale L.  ``precondition(g, x, L)`` returns the preconditioned
+      gradient, whose negative is the steepest-descent direction, and
+      ``retract(x, step)`` maps x + step back to the admissible set.
+    - Each line-search trial is one evaluation.  Its parts give the
+      trial's optimal scale in closed form, so the Armijo test is on the
+      scale-reduced energy min_L E(x, L), whose gradient is the partial
+      gradient at the optimal scale; the accepted trial also gives the
+      new scale, energy and gradient.  A run therefore makes one
+      evaluation per trial plus one for the start.
     - Backtracking steps come from the parabola through E(0), the
       slope and the trial energy.  An accepted step more than twice
       that parabola's minimizer is replaced by the minimizer when it
       gives a lower energy, which keeps stiff modes from oscillating
       under the doubled initial step.
+    - A run converges when the largest gradient entry is at most gtol
+      and the energy fell by at most ``opts.etol`` (relative) over the
+      last 10 iterations, or when no descent direction is left.  It
+      stops unconverged when the line search fails or after
+      ``opts.max_iter`` iterations.
     """
-    gtol = opts.gtol_scale * (1.0 + float(np.linalg.norm(jump.phi_plus - jump.phi_minus)))
-    lmin = resolved_scale_floor(grid)
-    homogeneous = specs.G.homogeneous_quadratic
-    sphere = specs.constraint.kind == "unit_sphere"
-
-    def scale(ev):
-        return max(optimize_scale(ev.EG, ev.EW + ev.BH)[0], lmin)
-
-    def general_scale(v):
-        L = optimize_scale_general(StateField(grid, v), specs, jump, bc)[0]
-        return max(L, lmin)
-
-    def precondition(g, v, L):
-        p = _normal_h1_inverse(grid, g, L)
-        if sphere:
-            p = p - np.sum(p * v, axis=-1, keepdims=True) * v
-        return p
+    def scaled(ev):
+        L = max(optimize_scale(ev.A, ev.B)[0], lmin)
+        return L, L * ev.A + ev.B / L
 
     def step(a):
-        v_try = _retract(v, a * d, specs, jump)
-        trial = _Evaluation(grid, v_try, specs, jump, bc, L)
-        L_try = scale(trial) if homogeneous else L
-        return v_try, trial, L_try, trial.total(L_try)
+        x_try = retract(x, a * d)
+        trial = evaluate(x_try)
+        return (x_try, trial) + scaled(trial)
 
-    v = values.copy()
-    _check_admissible(StateField(grid, v), jump, specs)
-    if homogeneous:
-        ev = _Evaluation(grid, v, specs, jump, bc, 1.0)
-        L = scale(ev)
-    else:
-        L = general_scale(v)
-        ev = _Evaluation(grid, v, specs, jump, bc, L)
-    E = ev.total(L)
+    x = x0.copy()
+    ev = evaluate(x)
+    L, E = scaled(ev)
     g = ev.gradient(L)
-    pg = precondition(g, v, L)
+    pg = precondition(g, x, L)
     d = -pg
     alpha = 1.0
     history = [E]
@@ -721,45 +612,80 @@ def _minimize_start(values, specs, jump, grid, bc, opts):
         a = alpha
         accepted = False
         for _ in range(50):
-            v_try, trial, L_try, E_try = step(a)
+            x_try, trial, L_try, E_try = step(a)
             a_min = _parabola_step(a, E, slope, E_try)
             if E_try <= E + 1e-4 * a * slope:
                 accepted = True
                 if a_min < 0.5 * a:
                     shorter = step(a_min)
                     if shorter[3] < E_try:
-                        v_try, trial, L_try, E_try = shorter
+                        x_try, trial, L_try, E_try = shorter
                         a = a_min
                 break
             a = min(max(a_min, 0.1 * a), 0.5 * a)
         if not accepted:
             # stuck at line-search resolution: treat as converged-enough
             break
-        v, ev, L = v_try, trial, L_try
+        x, ev, L, E = x_try, trial, L_try, E_try
         alpha = min(a * 2.0, 1e4)
-        if not homogeneous and it % 10 == 0:
-            L = general_scale(v)
-            ev = _Evaluation(grid, v, specs, jump, bc, L)
-        _check_admissible(StateField(grid, v), jump, specs)
-        E_new = ev.total(L)
         g_new = ev.gradient(L)
-        pg_new = precondition(g_new, v, L)
+        pg_new = precondition(g_new, x, L)
         denom = float(np.sum(g * pg))
         beta = 0.0
         if denom > 0.0:
             beta = max(0.0, float(np.sum(pg_new * (g_new - g))) / denom)
         d = -pg_new + beta * d
         g, pg = g_new, pg_new
-        E = E_new
         history.append(E)
         if len(history) > 64:
             history = history[-32:]
-    return v, L, E, it, converged
+    return x, L, E, it, converged
+
+
+def _minimize_start(values, specs, jump, grid, bc, opts):
+    """One start of the cell minimization by :func:`minimize_cg`: each
+    trial is one :class:`_Evaluation` (one local assembly, one
+    potential solve), directions are preconditioned by
+    :func:`_normal_h1_inverse` and, under the sphere constraint,
+    projected on the tangent space."""
+    sphere = specs.constraint.kind == "unit_sphere"
+
+    def evaluate(v):
+        _check_admissible(StateField(grid, v), jump, specs)
+        return _Evaluation(grid, v, specs, bc)
+
+    def precondition(g, v, L):
+        p = _normal_h1_inverse(grid, g, L)
+        if sphere:
+            p = p - np.sum(p * v, axis=-1, keepdims=True) * v
+        return p
+
+    gtol = opts.gtol_scale * (1.0 + float(np.linalg.norm(jump.phi_plus - jump.phi_minus)))
+    return minimize_cg(values, evaluate, precondition,
+                       lambda v, step: _retract(v, step, specs, jump),
+                       resolved_scale_floor(grid), gtol, opts)
+
+
+def multistart(starts, minimize, opts):
+    """Run ``minimize`` from every start and pick the first start whose
+    energy is within ``opts.tie_rel`` of the lowest.  Returns that
+    start's (x, L, E, iterations, converged) and the list of start
+    energies; raises NotConverged under ``opts.require_converged`` when
+    the picked start did not converge."""
+    results = [minimize(s) for s in starts]
+    energies = [r[2] for r in results]
+    best_e = min(energies)
+    tie = opts.tie_rel * (1.0 + abs(best_e))
+    best = next(r for r, e in zip(results, energies) if e <= best_e + tie)
+    if opts.require_converged and not best[4]:
+        raise NotConverged("optimizer did not meet the convergence contract")
+    return best, energies
 
 
 def compute_cell_energy(jump, specs, grid, bc=BcVariant.NEUMANN, opts=None):
     """Multistart minimization of the cell energy; returns the best
     start with full diagnostics, deterministic for a fixed seed."""
+    jump.check_state_length(specs.m)
     opts = opts or OptimizerOptions()
     strategies = opts.strategies
     if strategies is None:
@@ -772,20 +698,7 @@ def compute_cell_energy(jump, specs, grid, bc=BcVariant.NEUMANN, opts=None):
     def run(start):
         return _minimize_start(start.values, specs, jump, grid, bc, opts)
 
-    if opts.threads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(s) for s in starts]
-
-    energies = [r[2] for r in results]
-    best_e = min(energies)
-    tie = opts.tie_rel * (1.0 + abs(best_e))
-    best_i = min(i for i, e in enumerate(energies) if e <= best_e + tie)
-    v, L, E, it, converged = results[best_i]
-    if opts.require_converged and not converged:
-        raise NotConverged("optimizer did not meet the convergence contract")
+    (v, L, _, it, converged), energies = multistart(starts, run, opts)
     profile = StateField(grid, v)
     breakdown = assemble_energy(profile, L, specs, jump, bc)
     return CellSolution(profile=profile, L_star=L, energy=breakdown, bc=bc,

@@ -2,8 +2,7 @@
 deterministic reports.
 
 Exit codes: 0 success, 1 a requested computation failed, 2 invalid
-configuration.  Flags override top-level config scalars; the env var
-CELLGAMMA_THREADS is the fallback for --threads.
+configuration.  Flags override top-level config scalars.
 """
 
 import argparse
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .cellopt import OptimizerOptions, compute_cell_energy
-from .errors import CellGammaError, ComputeFailed, ConfigInvalid
+from .errors import ComputeFailed, ConfigInvalid
 from .gamma import DomainSpec, run_gamma_sweep, write_sweep_csv
 from .grid import TensorField, build_cell_grid, build_frame
 from .hyperbolic import build_shock_grid, compute_shock_cell_energy
@@ -112,7 +111,6 @@ CONFIG_SCHEMA = {
             },
         },
         "seed": {"type": "integer", "minimum": 0},
-        "threads": {"type": "integer", "minimum": 1},
         "output_dir": {"type": "string"},
     },
 }
@@ -144,7 +142,6 @@ def validate_config(config):
 def _opts(config):
     o = dict(config.get("optimizer", {}))
     o.setdefault("seed", config.get("seed", 0))
-    o["threads"] = config.get("threads", 1)
     return OptimizerOptions(**o)
 
 
@@ -248,8 +245,6 @@ def _run_gamma(config):
                     "predicted": r.predicted, "ratio": r.ratio,
                     "error": r.error})
         rows.append(row)
-    if any(r.error for r in rows_sweep):
-        raise ComputeFailed("one or more sweep rows failed")
     return rows, rows_sweep
 
 
@@ -287,7 +282,8 @@ def _run_catalog(config):
 
 def run_config(config, out_dir):
     """Dispatch one validated config; writes report.json/report.csv
-    (deterministic) and timing.json (sidecar) to out_dir."""
+    (deterministic) and timing.json (sidecar) to out_dir.  A gamma sweep
+    with a failed row writes every file, then raises ComputeFailed."""
     sub = config["subcommand"]
     t0 = time.perf_counter()
     sweep = None
@@ -311,6 +307,8 @@ def run_config(config, out_dir):
         write_sweep_csv(sweep, os.path.join(out_dir, "gamma_sweep.csv"))
     emit_timing({"subcommand": sub, "wall_seconds": wall,
                  "rows": len(rows)}, out_dir)
+    if sweep is not None and any(r.error for r in sweep):
+        raise ComputeFailed("one or more sweep rows failed")
     return paths
 
 
@@ -333,7 +331,6 @@ def main(argv=None):
     parser.add_argument("--out", default=None,
                         help="output directory for reports")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -348,17 +345,6 @@ def main(argv=None):
             optimizer = config.get("optimizer")
             if isinstance(optimizer, dict) and "seed" in optimizer:
                 optimizer["seed"] = args.seed
-        threads = args.threads
-        if threads is None:
-            env = os.environ.get("CELLGAMMA_THREADS")
-            if env:
-                try:
-                    threads = int(env)
-                except ValueError:
-                    raise ConfigInvalid(
-                        f"CELLGAMMA_THREADS must be an integer, got {env!r}")
-        if threads is not None:
-            config["threads"] = threads
         out_dir = args.out or config.get("output_dir", "cellgamma_out")
         validate_config(config)
     except ConfigInvalid as exc:
@@ -370,7 +356,9 @@ def main(argv=None):
     except ConfigInvalid as exc:
         print(f"cellgamma: config error: {exc}", file=sys.stderr)
         return 2
-    except CellGammaError as exc:
+    except Exception as exc:
+        # library errors and any other failure of the computation (say a
+        # LinAlgError from numpy) end the run with one line, not a traceback
         print(f"cellgamma: compute failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 1

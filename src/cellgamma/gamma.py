@@ -13,17 +13,14 @@ surrogate with the indicator-truncated flux as source.
 
 import csv
 from dataclasses import dataclass, field as dc_field
-from types import SimpleNamespace
 
 import numpy as np
 
-from .cellopt import (OptimizerOptions, _local_values, _smoothstep,
-                      compute_cell_energy)
+from .cellopt import (OptimizerOptions, compute_cell_energy, local_integrals,
+                      smoothstep)
 from .errors import CellGammaError, EpsilonTooLarge, ShapeMismatch
 from .grid import CellGrid, StateField, build_cell_grid, build_frame
 from .poisson import BcVariant, padded_box_nonlocal_energy
-
-_NO_SIDES = SimpleNamespace(side_coefficients=None)
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,7 @@ def build_recovery_field(domain, cell, epsilon):
     states is tapered to zero with a clamped cubic, making the field
     exactly phi-/phi+ beyond the collar.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:  # also catches NaN
         raise EpsilonTooLarge("epsilon must be positive")
     avail = 0.5 - abs(domain.offset)
     if epsilon >= 0.5 * avail:
@@ -130,7 +127,7 @@ def build_recovery_field(domain, cell, epsilon):
     s_out = min(2.0 * epsilon, 0.9 * avail)
     s_in = 0.7 * s_out
     q = 2.0 * (np.abs(s) - s_in) / (s_out - s_in) - 1.0
-    taper = 1.0 - _smoothstep(q)
+    taper = 1.0 - smoothstep(q)
     psi = step + taper[..., None] * (zeta - step)
     return StateField(grid, psi)
 
@@ -144,11 +141,8 @@ def evaluate_full_energy(field, epsilon, specs, domain, pad_factor=4):
     grid = field.grid
     if field.values.shape != grid.shape + (specs.m,):
         raise ShapeMismatch("field does not fit the domain grid")
-    EG, EW = _local_values(grid, field.values, specs, _NO_SIDES, epsilon)[:2]
-    if specs.G.homogeneous_quadratic:
-        total = epsilon * EG + EW / epsilon
-    else:
-        total = (EG + EW) / epsilon
+    EG, EW = local_integrals(grid, field.values, specs)
+    total = epsilon * EG + EW / epsilon
     if not specs.Psi.is_zero:
         M = specs.Psi.value(field.values)
         spacings = [grid.spacing(ax) for ax in range(grid.dim)]

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cellopt import (CellSolution, EnergyBreakdown, OptimizerOptions,
-                      _smoothstep, optimize_scale, resolved_scale_floor)
-from .errors import (DegenerateNormal, NonScalar, NotConverged,
-                     RankineHugoniotViolated, ShapeMismatch)
+                      minimize_cg, multistart, resolved_scale_floor,
+                      smoothstep)
+from .errors import (DegenerateNormal, NonScalar, RankineHugoniotViolated,
+                     ShapeMismatch)
 from .grid import (StateField, TensorField, build_cell_grid, build_frame,
                    diff_axis, diff_axis_transpose)
 from .model import FluxFunction, validate_rankine_hugoniot
@@ -164,7 +165,7 @@ def build_shock_grid(st_jump, n_normal, n_lateral=None, n_time=None):
 
 def _ramp(t, center, width, kind):
     if kind == "smooth":
-        return _smoothstep((t - center) / width)
+        return smoothstep((t - center) / width)
     if kind == "linear":
         return np.clip(0.5 + (t - center) / (2.0 * width), 0.0, 1.0)
     raise ShapeMismatch(f"unknown ramp kind {kind!r}")
@@ -204,39 +205,49 @@ def build_base_fields(st_jump, flux, grid, width=0.25, center=0.0,
 
 # --- energy assembly and gradient ------------------------------------------
 
-def _st_terms(grid, base, w_values, margin, flux, entropy, L, want_grad):
-    """Energy components A (entropy-gradient term) and B (flux
-    mismatch) at fixed w, plus d(L A + B/L)/dw if requested."""
-    n_space = flux.N
-    zeta = base.zeta0.values + space_divergence(grid, w_values)
-    gamma = base.gamma0.values - time_derivative(grid, w_values)
-    wt = grid.node_weights()
-    p = entropy.grad_eta(zeta)
-    grads = [_phys_diff(grid, p, j) for j in range(n_space)]
-    a_term = float(sum(np.sum(wt[..., None] * np.square(gj)) for gj in grads))
-    r = gamma - flux.value(zeta)
-    b_term = float(np.sum(wt[..., None, None] * np.square(r)))
-    if not want_grad:
-        return a_term, b_term, None
-    # chain rule: through eta'' for the A term, through the flux
-    # jacobian for the B term, then through the linear maps div_y
-    # (columns of w) and -d_s via their exact transposes
-    de_dp = None
-    for j in range(n_space):
-        term = _phys_diff_t(grid, 2.0 * L * wt[..., None] * grads[j], j)
-        de_dp = term if de_dp is None else de_dp + term
-    de_dzeta = np.einsum("...b,...ba->...a", de_dp, entropy.hess_eta(zeta))
-    wr = wt[..., None, None] * r
-    de_dzeta -= (2.0 / L) * np.einsum("...ij,...ija->...a",
-                                      wr, flux.jacobian(zeta))
-    de_dgamma = (2.0 / L) * wr
-    gw = np.empty_like(w_values)
-    for j in range(n_space):
-        gw[..., j] = _phys_diff_t(grid, de_dzeta, j)
-    gw -= _phys_diff_t(grid, de_dgamma, grid.dim - 1)
-    gw[:margin] = 0.0
-    gw[-margin:] = 0.0
-    return a_term, b_term, gw
+class _ShockEvaluation:
+    """One forward pass at a perturbation potential w: the induced
+    state zeta, the entropy-variable gradients grad_y(grad_u eta(zeta))
+    and the flux mismatch r = gamma - F(zeta).  They give the energy
+    components A (entropy-gradient term) and B (flux mismatch) of
+    L A + B / L, and :meth:`gradient` reuses them."""
+
+    def __init__(self, grid, base, w_values, margin, flux, entropy):
+        self.grid, self.w_values, self.margin = grid, w_values, margin
+        self.flux, self.entropy = flux, entropy
+        self.zeta = base.zeta0.values + space_divergence(grid, w_values)
+        gamma = base.gamma0.values - time_derivative(grid, w_values)
+        self.wt = wt = grid.node_weights()
+        p = entropy.grad_eta(self.zeta)
+        self.grads = [_phys_diff(grid, p, j) for j in range(flux.N)]
+        self.A = float(sum(np.sum(wt[..., None] * np.square(gj))
+                           for gj in self.grads))
+        self.r = gamma - flux.value(self.zeta)
+        self.B = float(np.sum(wt[..., None, None] * np.square(self.r)))
+
+    def gradient(self, L):
+        """d(L A + B / L)/dw, with the margin slabs pinned to zero."""
+        grid, wt, n_space = self.grid, self.wt, self.flux.N
+        # chain rule: through eta'' for the A term, through the flux
+        # jacobian for the B term, then through the linear maps div_y
+        # (columns of w) and -d_s via their exact transposes
+        de_dp = None
+        for j in range(n_space):
+            term = _phys_diff_t(grid, 2.0 * L * wt[..., None] * self.grads[j], j)
+            de_dp = term if de_dp is None else de_dp + term
+        de_dzeta = np.einsum("...b,...ba->...a", de_dp,
+                             self.entropy.hess_eta(self.zeta))
+        wr = wt[..., None, None] * self.r
+        de_dzeta -= (2.0 / L) * np.einsum("...ij,...ija->...a",
+                                          wr, self.flux.jacobian(self.zeta))
+        de_dgamma = (2.0 / L) * wr
+        gw = np.empty_like(self.w_values)
+        for j in range(n_space):
+            gw[..., j] = _phys_diff_t(grid, de_dzeta, j)
+        gw -= _phys_diff_t(grid, de_dgamma, grid.dim - 1)
+        gw[:self.margin] = 0.0
+        gw[-self.margin:] = 0.0
+        return gw
 
 
 def assemble_st_energy(pert, L, st_jump, flux, entropy, grid, base=None):
@@ -246,11 +257,10 @@ def assemble_st_energy(pert, L, st_jump, flux, entropy, grid, base=None):
         base = build_base_fields(st_jump, flux, grid)
     if pert.w.values.shape != grid.shape + (flux.k, flux.N):
         raise ShapeMismatch("perturbation shaped for a different cell")
-    a_term, b_term, _ = _st_terms(grid, base, pert.w.values, pert.margin,
-                                  flux, entropy, L, False)
-    return EnergyBreakdown(grad_term=a_term, potential_term=b_term,
+    ev = _ShockEvaluation(grid, base, pert.w.values, pert.margin, flux, entropy)
+    return EnergyBreakdown(grad_term=ev.A, potential_term=ev.B,
                            nonlocal_term=0.0, L=L,
-                           total=L * a_term + b_term / L)
+                           total=L * ev.A + ev.B / L)
 
 
 def st_energy_gradient(pert, L, st_jump, flux, entropy, grid, base=None):
@@ -258,9 +268,8 @@ def st_energy_gradient(pert, L, st_jump, flux, entropy, grid, base=None):
     of w (margin slabs pinned to zero)."""
     if base is None:
         base = build_base_fields(st_jump, flux, grid)
-    _, _, gw = _st_terms(grid, base, pert.w.values, pert.margin,
-                         flux, entropy, L, True)
-    return TensorField(grid, gw)
+    ev = _ShockEvaluation(grid, base, pert.w.values, pert.margin, flux, entropy)
+    return TensorField(grid, ev.gradient(L))
 
 
 # --- minimization ----------------------------------------------------------
@@ -286,80 +295,16 @@ def _random_w(grid, k, n_space, index, scale, seed):
     return noise
 
 
-def _minimize_w(w0, base, st_jump, flux, entropy, grid, opts):
-    """Polak-Ribiere CG over w with Armijo backtracking; the scale has
-    the homogeneous split L A + B/L, so it is re-optimized in closed
-    form every iteration (floored at the resolved-scale limit)."""
-    du = float(np.linalg.norm(st_jump.u_plus - st_jump.u_minus))
-    gtol = opts.gtol_scale * (1.0 + du)
-    lmin = resolved_scale_floor(grid)
-
-    def best_l(a, b):
-        return max(optimize_scale(a, b)[0], lmin)
-
-    w = w0.copy()
-    a_term, b_term, _ = _st_terms(grid, base, w, _MARGIN, flux, entropy,
-                                  1.0, False)
-    L = best_l(a_term, b_term)
-    e = L * a_term + b_term / L
-    _, _, g = _st_terms(grid, base, w, _MARGIN, flux, entropy, L, True)
-    d = -g
-    alpha = 1.0
-    history = [e]
-    converged = False
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        gmax = float(np.max(np.abs(g)))
-        flat = (len(history) > 10
-                and (history[-11] - history[-1]) <= opts.etol * (1.0 + abs(history[-1])))
-        if gmax <= gtol and flat:
-            converged = True
-            break
-        slope = float(np.sum(g * d))
-        if slope >= 0.0:
-            d = -g
-            slope = -float(np.sum(g * g))
-            if slope == 0.0:
-                converged = True
-                break
-        a = alpha
-        accepted = False
-        for _ in range(50):
-            w_try = w + a * d
-            at, bt, _ = _st_terms(grid, base, w_try, _MARGIN, flux, entropy,
-                                  L, False)
-            e_try = L * at + bt / L
-            if e_try <= e + 1e-4 * a * slope:
-                accepted = True
-                break
-            a *= 0.5
-        if not accepted:
-            break
-        w = w_try
-        alpha = min(a * 2.0, 1e4)
-        L = best_l(at, bt)
-        e_new = L * at + bt / L
-        _, _, g_new = _st_terms(grid, base, w, _MARGIN, flux, entropy, L, True)
-        denom = float(np.sum(g * g))
-        beta = 0.0
-        if denom > 0.0:
-            beta = max(0.0, float(np.sum(g_new * (g_new - g))) / denom)
-        d = -g_new + beta * d
-        g = g_new
-        e = e_new
-        history.append(e)
-        if len(history) > 64:
-            history = history[-32:]
-    return w, L, e, it, converged
-
-
 def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
                               center=0.0):
     """Multistart minimization over (w, L); deterministic per seed.
 
     Starts: the unperturbed base fields plus ``n_random`` smoothed
-    random perturbation potentials.  Returns the induced state profile
-    zeta of the best start with full diagnostics.
+    random perturbation potentials.  Each start runs the shared driver
+    :func:`cellopt.minimize_cg`; the gradient already vanishes on the
+    margin slabs, so the directions are the plain gradients.  Returns
+    the induced state profile zeta of the best start with full
+    diagnostics.
     """
     opts = opts or OptimizerOptions()
     base = build_base_fields(st_jump, flux, grid, center=center)
@@ -371,24 +316,17 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
     starts = [np.zeros(grid.shape + (k, n_space))]
     starts += [_random_w(grid, k, n_space, i, scale, opts.seed)
                for i in range(opts.n_random)]
+    lmin = resolved_scale_floor(grid)
+    gtol = opts.gtol_scale * (1.0 + du)
+
+    def evaluate(w):
+        return _ShockEvaluation(grid, base, w, _MARGIN, flux, entropy)
 
     def run(w0):
-        return _minimize_w(w0, base, st_jump, flux, entropy, grid, opts)
+        return minimize_cg(w0, evaluate, lambda g, w, L: g,
+                           lambda w, step: w + step, lmin, gtol, opts)
 
-    if opts.threads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(w0) for w0 in starts]
-
-    energies = [r[2] for r in results]
-    best_e = min(energies)
-    tie = opts.tie_rel * (1.0 + abs(best_e))
-    best_i = min(i for i, e in enumerate(energies) if e <= best_e + tie)
-    w, L, e, it, converged = results[best_i]
-    if opts.require_converged and not converged:
-        raise NotConverged("shock optimizer did not meet the convergence contract")
+    (w, L, _, it, converged), energies = multistart(starts, run, opts)
     pert = PotentialPerturbation(w=TensorField(grid, w), margin=_MARGIN)
     breakdown = assemble_st_energy(pert, L, st_jump, flux, entropy, grid,
                                    base=base)

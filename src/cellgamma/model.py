@@ -68,15 +68,9 @@ class FluxFunction:
     jacobian: Callable
 
 
-@dataclass(frozen=True)
-class SideCoefficients:
-    """Per-side (sign of y.nu) coefficient table realizing the two-sided
-    sigma_{f,x}: piecewise-constant W and Psi across the interface."""
-
-    W_plus: ScalarPotential
-    W_minus: ScalarPotential
-    Psi_plus: FluxMap
-    Psi_minus: FluxMap
+def _require_finite(*arrays):
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise BadParams("jump data must be finite")
 
 
 @dataclass(frozen=True)
@@ -84,20 +78,26 @@ class JumpData:
     phi_plus: np.ndarray
     phi_minus: np.ndarray
     nu: np.ndarray
-    side_coefficients: Optional[SideCoefficients] = None
 
     def __post_init__(self):
         object.__setattr__(self, "phi_plus", np.asarray(self.phi_plus, dtype=np.float64))
         object.__setattr__(self, "phi_minus", np.asarray(self.phi_minus, dtype=np.float64))
         object.__setattr__(self, "nu", np.asarray(self.nu, dtype=np.float64))
+        _require_finite(self.phi_plus, self.phi_minus, self.nu)
         if abs(np.linalg.norm(self.nu) - 1.0) > 1e-12:
             raise BadParams("jump normal must be a unit vector to 1e-12")
         # equal states are degenerate but admitted: no-jump data is a
         # useful trivial case (zero energy) exercised by the test suite
 
     def flipped(self):
-        return JumpData(self.phi_minus, self.phi_plus, -self.nu,
-                        side_coefficients=self.side_coefficients)
+        return JumpData(self.phi_minus, self.phi_plus, -self.nu)
+
+    def check_state_length(self, m):
+        """Raise BadParams unless both states have the model's length m."""
+        if self.phi_plus.shape != (m,) or self.phi_minus.shape != (m,):
+            raise BadParams(
+                f"jump states of shapes {self.phi_minus.shape} and "
+                f"{self.phi_plus.shape} do not fit a model with m = {m}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,7 @@ class SpaceTimeJumpData:
         object.__setattr__(self, "u_minus", np.asarray(self.u_minus, dtype=np.float64))
         object.__setattr__(self, "nu_y", np.asarray(self.nu_y, dtype=np.float64))
         object.__setattr__(self, "nu_s", float(self.nu_s))
+        _require_finite(self.u_plus, self.u_minus, self.nu_y, self.nu_s)
         norm = np.sqrt(np.sum(self.nu_y ** 2) + self.nu_s ** 2)
         if abs(norm - 1.0) > 1e-12:
             raise BadParams("space-time normal must be a unit vector to 1e-12")
@@ -145,6 +146,12 @@ class ModelSpecs:
     constraint: ConstraintSet
     flux: Optional[FluxFunction] = None
     entropy: Optional[EntropyPair] = None
+
+    def __post_init__(self):
+        # the optimizers use the split L A + B / L of the cell energy,
+        # which holds only for homogeneous quadratic G
+        if not self.G.homogeneous_quadratic:
+            raise BadParams("G must be homogeneous quadratic")
 
     @property
     def m(self):
@@ -312,17 +319,10 @@ def validate_jump_data(jump, specs, tol):
     W vanishes on both sides and the normal flux is continuous."""
     if tol <= 0:
         raise BadParams("tol must be positive")
-    if jump.side_coefficients is not None:
-        sc = jump.side_coefficients
-        w_plus = float(sc.W_plus.value(jump.phi_plus))
-        w_minus = float(sc.W_minus.value(jump.phi_minus))
-        psi_p = sc.Psi_plus.value(jump.phi_plus)
-        psi_m = sc.Psi_minus.value(jump.phi_minus)
-    else:
-        w_plus = float(specs.W.value(jump.phi_plus))
-        w_minus = float(specs.W.value(jump.phi_minus))
-        psi_p = specs.Psi.value(jump.phi_plus)
-        psi_m = specs.Psi.value(jump.phi_minus)
+    w_plus = float(specs.W.value(jump.phi_plus))
+    w_minus = float(specs.W.value(jump.phi_minus))
+    psi_p = specs.Psi.value(jump.phi_plus)
+    psi_m = specs.Psi.value(jump.phi_minus)
     mismatch = float(np.max(np.abs((psi_p - psi_m) @ jump.nu)))
     entries = {
         "W_plus": (w_plus, abs(w_plus) <= tol),

@@ -182,6 +182,7 @@ def _path_states_sphere(jump, specs, sampling):
 def geodesic_path_1d(jump, specs, sampling=200):
     """Optimal transition path through state space, endpoints exact."""
     m = specs.m
+    jump.check_state_length(m)
     if specs.constraint.kind == "unit_sphere":
         if m != 3:
             raise DimensionTooLarge("sphere oracle implemented for m = 3")

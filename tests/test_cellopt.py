@@ -4,11 +4,11 @@ the multistart minimizer."""
 import numpy as np
 import pytest
 
-from cellgamma.cellopt import (OptimizerOptions, _smoothstep, assemble_energy,
+from cellgamma.cellopt import (OptimizerOptions, assemble_energy,
                                compute_cell_energy, energy_gradient,
                                init_profiles, optimize_scale,
-                               optimize_scale_general, resolved_scale_floor)
-from cellgamma.errors import (BadStrategy, DegenerateScale,
+                               resolved_scale_floor, smoothstep)
+from cellgamma.errors import (BadParams, BadStrategy, DegenerateScale,
                               InadmissibleProfile, NotConverged)
 from cellgamma.grid import StateField, build_cell_grid, build_frame
 from cellgamma.model import (ConstraintSet, FluxMap, GradientIntegrand,
@@ -78,13 +78,6 @@ def test_optimize_scale_closed_form():
     assert optimize_scale(0.0, 0.0) == (1.0, 0.0)
     with pytest.raises(DegenerateScale):
         optimize_scale(-1.0, 1.0)
-    # general path agrees with the closed form for quadratic G
-    g = build_cell_grid(build_frame([1.0]), 32)
-    t = g.axis_coords(0)
-    prof = StateField(g, (2.0 * t)[:, None])
-    Lg, eg = optimize_scale_general(prof, DW, DW_JUMP)
-    Lc, ec = optimize_scale(4.0, 8.0 / 15.0)
-    assert abs(Lg - Lc) < 1e-12 and abs(eg - ec) < 1e-12
 
 
 def test_gradient_matches_fd_double_well():
@@ -194,6 +187,13 @@ def test_determinism_same_seed():
     assert np.array_equal(a.profile.values, b.profile.values)
 
 
+def test_state_length_must_match_model():
+    g = build_cell_grid(build_frame([1.0]), 16)
+    j = JumpData(phi_plus=[1.0, 0.0], phi_minus=[-1.0, 0.0], nu=[1.0])
+    with pytest.raises(BadParams):
+        compute_cell_energy(j, DW, g)
+
+
 def test_require_converged_raises():
     g = build_cell_grid(build_frame([1.0]), 32)
     opts = OptimizerOptions(max_iter=1, require_converged=True)
@@ -202,9 +202,9 @@ def test_require_converged_raises():
 
 
 def test_smoothstep_endpoints():
-    assert _smoothstep(-1.0) == 0.0 and _smoothstep(1.0) == 1.0
-    assert _smoothstep(-5.0) == 0.0 and _smoothstep(5.0) == 1.0
-    assert abs(_smoothstep(0.0) - 0.5) < 1e-15
+    assert smoothstep(-1.0) == 0.0 and smoothstep(1.0) == 1.0
+    assert smoothstep(-5.0) == 0.0 and smoothstep(5.0) == 1.0
+    assert abs(smoothstep(0.0) - 0.5) < 1e-15
 
 
 def test_one_potential_solve_per_line_search_trial(monkeypatch):

@@ -140,15 +140,6 @@ def test_gamma_run_writes_sweep_csv(tmp_path):
     assert len(lines) == 3
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("CELLGAMMA_THREADS", "2")
-    cfg = _write(tmp_path, CELL_CONFIG)
-    out = tmp_path / "thr"
-    assert main(["cell", "--config", cfg, "--out", str(out)]) == 0
-    monkeypatch.setenv("CELLGAMMA_THREADS", "zero")
-    assert main(["cell", "--config", cfg, "--out", str(tmp_path / "bad")]) == 2
-
-
 def test_flag_seed_overrides_config(tmp_path):
     cfg = _write(tmp_path, CELL_CONFIG)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -184,3 +175,58 @@ def test_oracle_subcommand(tmp_path):
     doc = json.loads((out / "report.json").read_text())
     e = float(doc["rows"][0]["geodesic_energy"])
     assert abs(e - 8.0 / 3.0) <= 0.01 * (8.0 / 3.0)
+
+
+def test_gamma_failed_row_written_before_exit_1(tmp_path, monkeypatch):
+    import cellgamma.gamma as gamma
+    from cellgamma.errors import EpsilonTooLarge
+    real = gamma.build_recovery_field
+
+    def failing(domain, cell, epsilon):
+        if epsilon == 0.0625:
+            raise EpsilonTooLarge("injected")
+        return real(domain, cell, epsilon)
+
+    monkeypatch.setattr(gamma, "build_recovery_field", failing)
+    cfg = {"subcommand": "gamma",
+           "model": {"name": "double_well", "params": {"space_dim": 2}},
+           "jump": {"phi_plus": [1.0], "phi_minus": [-1.0], "nu": [1.0, 0.0]},
+           "gamma": {"epsilons": [0.125, 0.0625], "resolution": 64},
+           "optimizer": {"n_random": 0}}
+    out = tmp_path / "g"
+    assert main(["gamma", "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 1
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert rows[0]["error"] == ""
+    assert rows[1]["error"] == "EpsilonTooLarge: injected"
+    lines = (out / "gamma_sweep.csv").read_text().strip().splitlines()
+    assert len(lines) == 3 and lines[2].endswith("nan")
+
+
+ORACLE_CONFIG = {"subcommand": "oracle", "model": {"name": "double_well"},
+                 "jump": {"phi_plus": [1.0], "phi_minus": [-1.0], "nu": [1.0]},
+                 "oracle": {"sampling": 32}}
+
+
+@pytest.mark.parametrize("phi_plus", [[1.0, 0.0], [float("nan")]])
+def test_bad_jump_states_exit_1_one_line(tmp_path, capsys, phi_plus):
+    cfg = dict(ORACLE_CONFIG, jump=dict(ORACLE_CONFIG["jump"], phi_plus=phi_plus))
+    assert main(["oracle", "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cellgamma: compute failed: BadParams: ")
+    assert err.count("\n") == 1
+
+
+def test_non_library_error_exit_1_one_line(tmp_path, capsys, monkeypatch):
+    import numpy as np
+    import cellgamma.cli as cli
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(cli, "geodesic_energy_1d", broken)
+    assert main(["oracle", "--config", _write(tmp_path, ORACLE_CONFIG),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "cellgamma: compute failed: LinAlgError: injected\n")

@@ -71,6 +71,8 @@ def test_epsilon_too_large():
         build_recovery_field(DOMAIN, CELL, 0.3)
     with pytest.raises(EpsilonTooLarge):
         build_recovery_field(DOMAIN, CELL, -0.1)
+    with pytest.raises(EpsilonTooLarge):
+        build_recovery_field(DOMAIN, CELL, float("nan"))
     off = DomainSpec(nu=[1.0, 0.0], resolution=128, offset=0.4)
     with pytest.raises(EpsilonTooLarge):
         build_recovery_field(off, CELL, 0.06)

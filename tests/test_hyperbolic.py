@@ -200,3 +200,37 @@ def test_solver_not_below_oracle():
                                     OptimizerOptions(n_random=1))
     oracle = viscous_profile_oracle_1d(1.0, -1.0, FLUX, ENTROPY)
     assert sol.energy.total >= oracle * 0.99
+
+
+def test_one_forward_pass_per_line_search_trial(monkeypatch):
+    # the accepted trial's forward pass gives the scale, the energy and
+    # the gradient, so a start runs it once per trial plus once at the
+    # start; time_derivative is called once per forward pass
+    import cellgamma.hyperbolic as hy
+    counts = {"forward": 0, "trials": 0}
+    runs = []
+    real_td, real_driver = hy.time_derivative, hy.minimize_cg
+
+    def time_derivative(*args):
+        counts["forward"] += 1
+        return real_td(*args)
+
+    def driver(x0, evaluate, precondition, retract, *rest):
+        def counted_retract(x, step):
+            counts["trials"] += 1
+            return retract(x, step)
+
+        before = dict(counts)
+        out = real_driver(x0, evaluate, precondition, counted_retract, *rest)
+        runs.append({k: counts[k] - before[k] for k in counts})
+        runs[-1]["iterations"] = out[3]
+        return out
+
+    monkeypatch.setattr(hy, "time_derivative", time_derivative)
+    monkeypatch.setattr(hy, "minimize_cg", driver)
+    g = build_shock_grid(STANDING, 64, n_time=4)
+    hy.compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g,
+                                 OptimizerOptions(n_random=0, max_iter=40))
+    (run,) = runs
+    assert run["trials"] >= run["iterations"] > 1
+    assert run["forward"] == run["trials"] + 1

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cellgamma.errors import BadParams, UnknownModel
-from cellgamma.model import (JumpData, SpaceTimeJumpData, catalog_lookup,
+from cellgamma.model import (GradientIntegrand, JumpData, ModelSpecs,
+                             SpaceTimeJumpData, catalog_lookup,
                              fd_relative_error, validate_jump_data,
                              validate_rankine_hugoniot)
 
@@ -119,5 +120,24 @@ def test_jump_data_validation_errors():
         JumpData(phi_plus=[1.0], phi_minus=[-1.0], nu=[1.0, 1.0])
     with pytest.raises(BadParams):
         SpaceTimeJumpData(u_plus=[1.0], u_minus=[0.0], nu_y=[0.0], nu_s=1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(BadParams):
+            JumpData(phi_plus=[bad], phi_minus=[-1.0], nu=[1.0])
+        with pytest.raises(BadParams):
+            JumpData(phi_plus=[1.0], phi_minus=[-1.0], nu=[bad])
+        with pytest.raises(BadParams):
+            SpaceTimeJumpData(u_plus=[bad], u_minus=[1.0], nu_y=[1.0], nu_s=0.0)
+        with pytest.raises(BadParams):
+            SpaceTimeJumpData(u_plus=[-1.0], u_minus=[1.0], nu_y=[1.0], nu_s=bad)
     # degenerate equal states are admitted (trivial no-jump case)
     JumpData(phi_plus=[1.0], phi_minus=[1.0], nu=[1.0])
+
+
+def test_non_homogeneous_g_rejected():
+    dw = catalog_lookup("double_well")
+    quartic = GradientIntegrand(
+        m=1, N=1, value=lambda A: np.sum(A ** 4, axis=(-2, -1)),
+        gradient=lambda A: 4.0 * A ** 3, homogeneous_quadratic=False)
+    with pytest.raises(BadParams):
+        ModelSpecs(name="quartic", W=dw.W, Psi=dw.Psi, G=quartic,
+                   constraint=dw.constraint)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cellgamma.cellopt import OptimizerOptions, compute_cell_energy
-from cellgamma.errors import DimensionTooLarge, ProblemTooLarge
+from cellgamma.errors import BadParams, DimensionTooLarge, ProblemTooLarge
 from cellgamma.grid import build_cell_grid, build_frame
 from cellgamma.model import JumpData, catalog_lookup
 from cellgamma.oracle import (brute_force_cell_min, geodesic_energy_1d,
@@ -18,6 +18,12 @@ DW_JUMP = JumpData(phi_plus=[1.0], phi_minus=[-1.0], nu=[1.0])
 def test_double_well_oracle():
     e = geodesic_energy_1d(DW_JUMP, DW)
     assert abs(e - 8.0 / 3.0) <= 0.005 * (8.0 / 3.0)
+
+
+def test_state_length_must_match_model():
+    j = JumpData(phi_plus=[1.0, 0.0], phi_minus=[-1.0, 0.0], nu=[1.0])
+    with pytest.raises(BadParams):
+        geodesic_energy_1d(j, DW)
 
 
 def test_micromagnetics_wall_oracle():

@@ -12,14 +12,15 @@ well) hold for the computed minima by construction.  The nonlocal term
 whose variational structure makes its adjoint gradient formula exact.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.fft import dst, idst
 
-from .errors import BadStrategy, DegenerateScale, InadmissibleProfile, NotConverged
-from .grid import StateField, TensorField, cached_per_grid, integrate
+from .errors import (BadParams, BadStrategy, DegenerateScale, InadmissibleProfile,
+                     NotConverged)
+from .grid import StateField, TensorField, cached_per_grid, smooth_noise
 from .poisson import BcVariant, nonlocal_energy
 
 _GAUSS_X = np.array([0.5 - np.sqrt(0.15), 0.5, 0.5 + np.sqrt(0.15)])
@@ -78,8 +79,22 @@ class OptimizerOptions:
     n_random: int = 4
     amplitude: float = 0.1   # relative to |phi+ - phi-|
     strategies: Optional[list] = None
-    tie_rel: float = 1e-6
     require_converged: bool = False
+
+    def __post_init__(self):
+        for name in ("etol", "gtol_scale", "amplitude"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise BadParams(f"optimizer {name} must be finite and >= 0, got {value!r}")
+        if self.max_iter < 1:
+            raise BadParams(f"optimizer max_iter must be >= 1, got {self.max_iter!r}")
+        if self.n_random < 0:
+            raise BadParams(f"optimizer n_random must be >= 0, got {self.n_random!r}")
+
+
+# starts whose energy is within this relative tie of the lowest count as
+# equal, so the multistart picks the first of them
+_TIE_REL = 1e-6
 
 
 # --- multilinear element assembler ----------------------------------------
@@ -212,7 +227,7 @@ def _check_admissible(profile, jump, specs):
         raise InadmissibleProfile("end slabs must carry phi- and phi+ exactly")
     if specs.constraint.kind == "unit_sphere":
         norms = np.linalg.norm(v, axis=-1)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
+        if not np.max(np.abs(norms - 1.0)) <= 1e-10:  # also catches NaN
             raise InadmissibleProfile("profile leaves the unit sphere")
 
 
@@ -347,15 +362,8 @@ def smoothstep(s):
     return 0.5 + 0.75 * s - 0.25 * s ** 3
 
 
-def _sphere_project(values, fallback_axis=-1):
-    norms = np.linalg.norm(values, axis=-1, keepdims=True)
-    out = np.where(norms > 1e-12, values / np.where(norms > 1e-12, norms, 1.0), 0.0)
-    dead = norms[..., 0] <= 1e-12
-    if np.any(dead):
-        unit = np.zeros(values.shape[-1])
-        unit[fallback_axis] = 1.0
-        out[dead] = unit
-    return out
+def _sphere_project(values):
+    return values / np.linalg.norm(values, axis=-1, keepdims=True)
 
 
 def _antipodal_axes(a, specs, jump):
@@ -381,11 +389,8 @@ def _antipodal_axes(a, specs, jump):
         e /= n
         path = np.cos(theta)[:, None] * a + np.sin(theta)[:, None] * e
         w = specs.W.value(path)
-        if specs.Psi.is_zero:
-            pot = np.zeros_like(w)
-        else:
-            dpsi = (specs.Psi.value(path) - specs.Psi.value(a)) @ jump.nu
-            pot = np.sum(np.square(dpsi), axis=-1)
+        dpsi = (specs.Psi.value(path) - specs.Psi.value(a)) @ jump.nu
+        pot = np.sum(np.square(dpsi), axis=-1)
         cost = np.trapezoid(2.0 * np.sqrt(np.maximum(w + pot, 0.0)), theta)
         excursion = float(np.max(pot))
         scored.append((cost, excursion, k, e))
@@ -450,17 +455,7 @@ def _random_profile(jump, specs, grid, index, amplitude, seed):
     # family than the deterministic start when one exists (antipodal
     # sphere data), instead of re-probing the same basin
     base = _tanh_profile(jump, specs, grid, plane_rank=1)
-    noise = rng.standard_normal(grid.shape + (specs.m,))
-    # smooth the white noise a little so line searches are not hopeless
-    for _ in range(2):
-        for ax in range(grid.dim):
-            if grid.axis_bc[ax] == "periodic":
-                noise = (noise + np.roll(noise, 1, axis=ax)
-                         + np.roll(noise, -1, axis=ax)) / 3.0
-            else:
-                sm = noise.copy()
-                sm[1:-1] = (noise[:-2] + noise[1:-1] + noise[2:]) / 3.0
-                noise = sm
+    noise = smooth_noise(grid, rng.standard_normal(grid.shape + (specs.m,)))
     t = grid.coords_normal()
     bump = np.square(np.sin(np.pi * (t + 0.5)))[..., None]
     jump_size = np.linalg.norm(jump.phi_plus - jump.phi_minus)
@@ -566,10 +561,8 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
       new scale, energy and gradient.  A run therefore makes one
       evaluation per trial plus one for the start.
     - Backtracking steps come from the parabola through E(0), the
-      slope and the trial energy.  An accepted step more than twice
-      that parabola's minimizer is replaced by the minimizer when it
-      gives a lower energy, which keeps stiff modes from oscillating
-      under the doubled initial step.
+      slope and the trial energy, kept within [0.1, 0.5] of the
+      rejected step.
     - A run converges when the largest gradient entry is at most gtol
       and the energy fell by at most ``opts.etol`` (relative) over the
       last 10 iterations, or when no descent direction is left.  It
@@ -580,11 +573,6 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
         L = max(optimize_scale(ev.A, ev.B)[0], lmin)
         return L, L * ev.A + ev.B / L
 
-    def step(a):
-        x_try = retract(x, a * d)
-        trial = evaluate(x_try)
-        return (x_try, trial) + scaled(trial)
-
     x = x0.copy()
     ev = evaluate(x)
     L, E = scaled(ev)
@@ -594,7 +582,6 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
     alpha = 1.0
     history = [E]
     converged = False
-    it = 0
     for it in range(1, opts.max_iter + 1):
         gmax = float(np.max(np.abs(g)))
         flat = (len(history) > 10
@@ -610,21 +597,15 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
                 converged = True
                 break
         a = alpha
-        accepted = False
         for _ in range(50):
-            x_try, trial, L_try, E_try = step(a)
-            a_min = _parabola_step(a, E, slope, E_try)
+            x_try = retract(x, a * d)
+            trial = evaluate(x_try)
+            L_try, E_try = scaled(trial)
             if E_try <= E + 1e-4 * a * slope:
-                accepted = True
-                if a_min < 0.5 * a:
-                    shorter = step(a_min)
-                    if shorter[3] < E_try:
-                        x_try, trial, L_try, E_try = shorter
-                        a = a_min
                 break
-            a = min(max(a_min, 0.1 * a), 0.5 * a)
-        if not accepted:
-            # stuck at line-search resolution: treat as converged-enough
+            a = min(max(_parabola_step(a, E, slope, E_try), 0.1 * a), 0.5 * a)
+        else:
+            # stuck at line-search resolution: stop unconverged
             break
         x, ev, L, E = x_try, trial, L_try, E_try
         alpha = min(a * 2.0, 1e4)
@@ -668,14 +649,14 @@ def _minimize_start(values, specs, jump, grid, bc, opts):
 
 def multistart(starts, minimize, opts):
     """Run ``minimize`` from every start and pick the first start whose
-    energy is within ``opts.tie_rel`` of the lowest.  Returns that
+    energy is within a relative 1e-6 of the lowest.  Returns that
     start's (x, L, E, iterations, converged) and the list of start
     energies; raises NotConverged under ``opts.require_converged`` when
     the picked start did not converge."""
     results = [minimize(s) for s in starts]
     energies = [r[2] for r in results]
     best_e = min(energies)
-    tie = opts.tie_rel * (1.0 + abs(best_e))
+    tie = _TIE_REL * (1.0 + abs(best_e))
     best = next(r for r, e in zip(results, energies) if e <= best_e + tie)
     if opts.require_converged and not best[4]:
         raise NotConverged("optimizer did not meet the convergence contract")

@@ -65,16 +65,11 @@ class SweepRow:
 def _interp_profile(cell, u, lat_coords):
     """Sample the cell profile at normal coordinate u (clipped to the
     cell) and periodically wrapped lateral coordinates."""
+    # imported here: scipy.interpolate adds about half a second to the
+    # package import, and only the sweep needs it
+    from scipy.interpolate import RegularGridInterpolator
     cgrid = cell.profile.grid
     vals = cell.profile.values
-    if cgrid.dim == 1 or all(n == 1 for n in cgrid.n_axes[1:]):
-        t = cgrid.axis_coords(0)
-        flat = vals.reshape(cgrid.n_axes[0], -1, vals.shape[-1])[:, 0, :]
-        out = np.empty(u.shape + (vals.shape[-1],))
-        for a in range(vals.shape[-1]):
-            out[..., a] = np.interp(u, t, flat[:, a])
-        return out
-    from scipy.interpolate import RegularGridInterpolator
     axes = [cgrid.axis_coords(0)]
     pad_vals = vals
     for ax in range(1, cgrid.dim):
@@ -83,7 +78,7 @@ def _interp_profile(cell, u, lat_coords):
         first = np.take(pad_vals, [0], axis=ax)
         pad_vals = np.concatenate([pad_vals, first], axis=ax)
     itp = RegularGridInterpolator(tuple(axes), pad_vals, method="linear")
-    pts = [np.broadcast_to(u, u.shape)]
+    pts = [u]
     for c in lat_coords:
         wrapped = np.mod(c + 0.5, 1.0) - 0.5
         pts.append(np.broadcast_to(wrapped, u.shape))
@@ -153,21 +148,17 @@ def evaluate_full_energy(field, epsilon, specs, domain, pad_factor=4):
 
 # --- sweep ------------------------------------------------------------------
 
-def run_gamma_sweep(domain, jump, specs, epsilons, cell=None, opts=None,
-                    cell_grid=None):
+def run_gamma_sweep(domain, jump, specs, epsilons, cell=None, opts=None):
     """One SweepRow per epsilon (strictly decreasing); per-epsilon
     failures are recorded in the row's error field and the sweep
-    continues.  Ratio convention: 0/0 reports as 1."""
+    continues.  Without ``cell`` the cell problem is solved with 257
+    normal nodes and 8 per lateral axis.  Ratio convention: 0/0
+    reports as 1."""
     eps = [float(e) for e in epsilons]
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ShapeMismatch("epsilons must be strictly decreasing")
     if cell is None:
-        if cell_grid is None:
-            frame = build_frame(jump.nu)
-            if frame.dim == 1:
-                cell_grid = build_cell_grid(frame, 257)
-            else:
-                cell_grid = build_cell_grid(frame, 257, n_lateral=8)
+        cell_grid = build_cell_grid(build_frame(jump.nu), 257, n_lateral=8)
         cell = compute_cell_energy(jump, specs, cell_grid, BcVariant.NEUMANN,
                                    opts or OptimizerOptions())
     predicted = cell.energy.total * domain.interface_length

@@ -14,13 +14,10 @@ truncation order.
 """
 
 from dataclasses import dataclass, field
-import struct
 
 import numpy as np
 
 from .errors import NonUnitNormal, ShapeMismatch
-
-_MAGIC = b"CGRID1"
 
 
 # --- frame ----------------------------------------------------------------
@@ -63,23 +60,17 @@ def build_frame(nu):
     basis[0] = nu
     if n > 1:
         # reflect about the bisector of e_1 and +/-nu; the sign choice
-        # keeps the reflection vector well away from zero
+        # keeps the reflection vector away from zero: |nu - s e_1|^2 =
+        # 2 + 2 |nu_0| >= 2
         e1 = np.zeros(n)
         e1[0] = 1.0
         s = -1.0 if nu[0] > 0.0 else 1.0
         v = nu - s * e1
-        vn = np.linalg.norm(v)
-        if vn < 1e-14:
-            # nu is (anti)parallel to e_1: the standard frame works as is
-            for j in range(1, n):
-                basis[j] = 0.0
-                basis[j, j] = 1.0
-        else:
-            v = v / vn
-            for j in range(1, n):
-                ej = np.zeros(n)
-                ej[j] = 1.0
-                basis[j] = -s * (ej - 2.0 * v[j] * v)
+        v = v / np.linalg.norm(v)
+        for j in range(1, n):
+            ej = np.zeros(n)
+            ej[j] = 1.0
+            basis[j] = -s * (ej - 2.0 * v[j] * v)
     basis.setflags(write=False)
     return Frame(basis=basis)
 
@@ -207,9 +198,6 @@ class StateField:
     def m(self):
         return self.values.shape[-1]
 
-    def copy(self):
-        return StateField(self.grid, self.values.copy())
-
 
 @dataclass
 class TensorField:
@@ -233,9 +221,6 @@ class TensorField:
     @property
     def rows(self):
         return self.values.shape[-2]
-
-    def copy(self):
-        return TensorField(self.grid, self.values.copy())
 
 
 # --- per-axis derivatives -------------------------------------------------
@@ -359,28 +344,17 @@ def integrate(grid, density):
     return float(np.sum(grid.node_weights() * density))
 
 
-# --- binary dumps ---------------------------------------------------------
-
-def dump_field(path, values):
-    """Write a nodal array: magic, rank, dims (u64 LE), doubles (LE),
-    row-major with the normal axis slowest."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", values.ndim))
-        for d in values.shape:
-            fh.write(struct.pack("<Q", d))
-        fh.write(values.astype("<f8").tobytes(order="C"))
-
-
-def load_field(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != _MAGIC:
-            raise ShapeMismatch("not a CGRID1 dump")
-        (rank,) = struct.unpack("<Q", fh.read(8))
-        dims = struct.unpack("<" + "Q" * rank, fh.read(8 * rank))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != int(np.prod(dims)):
-        raise ShapeMismatch("dump payload size does not match dims")
-    return data.reshape(dims).astype(np.float64)
+def smooth_noise(grid, noise):
+    """Two passes of the three-point average along every grid axis of a
+    nodal array (periodic axes wrap; the normal axis keeps its end
+    slabs), so that random starts are not hopeless for line searches."""
+    for _ in range(2):
+        for ax in range(grid.dim):
+            if grid.axis_bc[ax] == "periodic":
+                noise = (noise + np.roll(noise, 1, axis=ax)
+                         + np.roll(noise, -1, axis=ax)) / 3.0
+            else:
+                sm = noise.copy()
+                sm[1:-1] = (noise[:-2] + noise[1:-1] + noise[2:]) / 3.0
+                noise = sm
+    return noise

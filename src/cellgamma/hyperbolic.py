@@ -31,7 +31,7 @@ from .cellopt import (CellSolution, EnergyBreakdown, OptimizerOptions,
 from .errors import (DegenerateNormal, NonScalar, RankineHugoniotViolated,
                      ShapeMismatch)
 from .grid import (StateField, TensorField, build_cell_grid, build_frame,
-                   diff_axis, diff_axis_transpose)
+                   diff_axis, diff_axis_transpose, smooth_noise)
 from .model import FluxFunction, validate_rankine_hugoniot
 
 
@@ -279,16 +279,7 @@ _MARGIN = 3
 
 def _random_w(grid, k, n_space, index, scale, seed):
     rng = np.random.Generator(np.random.Philox(key=(seed, index)))
-    noise = rng.standard_normal(grid.shape + (k, n_space))
-    for _ in range(2):
-        for ax in range(grid.dim):
-            if grid.axis_bc[ax] == "periodic":
-                noise = (noise + np.roll(noise, 1, axis=ax)
-                         + np.roll(noise, -1, axis=ax)) / 3.0
-            else:
-                sm = noise.copy()
-                sm[1:-1] = (noise[:-2] + noise[1:-1] + noise[2:]) / 3.0
-                noise = sm
+    noise = smooth_noise(grid, rng.standard_normal(grid.shape + (k, n_space)))
     noise *= scale
     noise[:_MARGIN] = 0.0
     noise[-_MARGIN:] = 0.0
@@ -306,6 +297,7 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
     the induced state profile zeta of the best start with full
     diagnostics.
     """
+    st_jump.check_state_length(flux.k)
     opts = opts or OptimizerOptions()
     base = build_base_fields(st_jump, flux, grid, center=center)
     k, n_space = flux.k, flux.N

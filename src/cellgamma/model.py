@@ -73,6 +73,14 @@ def _require_finite(*arrays):
         raise BadParams("jump data must be finite")
 
 
+def _check_state_length(minus, plus, m, name):
+    """Raise BadParams unless both jump states have length m."""
+    if minus.shape != (m,) or plus.shape != (m,):
+        raise BadParams(
+            f"jump states of shapes {minus.shape} and {plus.shape} do not "
+            f"fit a model with {name} = {m}")
+
+
 @dataclass(frozen=True)
 class JumpData:
     phi_plus: np.ndarray
@@ -94,10 +102,7 @@ class JumpData:
 
     def check_state_length(self, m):
         """Raise BadParams unless both states have the model's length m."""
-        if self.phi_plus.shape != (m,) or self.phi_minus.shape != (m,):
-            raise BadParams(
-                f"jump states of shapes {self.phi_minus.shape} and "
-                f"{self.phi_plus.shape} do not fit a model with m = {m}")
+        _check_state_length(self.phi_minus, self.phi_plus, m, "m")
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,10 @@ class SpaceTimeJumpData:
     @property
     def nu(self):
         return np.concatenate([self.nu_y, [self.nu_s]])
+
+    def check_state_length(self, k):
+        """Raise BadParams unless both states have the flux's length k."""
+        _check_state_length(self.u_minus, self.u_plus, k, "k")
 
 
 @dataclass(frozen=True)

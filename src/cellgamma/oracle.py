@@ -1,6 +1,8 @@
-"""Slow, independent reference computations: 1D geodesic path energies
-by Dijkstra over a sampled state space, brute-force tiny-grid
-minimization, and finite-difference gradients.
+"""Slow reference computations: 1D geodesic path energies by Dijkstra
+over a sampled state space, many-start minimization on tiny grids, and
+finite-difference gradients.  The geodesic paths and the finite
+differences are independent of the fast solvers; the many-start minimum
+runs the cell optimizer itself, so it checks the start selection only.
 
 The geodesic cost density is 2 |r'| sqrt(W(r) + |(Psi(r) - Psi(phi-)).nu|^2):
 for one-dimensional profiles the potential gradient reduces to the
@@ -19,17 +21,13 @@ from .errors import DimensionTooLarge, ProblemTooLarge
 def _cost_density(specs, jump, states):
     """Pointwise cost 2 sqrt(W + |(Psi - Psi(phi-)).nu|^2), vectorized."""
     w = specs.W.value(states)
-    if specs.Psi.is_zero:
-        pot = 0.0
-    else:
-        dpsi = (specs.Psi.value(states)
-                - specs.Psi.value(jump.phi_minus)) @ jump.nu
-        pot = np.sum(np.square(dpsi), axis=-1)
+    dpsi = (specs.Psi.value(states) - specs.Psi.value(jump.phi_minus)) @ jump.nu
+    pot = np.sum(np.square(dpsi), axis=-1)
     return 2.0 * np.sqrt(np.maximum(w + pot, 0.0))
 
 
 def _dijkstra(n_nodes, edges, source, target):
-    """edges: adjacency list of (neighbor, cost)."""
+    """Node path of least cost; edges: adjacency list of (neighbor, cost)."""
     dist = np.full(n_nodes, np.inf)
     dist[source] = 0.0
     prev = np.full(n_nodes, -1, dtype=np.int64)
@@ -54,27 +52,22 @@ def _dijkstra(n_nodes, edges, source, target):
         if p < 0:
             raise RuntimeError("target unreachable in oracle graph")
         path.append(p)
-    return float(dist[target]), path[::-1]
+    return path[::-1]
 
 
-def _edge_costs(specs, jump, points, pairs):
-    """Trapezoid edge cost between paired state points."""
-    c = _cost_density(specs, jump, points)
-    a, b = pairs[:, 0], pairs[:, 1]
-    seg = np.linalg.norm(points[b] - points[a], axis=-1)
-    return 0.5 * (c[a] + c[b]) * seg
-
-
-def _grid_graph_path(specs, jump, points, shape, wrap_axes=()):
-    """Dijkstra over a lattice of states with 8-neighbor (diagonal)
-    moves; returns (cost, path states).  ``points`` is (n_nodes, m)."""
+def _lattice_path(specs, jump, points, shape, wrap_axes=()):
+    """Cheapest path between the lattice nodes nearest phi- and phi+, by
+    Dijkstra over a lattice of states with all neighbor moves, diagonal
+    ones included, and trapezoid edge costs.  ``points`` is (n_nodes, m)
+    in the row-major order of ``shape``; the axes in ``wrap_axes`` are
+    periodic.  Returns the path states with the endpoints set to phi-
+    and phi+ exactly."""
     nd = len(shape)
     idx = np.arange(int(np.prod(shape))).reshape(shape)
     offsets = [off for off in np.ndindex(*(3,) * nd)
                if any(o != 1 for o in off)]
     pair_list = []
     for off in offsets:
-        src = idx
         dst = idx
         ok = np.ones(shape, dtype=bool)
         for ax, o in enumerate(off):
@@ -88,55 +81,37 @@ def _grid_graph_path(specs, jump, points, shape, wrap_axes=()):
                 keep = np.zeros(shape, dtype=bool)
                 keep[tuple(sl)] = True
                 ok &= keep
-        pair_list.append(np.stack([src[ok], dst[ok]], axis=1))
+        pair_list.append(np.stack([idx[ok], dst[ok]], axis=1))
     pairs = np.concatenate(pair_list)
-    costs = _edge_costs(specs, jump, points, pairs)
+    c = _cost_density(specs, jump, points)
+    seg = np.linalg.norm(points[pairs[:, 1]] - points[pairs[:, 0]], axis=-1)
+    costs = 0.5 * (c[pairs[:, 0]] + c[pairs[:, 1]]) * seg
     edges = [[] for _ in range(points.shape[0])]
-    for (a, b), c in zip(pairs, costs):
-        edges[a].append((b, c))
-    return edges
+    for (a, b), cost in zip(pairs, costs):
+        edges[a].append((b, cost))
+    source, target = (int(np.argmin(np.sum((points - phi) ** 2, axis=1)))
+                      for phi in (jump.phi_minus, jump.phi_plus))
+    states = points[_dijkstra(points.shape[0], edges, source, target)]
+    states[0] = jump.phi_minus
+    states[-1] = jump.phi_plus
+    return states
 
 
-def _path_states_1d(jump, specs, sampling):
-    lo = min(float(jump.phi_minus[0]), float(jump.phi_plus[0]))
-    hi = max(float(jump.phi_minus[0]), float(jump.phi_plus[0]))
-    margin = 0.25 * (hi - lo)
-    pts = np.unique(np.concatenate([
-        np.linspace(lo - margin, hi + margin, sampling),
-        [float(jump.phi_minus[0]), float(jump.phi_plus[0])],
-    ]))
-    points = pts[:, None]
-    n = pts.size
-    pairs = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
-    costs = _edge_costs(specs, jump, points, pairs)
-    edges = [[] for _ in range(n)]
-    for (a, b), c in zip(pairs, costs):
-        edges[a].append((b, c))
-        edges[b].append((a, c))
-    src = int(np.argmin(np.abs(pts - jump.phi_minus[0])))
-    dst = int(np.argmin(np.abs(pts - jump.phi_plus[0])))
-    cost, path = _dijkstra(n, edges, src, dst)
-    return cost, points[path]
-
-
-def _path_states_2d(jump, specs, sampling):
+def _box_lattice(jump, sampling):
+    """Tensor lattice of ``sampling`` states per axis over the box of the
+    jump states, widened by a quarter of its span on each side, with
+    both jump states added as nodes."""
     lo = np.minimum(jump.phi_minus, jump.phi_plus)
     hi = np.maximum(jump.phi_minus, jump.phi_plus)
     span = np.maximum(hi - lo, 1e-6)
     lo = lo - 0.25 * span
     hi = hi + 0.25 * span
-    ax0 = np.unique(np.concatenate([np.linspace(lo[0], hi[0], sampling),
-                                    [jump.phi_minus[0], jump.phi_plus[0]]]))
-    ax1 = np.unique(np.concatenate([np.linspace(lo[1], hi[1], sampling),
-                                    [jump.phi_minus[1], jump.phi_plus[1]]]))
-    X, Y = np.meshgrid(ax0, ax1, indexing="ij")
-    points = np.stack([X.ravel(), Y.ravel()], axis=1)
-    shape = (ax0.size, ax1.size)
-    edges = _grid_graph_path(specs, jump, points, shape)
-    i0 = int(np.argmin(np.sum((points - jump.phi_minus) ** 2, axis=1)))
-    i1 = int(np.argmin(np.sum((points - jump.phi_plus) ** 2, axis=1)))
-    cost, path = _dijkstra(points.shape[0], edges, i0, i1)
-    return cost, points[path]
+    axes = [np.unique(np.concatenate([np.linspace(lo[a], hi[a], sampling),
+                                      [jump.phi_minus[a], jump.phi_plus[a]]]))
+            for a in range(lo.size)]
+    points = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")],
+                      axis=1)
+    return points, tuple(x.size for x in axes)
 
 
 def _sphere_frame(phi_minus, phi_plus):
@@ -158,7 +133,9 @@ def _sphere_frame(phi_minus, phi_plus):
     return e1, e2, e3
 
 
-def _path_states_sphere(jump, specs, sampling):
+def _sphere_lattice(jump, sampling):
+    """Polar lattice on the unit sphere about phi-: polar angle from
+    phi- by azimuth, the azimuth periodic."""
     e1, e2, e3 = _sphere_frame(jump.phi_minus, jump.phi_plus)
     theta = np.linspace(0.0, np.pi, sampling)       # polar angle from phi-
     psi = np.linspace(0.0, 2.0 * np.pi, sampling, endpoint=False)
@@ -166,17 +143,7 @@ def _path_states_sphere(jump, specs, sampling):
     pts = (np.cos(T)[..., None] * e1
            + (np.sin(T) * np.cos(P))[..., None] * e2
            + (np.sin(T) * np.sin(P))[..., None] * e3)
-    points = pts.reshape(-1, 3)
-    shape = (sampling, sampling)
-    edges = _grid_graph_path(specs, jump, points, shape, wrap_axes=(1,))
-    i0 = 0  # theta = 0 pole is phi- for every psi; take the first
-    i1 = int(np.argmin(np.sum((points - jump.phi_plus) ** 2, axis=1)))
-    cost, path = _dijkstra(points.shape[0], edges, i0, i1)
-    states = points[path]
-    # snap the endpoint (the nearest lattice node may be slightly off)
-    states[0] = jump.phi_minus
-    states[-1] = jump.phi_plus
-    return cost, states
+    return pts.reshape(-1, 3), (sampling, sampling)
 
 
 def geodesic_path_1d(jump, specs, sampling=200):
@@ -186,17 +153,12 @@ def geodesic_path_1d(jump, specs, sampling=200):
     if specs.constraint.kind == "unit_sphere":
         if m != 3:
             raise DimensionTooLarge("sphere oracle implemented for m = 3")
-        _, states = _path_states_sphere(jump, specs, sampling)
-        return states
-    if m == 1:
-        _, states = _path_states_1d(jump, specs, sampling)
-    elif m == 2:
-        _, states = _path_states_2d(jump, specs, sampling)
-    else:
+        points, shape = _sphere_lattice(jump, sampling)
+        return _lattice_path(specs, jump, points, shape, wrap_axes=(1,))
+    if m > 2:
         raise DimensionTooLarge("unconstrained oracle implemented for m <= 2")
-    states[0] = jump.phi_minus
-    states[-1] = jump.phi_plus
-    return states
+    points, shape = _box_lattice(jump, sampling)
+    return _lattice_path(specs, jump, points, shape)
 
 
 def geodesic_energy_1d(jump, specs, sampling=200):
@@ -208,7 +170,9 @@ def geodesic_energy_1d(jump, specs, sampling=200):
 
 
 def brute_force_cell_min(jump, specs, grid, bc=None, n_starts=64, seed=0):
-    """Exhaustive multistart minimum on a tiny grid; tests only."""
+    """The cell optimizer run from ``n_starts`` starts on a tiny grid;
+    tests only.  It shares the optimizer it checks, so it bounds what
+    more starts would find, not the true minimum."""
     from .cellopt import OptimizerOptions, compute_cell_energy
     from .poisson import BcVariant
     n_interior = (grid.shape[0] - 2) * int(np.prod(grid.shape[1:])) * specs.m

@@ -38,7 +38,6 @@ from .grid import (StateField, TensorField, cached_per_grid, gradient,
 class BcVariant:
     NEUMANN = "neumann_normal_periodic_lateral"
     DIRICHLET = "dirichlet_cell"
-    PADDED = "dirichlet_padded_box"
 
     CELL_KINDS = (NEUMANN, DIRICHLET)
 
@@ -72,15 +71,14 @@ class _CellSolverData:
         n0 = grid.n_axes[0]
         h0 = grid.spacing(0)
         lat_shape = grid.n_axes[1:]
-        freq_shape = (tuple(lat_shape[:-1]) + (lat_shape[-1] // 2 + 1,)
-                      if lat_shape else ())
+        freq_shape = tuple(lat_shape[:-1]) + (lat_shape[-1] // 2 + 1,)
         self.lat_shape = lat_shape
         self.freq_shape = freq_shape
-        self.n_modes = int(np.prod(freq_shape)) if freq_shape else 1
+        self.n_modes = int(np.prod(freq_shape))
 
         # central-difference symbol per lateral axis: D_lat <-> i sigma
         self.sigma = []
-        mu = np.zeros(freq_shape if freq_shape else (1,))
+        mu = np.zeros(freq_shape)
         for i, n in enumerate(lat_shape):
             h = grid.spacing(i + 1)
             if i == len(lat_shape) - 1:
@@ -124,31 +122,24 @@ def _solver_data(grid, bc):
                            lambda: _CellSolverData(grid, bc))
 
 
-def _check_compat(grid, values, nu):
+def _end_fluxes(grid, values):
+    """Lateral means of M.nu on the two pinned normal slabs, one per
+    row: (bottom, top)."""
+    m_nu = values @ grid.frame.nu  # (..., l)
+    lat_axes = tuple(range(grid.dim - 1))
+    return m_nu[0].mean(axis=lat_axes), m_nu[-1].mean(axis=lat_axes)
+
+
+def _check_compat(grid, values):
     """Discrete flux balance: the lateral means of M.nu on the two
     pinned normal slabs must agree (the discrete (Psi+ - Psi-).nu = 0)."""
-    m_nu = values @ nu  # (..., l)
-    if grid.dim > 1:
-        lat_axes = tuple(range(grid.dim - 1))
-        top = m_nu[-1].mean(axis=lat_axes)
-        bot = m_nu[0].mean(axis=lat_axes)
-    else:
-        top, bot = m_nu[-1], m_nu[0]
+    bot, top = _end_fluxes(grid, values)
     imbalance = float(np.max(np.abs(top - bot)))
     eps = 1e-8 * (1.0 + float(np.max(np.abs(values))))
     if imbalance > eps:
         raise NeumannIncompatible(
             f"normal flux imbalance {imbalance:.3e} exceeds {eps:.3e}; "
             "the Neumann cell problem requires (Psi(phi+) - Psi(phi-)).nu = 0")
-
-
-def _mean_end_flux(grid, values, nu):
-    """Average of the two end-slab lateral means of M.nu, one per row."""
-    m_nu = values @ nu
-    if grid.dim > 1:
-        lat_axes = tuple(range(grid.dim - 1))
-        return 0.5 * (m_nu[-1].mean(axis=lat_axes) + m_nu[0].mean(axis=lat_axes))
-    return 0.5 * (m_nu[-1] + m_nu[0])
 
 
 def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
@@ -169,12 +160,16 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
 
     Projection callers (Helmholtz-Leray duality) disable both the shift
     and the compatibility check: the decomposition needs neither.
+
+    The cell needs at least one lateral axis.
     """
     if bc not in BcVariant.CELL_KINDS:
         raise ShapeMismatch(f"unknown cell bc variant {bc!r}")
     grid = M.grid
+    if grid.dim < 2:
+        raise ShapeMismatch("the cell potential solve needs a lateral axis")
     if bc == BcVariant.NEUMANN and check_compat:
-        _check_compat(grid, M.values, grid.frame.nu)
+        _check_compat(grid, M.values)
     data = _solver_data(grid, bc)
     n0 = grid.n_axes[0]
     l = M.rows
@@ -182,14 +177,11 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
 
     values = M.values
     if shift_mean_flux:
-        c = _mean_end_flux(grid, values, grid.frame.nu)
-        values = values - c[..., None] * grid.frame.nu
+        bot, top = _end_fluxes(grid, values)
+        values = values - (0.5 * (top + bot))[..., None] * grid.frame.nu
     comps = [values @ grid.frame.basis[ax] for ax in range(grid.dim)]
-    if lat_axes:
-        hats = [scipy.fft.rfftn(c, axes=lat_axes).reshape(n0, data.n_modes, l)
-                for c in comps]
-    else:
-        hats = [c.reshape(n0, 1, l).astype(np.complex128) for c in comps]
+    hats = [scipy.fft.rfftn(c, axes=lat_axes).reshape(n0, data.n_modes, l)
+            for c in comps]
 
     # variational rhs per mode: D^T(w m_nu) - w sum_ax (i sigma_ax) m_ax
     wn = data.w_nu[:, None, None]
@@ -214,7 +206,7 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
     # the flux magnitude, not by |rhs| (which may cancel to zero for
     # divergence-free inputs)
     d_norm = np.max(np.sum(np.abs(data.D), axis=0))
-    sig_max = max((float(np.max(np.abs(s))) for s in data.sigma), default=0.0)
+    sig_max = max(float(np.max(np.abs(s))) for s in data.sigma)
     b_scale = ((d_norm + sig_max) * float(np.max(data.w_nu))
                * sum(np.linalg.norm(h) for h in hats))
     den = (np.linalg.norm(rhs[rows]) + a_norm * np.linalg.norm(Hhat)
@@ -223,11 +215,8 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
     if residual > RESIDUAL_TOL:
         raise SolverDiverged(f"relative residual {residual:.3e} above target")
 
-    if lat_axes:
-        H = scipy.fft.irfftn(Hhat.reshape((n0,) + data.freq_shape + (l,)),
-                             s=data.lat_shape, axes=lat_axes)
-    else:
-        H = Hhat[:, 0, :].real
+    H = scipy.fft.irfftn(Hhat.reshape((n0,) + data.freq_shape + (l,)),
+                         s=data.lat_shape, axes=lat_axes)
     Hf = StateField(grid, H)
     return PotentialField(H=Hf, gradH=gradient(Hf), residual_norm=residual, bc=bc)
 

@@ -17,20 +17,14 @@ from .errors import EmptyReport
 
 
 def _canon(value):
-    """JSON-stable canonical form: floats as 17-digit strings inside
-    the hash input, containers sorted by key."""
+    """JSON-stable canonical form of a parsed JSON document: floats as
+    17-digit strings inside the hash input, containers sorted by key."""
     if isinstance(value, dict):
         return {k: _canon(value[k]) for k in sorted(value)}
     if isinstance(value, (list, tuple)):
         return [_canon(v) for v in value]
     if isinstance(value, float):
         return format_float(value)
-    if isinstance(value, (np.floating,)):
-        return format_float(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_canon(v) for v in value.tolist()]
     return value
 
 
@@ -53,8 +47,6 @@ def _render(value):
         return format_float(float(value))
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if value is None:
-        return ""
     return str(value)
 
 

@@ -78,6 +78,22 @@ def test_optimize_scale_closed_form():
     assert optimize_scale(0.0, 0.0) == (1.0, 0.0)
     with pytest.raises(DegenerateScale):
         optimize_scale(-1.0, 1.0)
+    # one part zero (W = 0 models have B = 0): the scale goes to the end
+    # of the bracket that sends the other part's term to its minimum
+    assert optimize_scale(0.0, 2.0) == (256.0, 2.0 / 256.0)
+    assert optimize_scale(3.0, 0.0) == (1.0 / 256.0, 3.0 / 256.0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"etol": float("nan")}, {"etol": float("inf")}, {"etol": -1e-8},
+    {"gtol_scale": -1.0}, {"gtol_scale": float("nan")},
+    {"amplitude": float("nan")}, {"amplitude": -0.1},
+    {"max_iter": 0}, {"n_random": -1}])
+def test_optimizer_options_rejected(bad):
+    # a NaN or negative tolerance would run every start to max_iter
+    # with converged=False; a NaN amplitude would give NaN start energies
+    with pytest.raises(BadParams):
+        OptimizerOptions(**bad)
 
 
 def test_gradient_matches_fd_double_well():

@@ -230,3 +230,44 @@ def test_non_library_error_exit_1_one_line(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
         "cellgamma: compute failed: LinAlgError: injected\n")
+
+
+SHOCK_CONFIG = {"subcommand": "shock", "model": {"name": "burgers"},
+                "jump": {"u_plus": [-1.0], "u_minus": [1.0], "nu_y": [1.0],
+                         "nu_s": 0.0},
+                "grid": {"n_normal": 64, "n_lateral": 4},
+                "optimizer": {"n_random": 0, "max_iter": 200}}
+
+
+def test_shock_run_deterministic_bytes(tmp_path):
+    cfg = _write(tmp_path, SHOCK_CONFIG)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["shock", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["shock", "--config", cfg, "--out", str(out2)]) == 0
+    assert _read_outputs(out1) == _read_outputs(out2)
+    (row,) = json.loads((out1 / "report.json").read_text())["rows"]
+    assert row["subcommand"] == "shock" and row["bc"] == "space_time"
+    assert row["space_time.nu.0"] == format_float(1.0)
+    assert row["space_time.nu.1"] == format_float(0.0)
+    assert row["space_time.nu_y_norm"] == format_float(1.0)
+    assert row["space_time.rh_residuals.rh_residual_0"] == format_float(0.0)
+
+
+def test_shock_model_without_flux_exit_2(tmp_path, capsys):
+    cfg = dict(SHOCK_CONFIG, model={"name": "double_well"})
+    assert main(["shock", "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "has no flux/entropy pair" in err and err.count("\n") == 1
+
+
+def test_nan_optimizer_tolerance_exit_1_one_line(tmp_path, capsys):
+    # NaN is valid JSON for Python and passes the schema's "number"
+    cfg = dict(CELL_CONFIG, optimizer={"n_random": 1, "etol": float("nan")})
+    out = tmp_path / "o"
+    assert main(["cell", "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cellgamma: compute failed: BadParams: ")
+    assert err.count("\n") == 1
+    assert not (out / "report.json").exists()

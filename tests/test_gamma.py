@@ -4,13 +4,15 @@ cell-problem prediction."""
 import numpy as np
 import pytest
 
-from cellgamma.cellopt import OptimizerOptions, compute_cell_energy
+from cellgamma.cellopt import (OptimizerOptions, compute_cell_energy,
+                               local_integrals)
 from cellgamma.errors import EpsilonTooLarge, ShapeMismatch
 from cellgamma.gamma import (DomainSpec, build_recovery_field,
                              evaluate_full_energy, run_gamma_sweep,
                              write_sweep_csv)
-from cellgamma.grid import build_cell_grid, build_frame
+from cellgamma.grid import StateField, build_cell_grid, build_frame
 from cellgamma.model import JumpData, catalog_lookup
+from cellgamma.poisson import padded_box_nonlocal_energy
 
 DW2 = catalog_lookup("double_well", {"space_dim": 2})
 DW2_JUMP = JumpData(phi_plus=[1.0], phi_minus=[-1.0], nu=[1.0, 0.0])
@@ -121,3 +123,35 @@ def test_write_sweep_csv(tmp_path):
     assert float(cells[0]) == 1.0 / 16.0
     # 17-significant-digit round trip is exact
     assert float(cells[3]) == rows[0].ratio
+
+
+def test_one_dimensional_sweep_default_cell():
+    # without a cell the sweep solves one on the default grid, 257
+    # normal nodes
+    dw = catalog_lookup("double_well")
+    jump = JumpData(phi_plus=[1.0], phi_minus=[-1.0], nu=[1.0])
+    opts = OptimizerOptions(n_random=0)
+    rows = run_gamma_sweep(DomainSpec(nu=[1.0], resolution=256), jump, dw,
+                           [1.0 / 8.0, 1.0 / 16.0], opts=opts)
+    cell = compute_cell_energy(jump, dw, build_cell_grid(build_frame([1.0]), 257),
+                               opts=opts)
+    assert all(r.error == "" for r in rows)
+    assert all(r.predicted == cell.energy.total for r in rows)
+    assert 0.98 <= rows[-1].ratio <= 1.05
+
+
+def test_full_energy_adds_padded_box_stray_field():
+    # micromagnetics has a nonzero flux: the full energy adds the
+    # padded-box whole-space term, scaled like the potential term
+    mm = catalog_lookup("micromagnetics_2d")
+    domain = DomainSpec(nu=[1.0, 0.0], resolution=32)
+    g = domain.build_grid()
+    a = 0.5 * np.pi * np.tanh(8.0 * g.coords_normal())
+    values = np.stack([np.sin(a), np.cos(a), np.zeros_like(a)], axis=-1)
+    eps = 1.0 / 8.0
+    total = evaluate_full_energy(StateField(g, values), eps, mm, domain)
+    eg, ew = local_integrals(g, values, mm)
+    padded, _ = padded_box_nonlocal_energy(
+        mm.Psi.value(values), [g.spacing(0), g.spacing(1)], pad_factor=4)
+    assert padded > 0.0
+    assert total == float(eps * eg + ew / eps + padded / eps)

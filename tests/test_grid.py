@@ -1,4 +1,4 @@
-"""Frames, grids, discrete calculus identities, and binary dumps."""
+"""Frames, grids, and discrete calculus identities."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from cellgamma.errors import NonUnitNormal, ShapeMismatch
 from cellgamma.grid import (CellGrid, StateField, TensorField,
                             build_cell_grid, build_frame, diff_axis,
-                            diff_axis_transpose, divergence, dump_field,
-                            gradient, inner, integrate, laplacian, load_field)
+                            diff_axis_transpose, divergence, gradient, inner,
+                            integrate, laplacian)
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,21 +99,6 @@ def test_gradient_exact_for_linear():
 def test_integrate_constant():
     g = build_cell_grid(build_frame([1.0, 0.0, 0.0]), 8, n_lateral=4)
     assert abs(integrate(g, np.full(g.shape, 2.5)) - 2.5) < 1e-13
-
-
-def test_dump_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal((6, 4, 3))
-    p = tmp_path / "field.bin"
-    dump_field(p, v)
-    assert np.array_equal(load_field(p), v)
-
-
-def test_dump_rejects_bad_magic(tmp_path):
-    p = tmp_path / "junk.bin"
-    p.write_bytes(b"NOTCGRID-----")
-    with pytest.raises(ShapeMismatch):
-        load_field(p)
 
 
 def test_state_field_shape_check():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cellgamma.cellopt import OptimizerOptions
-from cellgamma.errors import (DegenerateNormal, NonScalar,
+from cellgamma.errors import (BadParams, DegenerateNormal, NonScalar,
                               RankineHugoniotViolated, ShapeMismatch)
 from cellgamma.grid import TensorField
 from cellgamma.hyperbolic import (PotentialPerturbation, assemble_st_energy,
@@ -113,6 +113,69 @@ def test_st_gradient_matches_fd():
                                 STANDING, FLUX, ENTROPY, g, base=base).total
         fd = (ep - em) / (2.0 * h)
         assert abs(fd - ga[idx]) <= 1e-6 * (1.0 + abs(fd))
+
+
+def test_gradient_without_base_rebuilds_it():
+    g = build_shock_grid(TILTED, 24, n_time=4)
+    rng = np.random.default_rng(2)
+    w = 0.01 * rng.standard_normal(g.shape + (1, 1))
+    w[:3] = 0.0
+    w[-3:] = 0.0
+    pert = PotentialPerturbation(TensorField(g, w))
+    base = build_base_fields(TILTED, FLUX, g)
+    with_base = st_energy_gradient(pert, 0.7, TILTED, FLUX, ENTROPY, g,
+                                   base=base).values
+    rebuilt = st_energy_gradient(pert, 0.7, TILTED, FLUX, ENTROPY, g).values
+    assert np.array_equal(rebuilt, with_base)
+
+
+def test_linear_advection_3d_space_time_cell():
+    # two space dimensions: the divergence sums over both columns of w,
+    # and build_shock_grid takes the spatial lateral count from n_lateral
+    la = catalog_lookup("linear_advection", {"speed": [1.0, 0.0]})
+    j = SpaceTimeJumpData(u_plus=[0.0], u_minus=[1.0],
+                          nu_y=[1.0 / np.sqrt(2), 0.0], nu_s=-1.0 / np.sqrt(2))
+    g = build_shock_grid(j, 24, n_lateral=4)
+    assert g.shape == (24, 4, 4)
+    base = build_base_fields(j, la.flux, g)
+    rng = np.random.default_rng(3)
+    w = 0.01 * rng.standard_normal(g.shape + (1, 2))
+    w[:3] = 0.0
+    w[-3:] = 0.0
+    zeta = base.zeta0.values + space_divergence(g, w)
+    gamma = base.gamma0.values - time_derivative(g, w)
+    assert constraint_residual(g, zeta, gamma) <= 1e-12
+
+    pert = PotentialPerturbation(TensorField(g, w))
+    L = 0.6
+    ga = st_energy_gradient(pert, L, j, la.flux, la.entropy, g,
+                            base=base).values
+    h = 1e-6
+    for idx in [(5, 1, 2, 0, 0), (11, 3, 0, 0, 1), (17, 2, 3, 0, 1)]:
+        wp = w.copy(); wp[idx] += h
+        wm = w.copy(); wm[idx] -= h
+        ep = assemble_st_energy(PotentialPerturbation(TensorField(g, wp)), L,
+                                j, la.flux, la.entropy, g, base=base).total
+        em = assemble_st_energy(PotentialPerturbation(TensorField(g, wm)), L,
+                                j, la.flux, la.entropy, g, base=base).total
+        fd = (ep - em) / (2.0 * h)
+        assert abs(fd - ga[idx]) <= 1e-6 * (1.0 + abs(fd))
+
+    sol = compute_shock_cell_energy(j, la.flux, la.entropy, g,
+                                    OptimizerOptions(n_random=1, max_iter=50))
+    assert np.isfinite(sol.energy.total) and sol.energy.total >= 0.0
+    assert sol.rh_residuals == {"rh_residual_0": 0.0}
+    assert np.all(sol.profile.values[0] == 1.0)
+    assert np.all(sol.profile.values[-1] == 0.0)
+
+
+def test_shock_state_length_must_match_flux():
+    j = SpaceTimeJumpData(u_plus=[-1.0, 0.0], u_minus=[1.0, 0.0],
+                          nu_y=[1.0], nu_s=0.0)
+    g = build_shock_grid(j, 32, n_time=4)
+    with pytest.raises(BadParams):
+        compute_shock_cell_energy(j, FLUX, ENTROPY, g,
+                                  OptimizerOptions(n_random=0, max_iter=5))
 
 
 def test_standing_shock_energy_desk_scale():

@@ -51,6 +51,17 @@ def test_path_endpoints_exact():
     assert np.array_equal(states[-1], DW_JUMP.phi_plus)
 
 
+def test_two_state_oracle_zero_cost_model():
+    # quadratic_entropy has W = 0 and no flux: every path through the
+    # two-dimensional state lattice costs nothing
+    q2 = catalog_lookup("quadratic_entropy", {"state_dim": 2})
+    j = JumpData(phi_plus=[1.0, 0.5], phi_minus=[-1.0, 0.0], nu=[1.0])
+    states = geodesic_path_1d(j, q2, sampling=40)
+    assert np.array_equal(states[0], j.phi_minus)
+    assert np.array_equal(states[-1], j.phi_plus)
+    assert geodesic_energy_1d(j, q2, sampling=40) == 0.0
+
+
 def test_dimension_guard():
     from cellgamma.model import (ConstraintSet, ModelSpecs, ScalarPotential)
     from cellgamma.model import catalog_lookup as cl

@@ -6,10 +6,12 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellgamma import cellopt, poisson
-from cellgamma.errors import NeumannIncompatible
-from cellgamma.grid import (GRID_CACHE_SIZE, StateField, TensorField,
+from cellgamma.errors import NeumannIncompatible, ShapeMismatch
+from cellgamma.grid import (GRID_CACHE_SIZE, CellGrid, StateField, TensorField,
                             build_cell_grid, build_frame, gradient, inner)
 from cellgamma.poisson import (BcVariant, duality_gap, leray_project,
                                nonlocal_energy, padded_box_nonlocal_energy,
@@ -134,6 +136,40 @@ def test_dirichlet_below_neumann():
         e_n, _ = nonlocal_energy(M, BcVariant.NEUMANN, check_compat=False)
         e_d, _ = nonlocal_energy(M, BcVariant.DIRICHLET)
         assert e_d <= e_n + 1e-9 * (1.0 + e_n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=3),
+       st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=2),
+       st.integers(min_value=8, max_value=9),
+       st.integers(min_value=1, max_value=2),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_duality_and_ordering_property(dim, lateral, n_normal, rows, seed):
+    # 2-D and 3-D frames with tilted normals, odd and even lateral
+    # counts: the duality gap vanishes and Dirichlet <= Neumann, both to
+    # round-off
+    rng = np.random.default_rng(seed)
+    nu = rng.standard_normal(dim)
+    nu /= np.linalg.norm(nu)
+    n_axes = (n_normal,) + tuple(lateral[:dim - 1])
+    g = CellGrid(frame=build_frame(nu), n_axes=n_axes)
+    M = TensorField(g, rng.standard_normal(g.shape + (rows, dim)))
+    m_sq = inner(g, M.values, M.values)
+    for bc in BcVariant.CELL_KINDS:
+        assert duality_gap(M, bc).gap <= 1e-9 * (1.0 + m_sq)
+    e_n, _ = nonlocal_energy(M, BcVariant.NEUMANN, check_compat=False)
+    e_d, _ = nonlocal_energy(M, BcVariant.DIRICHLET)
+    assert e_d <= e_n + 1e-9 * (1.0 + e_n)
+
+
+def test_one_dimensional_cell_rejected():
+    # the potential solve needs a lateral axis; no catalog model has a
+    # nonzero flux on a one-dimensional cell
+    g = build_cell_grid(build_frame([1.0]), 16)
+    M = TensorField(g, np.zeros(g.shape + (1, 1)))
+    for bc in BcVariant.CELL_KINDS:
+        with pytest.raises(ShapeMismatch):
+            solve_cell_poisson(M, bc)
 
 
 def test_constant_flux_zero_energy():

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.fft import dst, idst
 
 from .errors import (BadParams, BadStrategy, DegenerateScale, InadmissibleProfile,
                      NotConverged)
@@ -512,6 +511,27 @@ def resolved_scale_floor(grid):
     return 4.0 * grid.spacing(0)
 
 
+def normal_band_inverse(g, bands, margin):
+    """Apply the inverse of a symmetric positive definite banded matrix
+    along the normal axis to a nodal array g, on the nodes between the
+    ``margin`` pinned slabs at each end; those slabs stay zero.
+
+    ``bands`` holds the upper diagonals in LAPACK's upper form: the last
+    row is the main diagonal and row -1-k the k-th superdiagonal,
+    right-aligned.  Every lateral node column and state component is
+    solved with the same matrix.
+    """
+    # imported here: importing scipy.linalg takes 80 to 100 ms, which
+    # every import of the package would pay, and only the optimizers
+    # need it
+    from scipy.linalg import solveh_banded
+    inner = g[margin:-margin]
+    p = np.zeros_like(g)
+    p[margin:-margin] = solveh_banded(
+        bands, inner.reshape(inner.shape[0], -1)).reshape(inner.shape)
+    return p
+
+
 def _normal_h1_inverse(grid, g, L):
     """Apply the inverse of the H1 inner product at scale L along the
     normal axis, 2 (L K + M / L) with the normal stiffness K and the
@@ -522,18 +542,16 @@ def _normal_h1_inverse(grid, g, L):
     (L / h)^2 across the layer, so on fine cells its steps crawl; in
     this metric it does not depend on the normal resolution.  Lateral
     axes keep the nodal metric: each lateral node column is solved
-    separately, in the sine basis that diagonalizes K on the interior
-    nodes.
+    separately, by the tridiagonal solve of :func:`normal_band_inverse`
+    on the interior nodes.
     """
     h = grid.spacing(0)
     cross = float(np.prod([grid.spacing(ax) for ax in range(1, grid.dim)]))
-    n = g.shape[0] - 2
-    k_eig = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / h
-    eig = 2.0 * cross * (L * k_eig + h / L)
-    p = np.zeros_like(g)
-    p[1:-1] = idst(dst(g[1:-1], type=1, axis=0)
-                   / eig.reshape((n,) + (1,) * (g.ndim - 1)), type=1, axis=0)
-    return p
+    scale = 2.0 * cross
+    bands = np.empty((2, g.shape[0] - 2))
+    bands[0] = -scale * L / h
+    bands[1] = scale * (2.0 * L / h + h / L)
+    return normal_band_inverse(g, bands, 1)
 
 
 def _parabola_step(a, E0, slope, Ea):
@@ -560,6 +578,14 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
       gradient at the optimal scale; the accepted trial also gives the
       new scale, energy and gradient.  A run therefore makes one
       evaluation per trial plus one for the start.
+    - A trial is accepted when it passes the Armijo test, or when its
+      energy is at most 1e-12 |E| above E and its directional derivative
+      g_try . d is at most 0.8 |slope|: near a minimum the remaining
+      decrease falls below the round-off of E while the gradient is
+      still above gtol (the approximate Wolfe test of Hager & Zhang,
+      SIAM J. Optim. 16 (2005) 170-192).  The gradient that test
+      computes is reused when the trial is accepted, so ``gradient``
+      runs at most once per evaluation.
     - Backtracking steps come from the parabola through E(0), the
       slope and the trial energy, kept within [0.1, 0.5] of the
       rejected step.
@@ -601,15 +627,22 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
             x_try = retract(x, a * d)
             trial = evaluate(x_try)
             L_try, E_try = scaled(trial)
+            g_try = None
             if E_try <= E + 1e-4 * a * slope:
                 break
+            if E_try <= E + 1e-12 * abs(E):
+                # the energy change is at round-off, so judge the trial
+                # by its directional derivative instead
+                g_try = trial.gradient(L_try)
+                if float(np.sum(g_try * d)) <= -0.8 * slope:
+                    break
             a = min(max(_parabola_step(a, E, slope, E_try), 0.1 * a), 0.5 * a)
         else:
             # stuck at line-search resolution: stop unconverged
             break
         x, ev, L, E = x_try, trial, L_try, E_try
         alpha = min(a * 2.0, 1e4)
-        g_new = ev.gradient(L)
+        g_new = ev.gradient(L) if g_try is None else g_try
         pg_new = precondition(g_new, x, L)
         denom = float(np.sum(g * pg))
         beta = 0.0

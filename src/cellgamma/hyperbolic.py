@@ -19,6 +19,11 @@ The energy density L |grad_y(grad_u eta(zeta))|^2 + (1/L)|gamma -
 F(zeta)|^2 is assembled nodally (trapezoid normal axis, uniform
 periodic axes); target tolerances here are in the percent range, so
 nodal second-order quadrature suffices.
+
+The energy is minimized over (w, L) by the conjugate-gradient driver of
+the cell problems, with directions preconditioned across the layer by
+the banded normal operator 2 cross h (L K_h^2 + K_h / L), which matches
+the L d^4 + d^2 / L behaviour of the Hessian in w.
 """
 
 from dataclasses import dataclass
@@ -26,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cellopt import (CellSolution, EnergyBreakdown, OptimizerOptions,
-                      minimize_cg, multistart, resolved_scale_floor,
-                      smoothstep)
+                      minimize_cg, multistart, normal_band_inverse,
+                      resolved_scale_floor, smoothstep)
 from .errors import (DegenerateNormal, NonScalar, RankineHugoniotViolated,
                      ShapeMismatch)
 from .grid import (StateField, TensorField, build_cell_grid, build_frame,
@@ -286,15 +291,43 @@ def _random_w(grid, k, n_space, index, scale, seed):
     return noise
 
 
+def _normal_inverse(grid, g, L):
+    """Apply the inverse of 2 cross h (L K_h^2 + K_h / L) along the
+    normal axis to a gradient in w; the margin slabs stay zero.
+
+    K_h = tridiag(-1, 2, -1) / h^2 is the Dirichlet second difference
+    on the nodes between the margin slabs, and cross the product of the
+    lateral spacings.  w enters the entropy-gradient term through two
+    normal derivatives and the flux mismatch through one, so across the
+    layer the Hessian in w behaves like L d^4 + d^2 / L; in the sine
+    basis this matrix has the eigenvalues 2 cross h lambda (L lambda +
+    1 / L) of that operator, with lambda those of K_h.  Lateral axes
+    keep the nodal metric.
+    """
+    h = grid.spacing(0)
+    cross = float(np.prod([grid.spacing(ax) for ax in range(1, grid.dim)]))
+    scale = 2.0 * cross * h
+    a, b = scale * L / h ** 4, scale / (L * h * h)
+    bands = np.empty((3, g.shape[0] - 2 * _MARGIN))
+    bands[0] = a
+    bands[1] = -4.0 * a - b
+    bands[2] = 6.0 * a + 2.0 * b
+    # the first and last rows of K_h^2 lose the neighbour beyond the ends
+    bands[2, 0] -= a
+    bands[2, -1] -= a
+    return normal_band_inverse(g, bands, _MARGIN)
+
+
 def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
                               center=0.0):
     """Multistart minimization over (w, L); deterministic per seed.
 
     Starts: the unperturbed base fields plus ``n_random`` smoothed
     random perturbation potentials.  Each start runs the shared driver
-    :func:`cellopt.minimize_cg`; the gradient already vanishes on the
-    margin slabs, so the directions are the plain gradients.  Returns
-    the induced state profile zeta of the best start with full
+    :func:`cellopt.minimize_cg`, with directions preconditioned across
+    the layer by :func:`_normal_inverse`, the inverse of the normal
+    fourth- plus second-difference operator at the current scale.
+    Returns the induced state profile zeta of the best start with full
     diagnostics.
     """
     st_jump.check_state_length(flux.k)
@@ -314,8 +347,11 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
     def evaluate(w):
         return _ShockEvaluation(grid, base, w, _MARGIN, flux, entropy)
 
+    def precondition(g, w, L):
+        return _normal_inverse(grid, g, L)
+
     def run(w0):
-        return minimize_cg(w0, evaluate, lambda g, w, L: g,
+        return minimize_cg(w0, evaluate, precondition,
                            lambda w, step: w + step, lmin, gtol, opts)
 
     (w, L, _, it, converged), energies = multistart(starts, run, opts)

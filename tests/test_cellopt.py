@@ -3,17 +3,20 @@ the multistart minimizer."""
 
 import numpy as np
 import pytest
+from scipy.fft import dst, idst
 
-from cellgamma.cellopt import (OptimizerOptions, assemble_energy,
-                               compute_cell_energy, energy_gradient,
-                               init_profiles, optimize_scale,
-                               resolved_scale_floor, smoothstep)
+from cellgamma.cellopt import (OptimizerOptions, _normal_h1_inverse,
+                               assemble_energy, compute_cell_energy,
+                               energy_gradient, init_profiles, minimize_cg,
+                               optimize_scale, resolved_scale_floor,
+                               smoothstep)
 from cellgamma.errors import (BadParams, BadStrategy, DegenerateScale,
                               InadmissibleProfile, NotConverged)
 from cellgamma.grid import StateField, build_cell_grid, build_frame
+from cellgamma.hyperbolic import _MARGIN, _normal_inverse, build_shock_grid
 from cellgamma.model import (ConstraintSet, FluxMap, GradientIntegrand,
                              JumpData, ModelSpecs, ScalarPotential,
-                             catalog_lookup)
+                             SpaceTimeJumpData, catalog_lookup)
 from cellgamma.oracle import finite_difference_gradient
 from cellgamma.poisson import BcVariant
 
@@ -246,3 +249,88 @@ def test_one_potential_solve_per_line_search_trial(monkeypatch):
         start.values, mm, j, g, BcVariant.NEUMANN, OptimizerOptions(max_iter=60))
     assert counts["trials"] >= iterations > 1
     assert counts["solves"] == counts["trials"] + 1
+
+
+@pytest.mark.parametrize("fourth_order", [False, True])
+def test_normal_band_inverse_matches_dense_and_sine_solves(fourth_order):
+    # the cell's tridiagonal 2 cross h (L K_h + I / L) with margin 1 and
+    # the shock's pentadiagonal 2 cross h (L K_h^2 + K_h / L) inside the
+    # margin slabs, K_h = tridiag(-1, 2, -1) / h^2: the banded solve
+    # agrees with a dense solve and with the DST-I diagonalization by
+    # the symbols L lam + 1/L and lam (L lam + 1/L)
+    L = 0.3
+    rng = np.random.default_rng(4)
+    if fourth_order:
+        jump = SpaceTimeJumpData(u_plus=[-1.0], u_minus=[1.0], nu_y=[1.0],
+                                 nu_s=0.0)
+        grid = build_shock_grid(jump, 13, n_time=3)
+        g = rng.standard_normal(grid.shape + (1, 1))
+        p, margin = _normal_inverse(grid, g, L), _MARGIN
+    else:
+        grid = build_cell_grid(build_frame([1.0, 0.0]), 11, n_lateral=4)
+        g = rng.standard_normal(grid.shape + (2,))
+        p, margin = _normal_h1_inverse(grid, g, L), 1
+    assert np.all(p[:margin] == 0.0) and np.all(p[-margin:] == 0.0)
+
+    inner = g[margin:-margin]
+    n, h = inner.shape[0], grid.spacing(0)
+    scale = 2.0 * h * grid.spacing(1)
+    K = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h ** 2
+    lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / h ** 2
+    if fourth_order:
+        dense = scale * (L * K @ K + K / L)
+        symbol = scale * lam * (L * lam + 1.0 / L)
+    else:
+        dense = scale * (L * K + np.eye(n) / L)
+        symbol = scale * (L * lam + 1.0 / L)
+    ref = np.linalg.solve(dense, inner.reshape(n, -1)).reshape(inner.shape)
+    sine = idst(dst(inner, type=1, axis=0)
+                / symbol.reshape((n,) + (1,) * (inner.ndim - 1)),
+                type=1, axis=0)
+    size = np.max(np.abs(ref))
+    assert np.max(np.abs(p[margin:-margin] - ref)) <= 1e-10 * size
+    assert np.max(np.abs(p[margin:-margin] - sine)) <= 1e-10 * size
+
+
+def test_roundoff_trials_judged_by_directional_derivative():
+    # E(x, L) = L |Ma x - ua|^2 + |Mb x - ub|^2 / L with curvatures up to
+    # 1e6: near the minimum a step lowers E by less than its round-off
+    # while the largest gradient entry is still above gtol.  Armijo
+    # alone stalls there with a gradient entry near 1e-4 until
+    # max_iter; accepting round-off trials whose directional derivative
+    # has fallen to 0.8 |slope| converges.
+    rng = np.random.default_rng(0)
+    n, m = 8, 24
+
+    def matrix():
+        U, _ = np.linalg.qr(rng.standard_normal((m, n)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return U @ np.diag(np.geomspace(1.0, 1e3, n)) @ V.T
+
+    Ma, Mb = matrix(), matrix()
+    ua, ub = rng.standard_normal(m), rng.standard_normal(m)
+
+    class Evaluation:
+        def __init__(self, x):
+            self.ra, self.rb = Ma @ x - ua, Mb @ x - ub
+            self.A, self.B = float(self.ra @ self.ra), float(self.rb @ self.rb)
+            self.gradient_calls = 0
+
+        def gradient(self, L):
+            self.gradient_calls += 1
+            return 2.0 * (L * Ma.T @ self.ra + Mb.T @ self.rb / L)
+
+    evaluations = []
+
+    def evaluate(x):
+        evaluations.append(Evaluation(x))
+        return evaluations[-1]
+
+    gtol = 1e-6
+    x, L, _, _, converged = minimize_cg(
+        np.zeros(n), evaluate, lambda g, x, L: g, lambda x, step: x + step,
+        1e-3, gtol, OptimizerOptions(max_iter=2000))
+    assert converged
+    assert np.max(np.abs(Evaluation(x).gradient(L))) <= gtol
+    # the round-off test's gradient is reused when its trial is accepted
+    assert max(ev.gradient_calls for ev in evaluations) == 1

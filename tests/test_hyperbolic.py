@@ -3,6 +3,8 @@ gradients, static reduction, and the scalar oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellgamma.cellopt import OptimizerOptions
 from cellgamma.errors import (BadParams, DegenerateNormal, NonScalar,
@@ -83,6 +85,29 @@ def test_constraint_exact_for_random_w():
     zeta = base.zeta0.values + space_divergence(g, w)
     gamma = base.gamma0.values - time_derivative(g, w)
     assert constraint_residual(g, zeta, gamma) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([STANDING, TILTED]),
+       st.integers(min_value=8, max_value=64),
+       st.integers(min_value=1, max_value=8),
+       st.floats(min_value=-3.0, max_value=3.0),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_constraint_exact_for_random_w_property(jump, n_normal, n_time,
+                                                log_amp, seed):
+    # Rankine-Hugoniot exactness on standing and tilted frames: the
+    # induced pair satisfies d_s zeta + div_y gamma = 0 to the round-off
+    # of derivatives of w, whose size is max|w| / h
+    g = build_shock_grid(jump, n_normal, n_time=n_time)
+    base = build_base_fields(jump, FLUX, g)
+    rng = np.random.default_rng(seed)
+    w = 10.0 ** log_amp * rng.standard_normal(g.shape + (1, 1))
+    w[:3] = 0.0
+    w[-3:] = 0.0
+    zeta = base.zeta0.values + space_divergence(g, w)
+    gamma = base.gamma0.values - time_derivative(g, w)
+    tol = 1e-12 * (1.0 + np.max(np.abs(w))) / g.spacing(0)
+    assert constraint_residual(g, zeta, gamma) <= tol
 
 
 def test_margin_enforced():
@@ -184,6 +209,17 @@ def test_standing_shock_energy_desk_scale():
                                     OptimizerOptions(n_random=1))
     assert 4.0 / 3.0 * 0.98 <= sol.energy.total <= 4.0 / 3.0 * 1.02
     assert sol.rh_residuals["rh_residual_0"] == 0.0
+
+
+@pytest.mark.parametrize("n_normal, n_time", [(96, 4), (128, 8)])
+def test_unperturbed_standing_shock_converges(n_normal, n_time):
+    # the shock meets the convergence contract of minimize_cg, which
+    # needs the preconditioner across the layer
+    g = build_shock_grid(STANDING, n_normal, n_time=n_time)
+    sol = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g,
+                                    OptimizerOptions(n_random=0))
+    assert sol.converged
+    assert sol.iterations <= 1500
 
 
 def test_s_collapse_variant():

@@ -24,7 +24,7 @@ from .model import (EntropyPair, FluxFunction, FluxMap, GradientIntegrand,
 from .oracle import (brute_force_cell_min, finite_difference_gradient,
                      geodesic_energy_1d, geodesic_path_1d)
 from .poisson import (BcVariant, duality_gap, leray_project, nonlocal_energy,
-                      padded_box_nonlocal_energy, solve_cell_poisson)
+                      solve_cell_poisson)
 
 __all__ = [
     "__version__", "CellGammaError",
@@ -34,7 +34,7 @@ __all__ = [
     "Frame", "CellGrid", "StateField", "TensorField", "build_frame",
     "build_cell_grid", "gradient", "divergence", "laplacian",
     "BcVariant", "solve_cell_poisson", "nonlocal_energy", "leray_project",
-    "duality_gap", "padded_box_nonlocal_energy",
+    "duality_gap",
     "EnergyBreakdown", "CellSolution", "OptimizerOptions",
     "assemble_energy", "energy_gradient", "optimize_scale",
     "compute_cell_energy",

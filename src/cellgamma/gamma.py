@@ -4,11 +4,11 @@ and the epsilon sweep of the full energy against (cell energy) x
 
 The domain is the unit cell of the interface frame: normal axis across
 the interface, lateral axes periodic, so a straight interface of unit
-measure.  The recovery field sweeps the optimal cell profile across a
-collar of physical width proportional to epsilon and matches the pure
-states exactly outside; its energy density carries the 1/epsilon
-scaling, and the nonlocal term uses the padded-box whole-space
-surrogate with the indicator-truncated flux as source.
+measure.  The recovery field is the optimal cell profile mapped to
+physical width epsilon / L*, so it is exactly phi-/phi+ wherever the
+mapped cell's pinned end slabs lie.  Its energy density carries the
+1/epsilon scaling, and the nonlocal term is the same periodic Neumann
+potential solve as the cell's, on the domain grid.
 """
 
 import csv
@@ -16,11 +16,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cellopt import (OptimizerOptions, compute_cell_energy, local_integrals,
-                      smoothstep)
+from .cellopt import OptimizerOptions, compute_cell_energy, local_integrals
 from .errors import CellGammaError, EpsilonTooLarge, ShapeMismatch
-from .grid import CellGrid, StateField, build_cell_grid, build_frame
-from .poisson import BcVariant, padded_box_nonlocal_energy
+from .grid import (CellGrid, StateField, TensorField, build_cell_grid,
+                   build_frame)
+from .poisson import BcVariant, nonlocal_energy
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,9 @@ def build_recovery_field(domain, cell, epsilon):
     the whole cell to physical width delta = epsilon / L* reproduces
     the cell energy exactly under the 1/epsilon scaling (the scale
     multiplies the gradient term, so the profile width varies inversely
-    with L).  Outside an O(epsilon) collar the deviation from the pure
-    states is tapered to zero with a clamped cubic, making the field
-    exactly phi-/phi+ beyond the collar.
+    with L).  The cell's end slabs are pinned, so the field is exactly
+    phi-/phi+ for |s| >= epsilon / (2 L*); where that exceeds the box,
+    the box faces cut the tails.
     """
     if not epsilon > 0:  # also catches NaN
         raise EpsilonTooLarge("epsilon must be positive")
@@ -112,36 +112,23 @@ def build_recovery_field(domain, cell, epsilon):
         shape = [1] * grid.dim
         shape[ax] = -1
         lat_coords.append((c.reshape(shape) * np.ones(grid.shape)) / delta)
-    zeta = _interp_profile(cell, u, lat_coords)
-
-    m = cell.profile.values.shape[-1]
-    phi_minus = cell.profile.values.reshape(cell.profile.grid.n_axes[0], -1, m)[0, 0]
-    phi_plus = cell.profile.values.reshape(cell.profile.grid.n_axes[0], -1, m)[-1, 0]
-    step = np.where((s >= 0.0)[..., None], phi_plus, phi_minus)
-
-    s_out = min(2.0 * epsilon, 0.9 * avail)
-    s_in = 0.7 * s_out
-    q = 2.0 * (np.abs(s) - s_in) / (s_out - s_in) - 1.0
-    taper = 1.0 - smoothstep(q)
-    psi = step + taper[..., None] * (zeta - step)
-    return StateField(grid, psi)
+    return StateField(grid, _interp_profile(cell, u, lat_coords))
 
 
 # --- energy evaluation ------------------------------------------------------
 
-def evaluate_full_energy(field, epsilon, specs, domain, pad_factor=4):
+def evaluate_full_energy(field, epsilon, specs):
     """The full epsilon-scaled energy of a field on the box: local
     terms by element quadrature with L = epsilon, nonlocal term from
-    the padded-box solve with the indicator-truncated flux as source."""
+    the periodic Neumann potential solve on the box grid."""
     grid = field.grid
     if field.values.shape != grid.shape + (specs.m,):
         raise ShapeMismatch("field does not fit the domain grid")
     EG, EW = local_integrals(grid, field.values, specs)
     total = epsilon * EG + EW / epsilon
     if not specs.Psi.is_zero:
-        M = specs.Psi.value(field.values)
-        spacings = [grid.spacing(ax) for ax in range(grid.dim)]
-        e_nl, _ = padded_box_nonlocal_energy(M, spacings, pad_factor=pad_factor)
+        M = TensorField(grid, specs.Psi.value(field.values))
+        e_nl, _ = nonlocal_energy(M, BcVariant.NEUMANN)
         total += e_nl / epsilon
     return float(total)
 
@@ -166,7 +153,7 @@ def run_gamma_sweep(domain, jump, specs, epsilons, cell=None, opts=None):
     for e in eps:
         try:
             field = build_recovery_field(domain, cell, e)
-            fe = evaluate_full_energy(field, e, specs, domain)
+            fe = evaluate_full_energy(field, e, specs)
             if predicted == 0.0:
                 ratio = 1.0 if fe == 0.0 else np.inf
             else:

@@ -100,29 +100,19 @@ class StaticReduction:
 
 # --- physical-coordinate derivatives on the space-time cell ---------------
 
-def _phys_diff(grid, values, j):
+def _phys_diff(grid, values, j, op=diff_axis):
     """Derivative along physical coordinate j (j < N spatial, j = N
-    time); chain rule through the frame, skipping zero components."""
+    time); chain rule through the frame with the per-axis operator
+    ``op``, skipping zero components.  ``op=diff_axis_transpose`` gives
+    its exact transpose on nodal values."""
     out = None
     for ax in range(grid.dim):
         c = grid.frame.basis[ax, j]
         if c == 0.0:
             continue
-        term = c * diff_axis(grid, values, ax)
+        term = c * op(grid, values, ax)
         out = term if out is None else out + term
-    return out if out is not None else np.zeros_like(values)
-
-
-def _phys_diff_t(grid, values, j):
-    """Exact transpose of :func:`_phys_diff` on nodal values."""
-    out = None
-    for ax in range(grid.dim):
-        c = grid.frame.basis[ax, j]
-        if c == 0.0:
-            continue
-        term = c * diff_axis_transpose(grid, values, ax)
-        out = term if out is None else out + term
-    return out if out is not None else np.zeros_like(values)
+    return out
 
 
 def space_divergence(grid, w_values):
@@ -238,7 +228,8 @@ class _ShockEvaluation:
         # (columns of w) and -d_s via their exact transposes
         de_dp = None
         for j in range(n_space):
-            term = _phys_diff_t(grid, 2.0 * L * wt[..., None] * self.grads[j], j)
+            term = _phys_diff(grid, 2.0 * L * wt[..., None] * self.grads[j], j,
+                              diff_axis_transpose)
             de_dp = term if de_dp is None else de_dp + term
         de_dzeta = np.einsum("...b,...ba->...a", de_dp,
                              self.entropy.hess_eta(self.zeta))
@@ -248,8 +239,8 @@ class _ShockEvaluation:
         de_dgamma = (2.0 / L) * wr
         gw = np.empty_like(self.w_values)
         for j in range(n_space):
-            gw[..., j] = _phys_diff_t(grid, de_dzeta, j)
-        gw -= _phys_diff_t(grid, de_dgamma, grid.dim - 1)
+            gw[..., j] = _phys_diff(grid, de_dzeta, j, diff_axis_transpose)
+        gw -= _phys_diff(grid, de_dgamma, grid.dim - 1, diff_axis_transpose)
         gw[:self.margin] = 0.0
         gw[-self.margin:] = 0.0
         return gw

@@ -248,57 +248,3 @@ def duality_gap(M, bc):
     j0 = integrate(M.grid, np.sum(np.square(L0 + M.values), axis=(-2, -1)))
     e = integrate(M.grid, np.sum(np.square(pot.gradH.values), axis=(-2, -1)))
     return DualityReport(J0_projection=j0, nonlocal_energy=e, gap=abs(j0 - e))
-
-
-# --- padded-box whole-space surrogate -------------------------------------
-
-def padded_box_nonlocal_energy(M_values, spacings, pad_factor=4):
-    """Whole-space stray-field energy surrogate for a compactly
-    supported flux on a uniform box grid.
-
-    Embeds the flux in a box enlarged by ``pad_factor`` per axis with
-    homogeneous Dirichlet closure, solves the compact-stencil Laplace
-    problem by fast sine transforms, and evaluates int |grad H|^2 by
-    central differences.  Percent-level accuracy by construction; the
-    caller monitors adequacy by doubling the padding.
-    """
-    M_values = np.asarray(M_values, dtype=np.float64)
-    box_shape = M_values.shape[:-2]
-    ndim = len(box_shape)
-    l = M_values.shape[-2]
-    if M_values.shape[-1] != ndim:
-        raise ShapeMismatch("flux components must match box dimension")
-    spacings = np.broadcast_to(np.asarray(spacings, dtype=np.float64), (ndim,))
-
-    pad_shape = tuple(int(pad_factor * n) for n in box_shape)
-    big = np.zeros(pad_shape + (l, ndim))
-    offs = tuple((p - n) // 2 for p, n in zip(pad_shape, box_shape))
-    sl = tuple(slice(o, o + n) for o, n in zip(offs, box_shape))
-    big[sl] = M_values
-
-    # rhs = div M by central differences (flux vanishes near the edges)
-    rhs = np.zeros(pad_shape + (l,))
-    for ax in range(ndim):
-        comp = big[..., ax]
-        rhs += (np.roll(comp, -1, axis=ax) - np.roll(comp, 1, axis=ax)) / (2.0 * spacings[ax])
-
-    # Dirichlet eigenvalues of the compact 3-point Laplacian per axis
-    lam = np.zeros(pad_shape)
-    for ax, n in enumerate(pad_shape):
-        j = np.arange(1, n + 1, dtype=np.float64)
-        lax = (2.0 - 2.0 * np.cos(np.pi * j / (n + 1))) / spacings[ax] ** 2
-        shape = [1] * ndim
-        shape[ax] = -1
-        lam = lam + lax.reshape(shape)
-
-    axes = tuple(range(ndim))
-    rhat = scipy.fft.dstn(rhs, type=1, axes=axes)
-    Hhat = -rhat / lam[..., None]
-    H = scipy.fft.idstn(Hhat, type=1, axes=axes)
-
-    cell = float(np.prod(spacings))
-    energy = 0.0
-    for ax in range(ndim):
-        g = (np.roll(H, -1, axis=ax) - np.roll(H, 1, axis=ax)) / (2.0 * spacings[ax])
-        energy += cell * float(np.sum(np.square(g)))
-    return energy, H

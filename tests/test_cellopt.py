@@ -3,6 +3,8 @@ the multistart minimizer."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import dst, idst
 
 from cellgamma.cellopt import (OptimizerOptions, _normal_h1_inverse,
@@ -173,6 +175,40 @@ def test_jump_flip_symmetry_assembly():
     e2 = assemble_energy(mirrored, sol.L_star, DW, DW_JUMP.flipped())
     assert abs(e2.total - sol.energy.total) <= 1e-8 * (1.0 + sol.energy.total)
 
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.floats(min_value=0.05, max_value=2.0),
+       st.sampled_from(BcVariant.CELL_KINDS))
+def test_jump_flip_symmetry_micromagnetic_property(seed, L, bc):
+    # a random smoothed unit-sphere profile with a stray field, mirrored
+    # into the flipped frame: build_frame([-1, 0]) also flips the
+    # lateral axis, so the mirror reflects it too
+    mm = catalog_lookup("micromagnetics_2d")
+    jump = JumpData(phi_plus=[0.0, 1.0, 0.0], phi_minus=[0.0, -1.0, 0.0],
+                    nu=[1.0, 0.0])
+    g = build_cell_grid(build_frame([1.0, 0.0]), 16, n_lateral=8)
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(g.shape + (3,))
+    for ax in (0, 1):
+        noise = (np.roll(noise, 1, axis=ax) + 2.0 * noise
+                 + np.roll(noise, -1, axis=ax)) / 4.0
+    t = g.coords_normal()[..., None]
+    wall = np.concatenate([np.zeros_like(t), np.tanh(8.0 * t),
+                           np.zeros_like(t)], axis=-1)
+    values = wall + 0.5 * noise
+    values /= np.linalg.norm(values, axis=-1, keepdims=True)
+    values[0] = jump.phi_minus
+    values[-1] = jump.phi_plus
+    n1 = g.n_axes[1]
+    mirrored = values[::-1][:, (-np.arange(n1)) % n1]
+    gf = build_cell_grid(build_frame([-1.0, 0.0]), 16, n_lateral=8)
+    e1 = assemble_energy(StateField(g, values), L, mm, jump, bc)
+    e2 = assemble_energy(StateField(gf, mirrored), L, mm, jump.flipped(), bc)
+    assert e1.nonlocal_term > 0.0
+    assert abs(e2.total - e1.total) <= 1e-12 * e1.total
+    assert abs(e2.nonlocal_term - e1.nonlocal_term) <= 1e-12 * e1.nonlocal_term
 
 def test_no_jump_minimum_zero():
     g = build_cell_grid(build_frame([1.0]), 16)

@@ -10,9 +10,9 @@ from cellgamma.errors import EpsilonTooLarge, ShapeMismatch
 from cellgamma.gamma import (DomainSpec, build_recovery_field,
                              evaluate_full_energy, run_gamma_sweep,
                              write_sweep_csv)
-from cellgamma.grid import StateField, build_cell_grid, build_frame
+from cellgamma.grid import StateField, TensorField, build_cell_grid, build_frame
 from cellgamma.model import JumpData, catalog_lookup
-from cellgamma.poisson import padded_box_nonlocal_energy
+from cellgamma.poisson import BcVariant, nonlocal_energy
 
 DW2 = catalog_lookup("double_well", {"space_dim": 2})
 DW2_JUMP = JumpData(phi_plus=[1.0], phi_minus=[-1.0], nu=[1.0, 0.0])
@@ -33,7 +33,9 @@ def test_recovery_exact_outside_collar():
     f = build_recovery_field(DOMAIN, CELL, eps)
     g = f.grid
     s = g.coords_normal()
-    outside = np.abs(s) >= 2.0 * eps
+    # the mapped cell's pinned end slabs begin at half its width
+    outside = np.abs(s) >= eps / (2.0 * CELL.L_star)
+    assert np.any(outside & (s > 0)) and np.any(outside & (s < 0))
     vals = f.values[..., 0]
     assert np.all(vals[outside & (s > 0)] == 1.0)
     assert np.all(vals[outside & (s < 0)] == -1.0)
@@ -140,18 +142,36 @@ def test_one_dimensional_sweep_default_cell():
     assert 0.98 <= rows[-1].ratio <= 1.05
 
 
-def test_full_energy_adds_padded_box_stray_field():
+def test_full_energy_adds_periodic_stray_field():
     # micromagnetics has a nonzero flux: the full energy adds the
-    # padded-box whole-space term, scaled like the potential term
+    # periodic Neumann potential term on the box grid, scaled like the
+    # potential term.  The Neel wall m = (cos a, sin a, 0) has the same
+    # normal flux m1 on both box faces, as the Neumann solve requires
     mm = catalog_lookup("micromagnetics_2d")
     domain = DomainSpec(nu=[1.0, 0.0], resolution=32)
     g = domain.build_grid()
     a = 0.5 * np.pi * np.tanh(8.0 * g.coords_normal())
-    values = np.stack([np.sin(a), np.cos(a), np.zeros_like(a)], axis=-1)
+    values = np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=-1)
     eps = 1.0 / 8.0
-    total = evaluate_full_energy(StateField(g, values), eps, mm, domain)
+    total = evaluate_full_energy(StateField(g, values), eps, mm)
     eg, ew = local_integrals(g, values, mm)
-    padded, _ = padded_box_nonlocal_energy(
-        mm.Psi.value(values), [g.spacing(0), g.spacing(1)], pad_factor=4)
-    assert padded > 0.0
-    assert total == float(eps * eg + ew / eps + padded / eps)
+    e_nl, _ = nonlocal_energy(TensorField(g, mm.Psi.value(values)),
+                              BcVariant.NEUMANN)
+    assert e_nl > 0.0
+    assert total == float(eps * eg + ew / eps + e_nl / eps)
+
+
+def test_micromagnetic_bloch_wall_sweep_tends_to_one():
+    # the Bloch wall sits on the resolved-scale floor, so the mapped
+    # profile is several epsilon wide; the sweep must still reproduce
+    # the cell energy, stray field included
+    mm = catalog_lookup("micromagnetics_2d")
+    jump = JumpData(phi_plus=[0.0, 1.0, 0.0], phi_minus=[0.0, -1.0, 0.0],
+                    nu=[1.0, 0.0])
+    g = build_cell_grid(build_frame([1.0, 0.0]), 64, n_lateral=4)
+    cell = compute_cell_energy(jump, mm, g, opts=OptimizerOptions(n_random=0))
+    rows = run_gamma_sweep(DomainSpec(nu=[1.0, 0.0], resolution=128), jump,
+                           mm, [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0], cell=cell)
+    assert all(r.error == "" for r in rows)
+    for r in rows:
+        assert abs(r.ratio - 1.0) <= 0.05

@@ -1,5 +1,5 @@
 """Cell potential solves: analytic accuracy, exact duality identities,
-solvability guards, and the padded-box surrogate."""
+and solvability guards."""
 
 import gc
 import weakref
@@ -14,8 +14,7 @@ from cellgamma.errors import NeumannIncompatible, ShapeMismatch
 from cellgamma.grid import (GRID_CACHE_SIZE, CellGrid, StateField, TensorField,
                             build_cell_grid, build_frame, gradient, inner)
 from cellgamma.poisson import (BcVariant, duality_gap, leray_project,
-                               nonlocal_energy, padded_box_nonlocal_energy,
-                               solve_cell_poisson)
+                               nonlocal_energy, solve_cell_poisson)
 
 
 def _grid(n_normal=33, n_lateral=32):
@@ -204,20 +203,3 @@ def test_leray_idempotent_and_orthogonal():
         # orthogonal to the removed gradient part
         G = V.values - P.values
         assert abs(inner(g, P.values, G)) < 1e-9 * (1.0 + inner(g, V.values, V.values))
-
-
-def test_padded_box_dipole_and_adequacy():
-    # compact dipole-like flux on a small box; doubling the padding
-    # moves the energy by at most 1 percent
-    rng = np.random.default_rng(4)
-    n = 24
-    x = np.linspace(-1, 1, n)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    bump = np.exp(-8.0 * (X ** 2 + Y ** 2))
-    M = np.zeros((n, n, 1, 2))
-    M[..., 0, 0] = bump
-    h = x[1] - x[0]
-    e4, _ = padded_box_nonlocal_energy(M, [h, h], pad_factor=4)
-    e8, _ = padded_box_nonlocal_energy(M, [h, h], pad_factor=8)
-    assert e4 > 0
-    assert abs(e8 - e4) <= 0.01 * e4

@@ -17,10 +17,9 @@ from .hyperbolic import (BaseFields, PotentialPerturbation, ShockSolution,
                          build_base_fields, build_shock_grid,
                          compute_shock_cell_energy, reduce_to_static_frame,
                          viscous_profile_oracle_1d)
-from .model import (EntropyPair, FluxFunction, FluxMap, GradientIntegrand,
-                    JumpData, ModelSpecs, ScalarPotential, SpaceTimeJumpData,
-                    catalog_lookup, validate_jump_data,
-                    validate_rankine_hugoniot)
+from .model import (EntropyPair, FluxFunction, FluxMap, JumpData, ModelSpecs,
+                    ScalarPotential, SpaceTimeJumpData, catalog_lookup,
+                    validate_jump_data, validate_rankine_hugoniot)
 from .oracle import (brute_force_cell_min, finite_difference_gradient,
                      geodesic_energy_1d, geodesic_path_1d)
 from .poisson import (BcVariant, duality_gap, leray_project, nonlocal_energy,
@@ -28,7 +27,7 @@ from .poisson import (BcVariant, duality_gap, leray_project, nonlocal_energy,
 
 __all__ = [
     "__version__", "CellGammaError",
-    "ScalarPotential", "FluxMap", "GradientIntegrand", "EntropyPair",
+    "ScalarPotential", "FluxMap", "EntropyPair",
     "FluxFunction", "JumpData", "SpaceTimeJumpData", "ModelSpecs",
     "catalog_lookup", "validate_jump_data", "validate_rankine_hugoniot",
     "Frame", "CellGrid", "StateField", "TensorField", "build_frame",

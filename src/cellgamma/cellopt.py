@@ -1,15 +1,18 @@
 """Discrete cell energy: assembly, analytic gradient, and minimization
 over profiles, the scale L, and the constraint set.
 
-Assembly convention: the local terms G and W are integrated exactly for
-the multilinear interpolant of the nodal profile (tensor-product Gauss
-quadrature, 3 points per axis, exact through degree 5 per axis, which
-covers every catalog integrand).  The discrete energy therefore IS the
-continuum energy of an admissible profile, so continuum lower bounds
-(e.g. the equal-partition bound int 2 sqrt(W) for the scalar double
-well) hold for the computed minima by construction.  The nonlocal term
-|grad H|^2 lives on the nodal grid calculus of the poisson module,
-whose variational structure makes its adjoint gradient formula exact.
+Assembly convention: the local terms are integrated exactly for the
+multilinear interpolant of the nodal profile.  The gradient term
+int |grad zeta|^2 (the Dirichlet energy of every catalog model) is the
+Q1 stiffness form <zeta, K zeta>; the potential int W(zeta) uses
+tensor-product Gauss quadrature, 3 points per axis, exact through
+degree 5 per axis, which covers every catalog potential.  The discrete
+energy therefore IS the continuum energy of an admissible profile, so
+continuum lower bounds (e.g. the equal-partition bound int 2 sqrt(W)
+for the scalar double well) hold for the computed minima by
+construction.  The nonlocal term |grad H|^2 lives on the nodal grid
+calculus of the poisson module, whose variational structure makes its
+adjoint gradient formula exact.
 """
 
 from dataclasses import dataclass
@@ -30,7 +33,7 @@ _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
 
 @dataclass
 class EnergyBreakdown:
-    grad_term: float       # int G(grad zeta)
+    grad_term: float       # int |grad zeta|^2
     potential_term: float  # int W(zeta)
     nonlocal_term: float   # int |grad H|^2
     L: float
@@ -99,7 +102,7 @@ _TIE_REL = 1e-6
 # --- multilinear element assembler ----------------------------------------
 
 class _LocalAssembler:
-    """Exact quadrature of local integrands over multilinear elements.
+    """Exact quadrature of the potential W over multilinear elements.
 
     Precomputes shape-function tables and scatter indices for one grid;
     instances are cached per grid object.
@@ -108,42 +111,27 @@ class _LocalAssembler:
     def __init__(self, grid):
         self.grid = grid
         d = grid.dim
-        self.d = d
         self.n_corners = 1 << d
         self.nq = 3 ** d
         # element base indices per axis: normal axis has n-1 elements,
         # periodic axes have n (the last one wraps)
         el_shape = (grid.n_axes[0] - 1,) + tuple(grid.n_axes[1:])
-        self.el_shape = el_shape
         self.vol = float(np.prod([grid.spacing(ax) for ax in range(d)]))
-        self.h = [grid.spacing(ax) for ax in range(d)]
 
-        # 1d tables: value and derivative of the two hat functions at
-        # the gauss points
-        xq = _GAUSS_X
-        self.s1 = np.stack([1.0 - xq, xq])        # (2, 3)
-        self.ds1 = np.stack([-np.ones(3), np.ones(3)])
-
-        # tensor tables: S[q, c], dS[q, c, ax] with q and c flattened
+        # tensor tables: the hat functions at the gauss points S[q, c] and
+        # the gauss weights wq[q], with q and c flattened
+        s1 = np.stack([1.0 - _GAUSS_X, _GAUSS_X])  # (2, 3)
         S = np.ones((self.nq, self.n_corners))
-        dS = np.ones((self.nq, self.n_corners, d))
-        for q in range(self.nq):
-            qi = np.unravel_index(q, (3,) * d)
-            for c in range(self.n_corners):
-                for ax in range(d):
-                    bit = (c >> ax) & 1
-                    S[q, c] *= self.s1[bit, qi[ax]]
-                    for gax in range(d):
-                        t = self.ds1[bit, qi[ax]] if ax == gax else self.s1[bit, qi[ax]]
-                        dS[q, c, gax] *= t
-        self.S = S
-        self.dS = dS
         wq = np.ones(self.nq)
         for q in range(self.nq):
             qi = np.unravel_index(q, (3,) * d)
             for ax in range(d):
                 wq[q] *= _GAUSS_W[qi[ax]]
+                for c in range(self.n_corners):
+                    S[q, c] *= s1[(c >> ax) & 1, qi[ax]]
+        self.S = S
         self.wq = wq
+        self._w_s = wq[:, None] * S
 
         # corner index tuples for gather/scatter
         base = np.meshgrid(*[np.arange(n) for n in el_shape], indexing="ij")
@@ -151,57 +139,28 @@ class _LocalAssembler:
         for c in range(self.n_corners):
             idx = []
             for ax in range(d):
-                bit = (c >> ax) & 1
-                i = base[ax] + bit
+                i = base[ax] + ((c >> ax) & 1)
                 if ax > 0:
                     i = i % grid.n_axes[ax]
                 idx.append(i)
             self.corner_idx.append(tuple(idx))
 
-        # stacked interpolation tables so one BLAS product yields the
-        # values and all frame-coordinate derivatives at once
-        self._interp = np.concatenate(
-            [S] + [dS[:, :, ax] / self.h[ax] for ax in range(d)])
-        self._w_s = wq[:, None] * S
-        self._w_d = [wq[:, None] * dS[:, :, ax] / self.h[ax] for ax in range(d)]
-
     def gauss_states(self, values):
-        """Interpolated states z and frame-coordinate derivatives dz at
-        every gauss point: z (nq, el, m), dz (nq, el, m, d)."""
+        """Interpolated states at every gauss point: (nq, el, m)."""
         corners = np.stack([values[idx] for idx in self.corner_idx])  # (C, el, m)
         flat = corners.reshape(self.n_corners, -1)
-        out = (self._interp @ flat).reshape(
-            (1 + self.d, self.nq) + corners.shape[1:])
-        z = out[0]
-        dz = np.moveaxis(out[1:], 0, -1)
-        return z, dz
-
-    def jets(self, dz):
-        """Physical-coordinate jets: A[..., m, N] = sum_ax dz_ax b_ax."""
-        return dz @ self.grid.frame.basis
+        return (self.S @ flat).reshape((self.nq,) + corners.shape[1:])
 
     def integrate_q(self, density):
         """Integrate a per-gauss-point scalar density over the cell."""
         w = self.wq.reshape((-1,) + (1,) * (density.ndim - 1))
         return self.vol * float(np.sum(w * density))
 
-    def scatter(self, coeff_s, coeff_d):
-        """Nodal gradient from per-gauss-point integrand derivatives.
-
-        coeff_s: (nq, el, m) multiplies the shape value (dW term);
-        coeff_d: (nq, el, m, d) multiplies the shape derivative in frame
-        coordinates (dG term), already divided by nothing (we divide by
-        h here).  Either may be None.
-        """
-        out = np.zeros(self.grid.shape + (coeff_s.shape[-1] if coeff_s is not None
-                                          else coeff_d.shape[-2],))
-        contrib = 0.0
-        if coeff_s is not None:
-            contrib = contrib + np.tensordot(self._w_s, coeff_s, axes=(0, 0))
-        if coeff_d is not None:
-            for ax in range(self.d):
-                contrib = contrib + np.tensordot(self._w_d[ax],
-                                                 coeff_d[..., ax], axes=(0, 0))
+    def scatter(self, coeff):
+        """Nodal gradient of the integral of a density from its
+        per-gauss-point state derivatives coeff (nq, el, m)."""
+        contrib = np.tensordot(self._w_s, coeff, axes=(0, 0))
+        out = np.zeros(self.grid.shape + (coeff.shape[-1],))
         # each corner's index tuple maps the elements to distinct nodes
         for c in range(self.n_corners):
             out[self.corner_idx[c]] += self.vol * contrib[c]
@@ -232,29 +191,56 @@ def _check_admissible(profile, jump, specs):
 
 # --- energy assembly ------------------------------------------------------
 
+def _tridiagonal(grid, values, axis, diag, off):
+    """Apply the symmetric tridiagonal stencil (off, diag, off) along one
+    grid axis of a nodal array: periodic on lateral axes, with halved
+    end-row diagonals on the normal axis."""
+    if axis > 0:
+        return diag * values + off * (np.roll(values, 1, axis=axis)
+                                      + np.roll(values, -1, axis=axis))
+    out = diag * values
+    out[0] *= 0.5
+    out[-1] *= 0.5
+    out[1:] += off * values[:-1]
+    out[:-1] += off * values[1:]
+    return out
+
+
+def _stiffness(grid, values):
+    """K zeta, where <zeta, K zeta> = int |grad zeta|^2 exactly for the
+    multilinear interpolant: K is the sum over axes of the 1D
+    linear-element stiffness along that axis times the 1D consistent
+    mass along the others.  The frame is orthonormal, so the gradient
+    norm is the same in frame coordinates."""
+    out = 0.0
+    for ax in range(grid.dim):
+        t = values
+        for b in range(grid.dim):
+            h = grid.spacing(b)
+            if b == ax:
+                t = _tridiagonal(grid, t, b, 2.0 / h, -1.0 / h)
+            else:
+                t = _tridiagonal(grid, t, b, 4.0 * h / 6.0, h / 6.0)
+        out = out + t
+    return out
+
+
 def _local_values(grid, values, specs):
-    """One local assembly: int G(grad zeta) and int W(zeta), with the
-    Gauss-point states z and the jets that :func:`_local_gradient`
-    needs."""
+    """One local assembly: int |grad zeta|^2 and int W(zeta), with the
+    stiffness product K zeta and the Gauss-point states z that the
+    gradient needs."""
     asm = _assembler(grid)
-    z, dz = asm.gauss_states(values)
-    jet = asm.jets(dz)
-    return (asm.integrate_q(specs.G.value(jet)),
-            asm.integrate_q(specs.W.value(z)), z, jet)
+    Kz = _stiffness(grid, values)
+    z = asm.gauss_states(values)
+    return (float(np.sum(values * Kz)),
+            asm.integrate_q(specs.W.value(z)), Kz, z)
 
 
 def local_integrals(grid, values, specs):
-    """(int G(grad zeta), int W(zeta)) for the multilinear interpolant
-    of the nodal values, by the exact element quadrature."""
+    """(int |grad zeta|^2, int W(zeta)) for the multilinear interpolant
+    of the nodal values: the stiffness form and the exact element
+    quadrature."""
     return _local_values(grid, values, specs)[:2]
-
-
-def _local_gradient(grid, specs, z, jet):
-    """Nodal gradients gG, gW of the two local integrals."""
-    asm = _assembler(grid)
-    coeff_d = np.einsum("q...mN,aN->q...ma", specs.G.gradient(jet),
-                        grid.frame.basis)
-    return asm.scatter(None, coeff_d), asm.scatter(specs.W.gradient(z), None)
 
 
 def _nonlocal_term(grid, values, specs, bc):
@@ -278,15 +264,14 @@ def _nonlocal_gradient(grid, values, specs, pot):
 class _Evaluation:
     """One local assembly and one potential solve at a profile.
 
-    G is homogeneous quadratic, so the energy at scale L is
-    L A + B / L with A = EG = int G(grad zeta) and B = EW + BH, and the
-    energy and the gradient at any scale follow from these parts with no
-    further assembly or solve.
+    The energy at scale L is L A + B / L with A = EG = <zeta, K zeta> and
+    B = EW + BH, so the energy and the gradient at any scale follow from
+    these parts with no further assembly or solve.
     """
 
     def __init__(self, grid, values, specs, bc):
         self.grid, self.values, self.specs = grid, values, specs
-        self.A, self.EW, self.z, self.jet = _local_values(grid, values, specs)
+        self.A, self.EW, self.Kz, self.z = _local_values(grid, values, specs)
         self.BH, self.pot = _nonlocal_term(grid, values, specs, bc)
         self.B = self.EW + self.BH
 
@@ -296,8 +281,8 @@ class _Evaluation:
         and under the sphere constraint the tangential (Riemannian)
         projection is returned."""
         grid, specs = self.grid, self.specs
-        gG, gW = _local_gradient(grid, specs, self.z, self.jet)
-        g = L * gG + gW / L
+        gW = _assembler(grid).scatter(specs.W.gradient(self.z))
+        g = 2.0 * L * self.Kz + gW / L
         if self.pot is not None:
             g = g + _nonlocal_gradient(grid, self.values, specs, self.pot) / L
         g[0] = 0.0
@@ -336,8 +321,8 @@ _LOG2_BRACKET = (-8.0, 8.0)
 
 
 def optimize_scale(A, B):
-    """Closed-form scale for the homogeneous-quadratic split
-    E(L) = L A + B / L, clamped to the standard bracket."""
+    """Closed-form scale for the split E(L) = L A + B / L, clamped to
+    the standard bracket."""
     if A < 0 or B < 0:
         raise DegenerateScale("negative energy components")
     if A == 0.0 and B == 0.0:
@@ -359,10 +344,6 @@ def smoothstep(s):
     """Clamped cubic step: 0 for s <= -1, 1 for s >= 1, C1 in between."""
     s = np.clip(s, -1.0, 1.0)
     return 0.5 + 0.75 * s - 0.25 * s ** 3
-
-
-def _sphere_project(values):
-    return values / np.linalg.norm(values, axis=-1, keepdims=True)
 
 
 def _antipodal_axes(a, specs, jump):
@@ -439,13 +420,7 @@ def _geodesic_profile(jump, specs, grid, width=0.3):
     v = np.empty(grid.shape + (specs.m,))
     for a in range(specs.m):
         v[..., a] = np.interp(s, arc, states[:, a])
-    v[0] = jump.phi_minus
-    v[-1] = jump.phi_plus
-    if specs.constraint.kind == "unit_sphere":
-        v = _sphere_project(v)
-        v[0] = jump.phi_minus
-        v[-1] = jump.phi_plus
-    return v
+    return _retract(v, 0.0, specs, jump)
 
 
 def _random_profile(jump, specs, grid, index, amplitude, seed):
@@ -458,14 +433,7 @@ def _random_profile(jump, specs, grid, index, amplitude, seed):
     t = grid.coords_normal()
     bump = np.square(np.sin(np.pi * (t + 0.5)))[..., None]
     jump_size = np.linalg.norm(jump.phi_plus - jump.phi_minus)
-    v = base + amplitude * jump_size * bump * noise
-    v[0] = jump.phi_minus
-    v[-1] = jump.phi_plus
-    if specs.constraint.kind == "unit_sphere":
-        v = _sphere_project(v)
-        v[0] = jump.phi_minus
-        v[-1] = jump.phi_plus
-    return v
+    return _retract(base, amplitude * jump_size * bump * noise, specs, jump)
 
 
 def init_profiles(jump, specs, grid, strategy, seed=0):
@@ -493,7 +461,7 @@ def init_profiles(jump, specs, grid, strategy, seed=0):
 def _retract(values, step, specs, jump):
     v = values + step
     if specs.constraint.kind == "unit_sphere":
-        v = _sphere_project(v)
+        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
     v[0] = jump.phi_minus
     v[-1] = jump.phi_plus
     return v

@@ -271,7 +271,7 @@ def _run_catalog(config):
         row = _base_row(config)
         row.update({
             "subcommand": "catalog", "model": name, "m": specs.m,
-            "N": specs.G.N, "constraint": specs.constraint.kind,
+            "N": specs.Psi.N, "constraint": specs.constraint.kind,
             "has_flux": specs.flux is not None,
             "has_entropy": specs.entropy is not None,
             "psi_zero": specs.Psi.is_zero,

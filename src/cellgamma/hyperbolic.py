@@ -42,6 +42,11 @@ from .model import FluxFunction, validate_rankine_hugoniot
 
 # --- results and containers -----------------------------------------------
 
+# end slabs of the normal axis on which the perturbation potential w
+# vanishes
+_MARGIN = 3
+
+
 @dataclass
 class BaseFields:
     """Constraint-satisfying base pair pinned to (u-, F(u-)) and
@@ -54,18 +59,15 @@ class BaseFields:
 @dataclass
 class PotentialPerturbation:
     """Perturbation potential w, lateral/time periodic and compactly
-    supported in the normal cell coordinate (zero on ``margin`` end
+    supported in the normal cell coordinate (zero on the ``_MARGIN`` end
     slabs, which keeps the induced zeta pinned on the outer slabs)."""
 
     w: TensorField
-    margin: int = 3
 
     def __post_init__(self):
-        m = self.margin
         v = self.w.values
-        if m < 1 or 2 * m >= v.shape[0]:
-            raise ShapeMismatch("margin must leave interior normal slabs")
-        if np.any(v[:m] != 0.0) or np.any(v[-m:] != 0.0):
+        # a cell grid has at least 8 normal slabs, so interior ones remain
+        if np.any(v[:_MARGIN] != 0.0) or np.any(v[-_MARGIN:] != 0.0):
             raise ShapeMismatch("w must vanish on the normal margin slabs")
 
 
@@ -207,8 +209,8 @@ class _ShockEvaluation:
     components A (entropy-gradient term) and B (flux mismatch) of
     L A + B / L, and :meth:`gradient` reuses them."""
 
-    def __init__(self, grid, base, w_values, margin, flux, entropy):
-        self.grid, self.w_values, self.margin = grid, w_values, margin
+    def __init__(self, grid, base, w_values, flux, entropy):
+        self.grid, self.w_values = grid, w_values
         self.flux, self.entropy = flux, entropy
         self.zeta = base.zeta0.values + space_divergence(grid, w_values)
         gamma = base.gamma0.values - time_derivative(grid, w_values)
@@ -241,8 +243,8 @@ class _ShockEvaluation:
         for j in range(n_space):
             gw[..., j] = _phys_diff(grid, de_dzeta, j, diff_axis_transpose)
         gw -= _phys_diff(grid, de_dgamma, grid.dim - 1, diff_axis_transpose)
-        gw[:self.margin] = 0.0
-        gw[-self.margin:] = 0.0
+        gw[:_MARGIN] = 0.0
+        gw[-_MARGIN:] = 0.0
         return gw
 
 
@@ -253,7 +255,7 @@ def assemble_st_energy(pert, L, st_jump, flux, entropy, grid, base=None):
         base = build_base_fields(st_jump, flux, grid)
     if pert.w.values.shape != grid.shape + (flux.k, flux.N):
         raise ShapeMismatch("perturbation shaped for a different cell")
-    ev = _ShockEvaluation(grid, base, pert.w.values, pert.margin, flux, entropy)
+    ev = _ShockEvaluation(grid, base, pert.w.values, flux, entropy)
     return EnergyBreakdown(grad_term=ev.A, potential_term=ev.B,
                            nonlocal_term=0.0, L=L,
                            total=L * ev.A + ev.B / L)
@@ -264,14 +266,11 @@ def st_energy_gradient(pert, L, st_jump, flux, entropy, grid, base=None):
     of w (margin slabs pinned to zero)."""
     if base is None:
         base = build_base_fields(st_jump, flux, grid)
-    ev = _ShockEvaluation(grid, base, pert.w.values, pert.margin, flux, entropy)
+    ev = _ShockEvaluation(grid, base, pert.w.values, flux, entropy)
     return TensorField(grid, ev.gradient(L))
 
 
 # --- minimization ----------------------------------------------------------
-
-_MARGIN = 3
-
 
 def _random_w(grid, k, n_space, index, scale, seed):
     rng = np.random.Generator(np.random.Philox(key=(seed, index)))
@@ -336,7 +335,7 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
     gtol = opts.gtol_scale * (1.0 + du)
 
     def evaluate(w):
-        return _ShockEvaluation(grid, base, w, _MARGIN, flux, entropy)
+        return _ShockEvaluation(grid, base, w, flux, entropy)
 
     def precondition(g, w, L):
         return _normal_inverse(grid, g, L)
@@ -346,7 +345,7 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
                            lambda w, step: w + step, lmin, gtol, opts)
 
     (w, L, _, it, converged), energies = multistart(starts, run, opts)
-    pert = PotentialPerturbation(w=TensorField(grid, w), margin=_MARGIN)
+    pert = PotentialPerturbation(w=TensorField(grid, w))
     breakdown = assemble_st_energy(pert, L, st_jump, flux, entropy, grid,
                                    base=base)
     zeta = base.zeta0.values + space_divergence(grid, w)

@@ -1,6 +1,5 @@
 """Analytic ingredients of the cell problems: potentials, flux maps,
-gradient integrands, entropies, hyperbolic fluxes, jump data, and the
-built-in catalog.
+entropies, hyperbolic fluxes, jump data, and the built-in catalog.
 
 Evaluator convention: every evaluator is vectorized over leading axes.
 States have shape (..., m); a ScalarPotential value returns (...,), its
@@ -37,17 +36,6 @@ class FluxMap:
     value: Callable
     jacobian: Callable
     is_zero: bool = False  # lets the assembler skip the Poisson solve
-
-
-@dataclass(frozen=True)
-class GradientIntegrand:
-    """First-order integrand G on jets A in R^{m x N}; G >= 0, G(0) = 0."""
-
-    m: int
-    N: int
-    value: Callable
-    gradient: Callable
-    homogeneous_quadratic: bool
 
 
 @dataclass(frozen=True)
@@ -146,21 +134,15 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class ModelSpecs:
-    """Bundle of evaluators defining one cell problem."""
+    """Bundle of evaluators defining one cell problem.  The gradient
+    term is the Dirichlet energy int |grad zeta|^2 for every model."""
 
     name: str
     W: ScalarPotential
     Psi: FluxMap
-    G: GradientIntegrand
     constraint: ConstraintSet
     flux: Optional[FluxFunction] = None
     entropy: Optional[EntropyPair] = None
-
-    def __post_init__(self):
-        # the optimizers use the split L A + B / L of the cell energy,
-        # which holds only for homogeneous quadratic G
-        if not self.G.homogeneous_quadratic:
-            raise BadParams("G must be homogeneous quadratic")
 
     @property
     def m(self):
@@ -174,15 +156,6 @@ class ValidationReport:
 
 
 # --- catalog building blocks ----------------------------------------------
-
-def _dirichlet_integrand(m, N):
-    return GradientIntegrand(
-        m=m, N=N,
-        value=lambda A: np.sum(np.square(A), axis=(-2, -1)),
-        gradient=lambda A: 2.0 * A,
-        homogeneous_quadratic=True,
-    )
-
 
 def _zero_flux(m, N, l=1):
     z = np.zeros((l, N))
@@ -253,7 +226,7 @@ def catalog_lookup(name, params=None):
             gradient=lambda s: (-4.0 * s[..., 0] * (1.0 - np.square(s[..., 0])))[..., None],
         )
         return ModelSpecs(
-            name=name, W=W, Psi=_zero_flux(1, N), G=_dirichlet_integrand(1, N),
+            name=name, W=W, Psi=_zero_flux(1, N),
             constraint=ConstraintSet("unconstrained"),
         )
     if name == "micromagnetics_2d":
@@ -278,7 +251,7 @@ def catalog_lookup(name, params=None):
 
         Psi = FluxMap(m=3, l=1, N=2, value=psi_value, jacobian=psi_jacobian)
         return ModelSpecs(
-            name=name, W=W, Psi=Psi, G=_dirichlet_integrand(3, 2),
+            name=name, W=W, Psi=Psi,
             constraint=ConstraintSet("unit_sphere"),
         )
     if name == "burgers":
@@ -288,7 +261,7 @@ def catalog_lookup(name, params=None):
                             value=lambda s: np.zeros(s.shape[:-1]),
                             gradient=lambda s: np.zeros_like(s))
         return ModelSpecs(
-            name=name, W=W, Psi=_zero_flux(1, 1), G=_dirichlet_integrand(1, 1),
+            name=name, W=W, Psi=_zero_flux(1, 1),
             constraint=ConstraintSet("unconstrained"),
             flux=flux, entropy=_quadratic_entropy(1),
         )
@@ -301,7 +274,7 @@ def catalog_lookup(name, params=None):
                             value=lambda s: np.zeros(s.shape[:-1]),
                             gradient=lambda s: np.zeros_like(s))
         return ModelSpecs(
-            name=name, W=W, Psi=_zero_flux(1, flux.N), G=_dirichlet_integrand(1, flux.N),
+            name=name, W=W, Psi=_zero_flux(1, flux.N),
             constraint=ConstraintSet("unconstrained"),
             flux=flux, entropy=_quadratic_entropy(1),
         )
@@ -314,7 +287,7 @@ def catalog_lookup(name, params=None):
                             value=lambda s: np.zeros(s.shape[:-1]),
                             gradient=lambda s: np.zeros_like(s))
         return ModelSpecs(
-            name=name, W=W, Psi=_zero_flux(k, 1), G=_dirichlet_integrand(k, 1),
+            name=name, W=W, Psi=_zero_flux(k, 1),
             constraint=ConstraintSet("unconstrained"),
             entropy=_quadratic_entropy(k),
         )

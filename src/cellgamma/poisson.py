@@ -240,11 +240,16 @@ def leray_project(V, bc, check_compat=False):
 
 
 def duality_gap(M, bc):
-    """Both sides of the projection duality: the minimum of
-    int |L + M|^2 over divergence-free L, attained at L0 = grad H - M,
-    against the directly assembled int |grad H|^2."""
+    """Both sides of the energy identity of the projection: int M . grad H
+    against the directly assembled int |grad H|^2.
+
+    They agree when grad H - M is orthogonal to the gradients of the bc
+    class, grad H itself among them, which is what makes H the
+    minimizer; both then equal the projection minimum of int |L + M|^2
+    over divergence-free L, attained at L0 = grad H - M.
+    """
     pot = solve_cell_poisson(M, bc, check_compat=False, shift_mean_flux=False)
-    L0 = pot.gradH.values - M.values
-    j0 = integrate(M.grid, np.sum(np.square(L0 + M.values), axis=(-2, -1)))
-    e = integrate(M.grid, np.sum(np.square(pot.gradH.values), axis=(-2, -1)))
+    gradH = pot.gradH.values
+    j0 = integrate(M.grid, np.sum(M.values * gradH, axis=(-2, -1)))
+    e = integrate(M.grid, np.sum(np.square(gradH), axis=(-2, -1)))
     return DualityReport(J0_projection=j0, nonlocal_energy=e, gap=abs(j0 - e))

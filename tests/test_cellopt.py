@@ -9,16 +9,16 @@ from scipy.fft import dst, idst
 
 from cellgamma.cellopt import (OptimizerOptions, _normal_h1_inverse,
                                assemble_energy, compute_cell_energy,
-                               energy_gradient, init_profiles, minimize_cg,
-                               optimize_scale, resolved_scale_floor,
-                               smoothstep)
+                               energy_gradient, init_profiles,
+                               local_integrals, minimize_cg, optimize_scale,
+                               resolved_scale_floor, smoothstep)
 from cellgamma.errors import (BadParams, BadStrategy, DegenerateScale,
                               InadmissibleProfile, NotConverged)
 from cellgamma.grid import StateField, build_cell_grid, build_frame
 from cellgamma.hyperbolic import _MARGIN, _normal_inverse, build_shock_grid
-from cellgamma.model import (ConstraintSet, FluxMap, GradientIntegrand,
-                             JumpData, ModelSpecs, ScalarPotential,
-                             SpaceTimeJumpData, catalog_lookup)
+from cellgamma.model import (ConstraintSet, FluxMap, JumpData, ModelSpecs,
+                             ScalarPotential, SpaceTimeJumpData,
+                             catalog_lookup)
 from cellgamma.oracle import finite_difference_gradient
 from cellgamma.poisson import BcVariant
 
@@ -39,12 +39,7 @@ def _lateral_flux_specs():
         m=1, l=1, N=2,
         value=lambda s: np.stack([np.zeros_like(s), s], axis=-1),
         jacobian=lambda s: np.broadcast_to(jac, s.shape[:-1] + (1, 2, 1)))
-    G = GradientIntegrand(
-        m=1, N=2,
-        value=lambda A: np.sum(np.square(A), axis=(-2, -1)),
-        gradient=lambda A: 2.0 * A,
-        homogeneous_quadratic=True)
-    return ModelSpecs(name="lateral_flux", W=W, Psi=Psi, G=G,
+    return ModelSpecs(name="lateral_flux", W=W, Psi=Psi,
                       constraint=ConstraintSet("unconstrained"))
 
 
@@ -58,6 +53,24 @@ def test_linear_profile_exact_integrals():
     assert abs(e.grad_term - 4.0) < 1e-12
     assert abs(e.potential_term - 8.0 / 15.0) < 1e-12
     assert abs(e.total - (4.0 + 8.0 / 15.0)) < 1e-12
+
+
+@pytest.mark.parametrize("nu, n_axes", [([0.6, 0.8], (9, 7)),
+                                         ([2 / 3, 2 / 3, 1 / 3], (9, 7, 4))])
+def test_stiffness_form_closed_form(nu, n_axes):
+    # zeta = t c(y) with c piecewise linear along the first lateral axis
+    # (constant along any other): int |grad zeta|^2 = int c^2 + int c'^2 / 12
+    # on the unit cell, in any orthonormal frame
+    g = build_cell_grid(build_frame(nu), n_axes[0], n_axes=n_axes)
+    c = np.random.default_rng(2).standard_normal(n_axes[1])
+    shape = (1, -1) + (1,) * (len(n_axes) - 2)
+    values = (g.coords_normal() * c.reshape(shape))[..., None]
+    h = g.spacing(1)
+    cn = np.roll(c, -1)
+    exact = (np.sum(h * (c * c + c * cn + cn * cn) / 3.0)
+             + np.sum(np.square(cn - c) / (12.0 * h)))
+    eg, _ = local_integrals(g, values, DW)
+    assert abs(eg - exact) <= 1e-14 * exact
 
 
 def test_constant_no_jump_profile_zero_energy():
@@ -102,16 +115,22 @@ def test_optimizer_options_rejected(bad):
 
 
 def test_gradient_matches_fd_double_well():
-    g = build_cell_grid(build_frame([1.0]), 12)
+    # the 1D cell and a tilted 2D cell of the space_dim 2 double well
+    dw2 = catalog_lookup("double_well", {"space_dim": 2})
+    tilted = JumpData(phi_plus=[1.0], phi_minus=[-1.0], nu=[0.6, 0.8])
+    cases = [(build_cell_grid(build_frame([1.0]), 12), DW, DW_JUMP),
+             (build_cell_grid(build_frame(tilted.nu), 10, n_lateral=6), dw2,
+              tilted)]
     rng = np.random.default_rng(0)
-    t = g.axis_coords(0)
-    v = np.tanh(3 * t)[:, None] + 0.1 * rng.standard_normal((12, 1))
-    v[0], v[-1] = -1.0, 1.0
-    prof = StateField(g, v)
-    ga = energy_gradient(prof, 0.7, DW, DW_JUMP).values
-    gf = finite_difference_gradient(prof, 0.7, DW, DW_JUMP).values
-    scale = np.max(np.abs(gf)) + 1.0
-    assert np.max(np.abs(ga - gf)) / scale < 1e-5
+    for g, specs, jump in cases:
+        t = g.coords_normal()
+        v = np.tanh(3 * t)[..., None] + 0.1 * rng.standard_normal(g.shape + (1,))
+        v[0], v[-1] = -1.0, 1.0
+        prof = StateField(g, v)
+        ga = energy_gradient(prof, 0.7, specs, jump).values
+        gf = finite_difference_gradient(prof, 0.7, specs, jump).values
+        scale = np.max(np.abs(gf)) + 1.0
+        assert np.max(np.abs(ga - gf)) / scale < 1e-5
 
 
 def test_gradient_matches_fd_nonzero_psi():
@@ -143,7 +162,7 @@ def test_nonlocal_gradient_quadratic_in_psi():
     two = FluxMap(m=1, l=1, N=2,
                   value=lambda s: 2.0 * specs.Psi.value(s),
                   jacobian=lambda s: 2.0 * specs.Psi.jacobian(s))
-    specs2 = ModelSpecs(name="x2", W=specs.W, Psi=two, G=specs.G,
+    specs2 = ModelSpecs(name="x2", W=specs.W, Psi=two,
                         constraint=specs.constraint)
     e2 = assemble_energy(StateField(g, v), 1.0, specs2, jump).nonlocal_term
     assert abs(e2 - 4.0 * e1) < 1e-8 * (1.0 + e2)
@@ -370,3 +389,21 @@ def test_roundoff_trials_judged_by_directional_derivative():
     assert np.max(np.abs(Evaluation(x).gradient(L))) <= gtol
     # the round-off test's gradient is reused when its trial is accepted
     assert max(ev.gradient_calls for ev in evaluations) == 1
+
+
+def test_package_import_leaves_scipy_linalg_and_interpolate_unloaded():
+    # cellopt and gamma import these lazily: each costs tens of ms that
+    # every import of the package would otherwise pay
+    import os
+    import subprocess
+    import sys
+
+    import cellgamma
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cellgamma.__file__)))
+    code = ("import sys, cellgamma; "
+            "print([m for m in ('scipy.linalg', 'scipy.interpolate') "
+            "if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cellgamma.errors import BadParams, UnknownModel
-from cellgamma.model import (GradientIntegrand, JumpData, ModelSpecs,
-                             SpaceTimeJumpData, catalog_lookup,
+from cellgamma.model import (JumpData, SpaceTimeJumpData, catalog_lookup,
                              fd_relative_error, validate_jump_data,
                              validate_rankine_hugoniot)
 
@@ -29,7 +28,6 @@ def test_double_well_values():
     x = np.array([[1.0], [-1.0], [0.0]])
     assert np.allclose(s.W.value(x), [0.0, 0.0, 1.0])
     assert s.Psi.is_zero
-    assert s.G.homogeneous_quadratic
 
 
 def test_micromagnetics_values():
@@ -132,12 +130,3 @@ def test_jump_data_validation_errors():
     # degenerate equal states are admitted (trivial no-jump case)
     JumpData(phi_plus=[1.0], phi_minus=[1.0], nu=[1.0])
 
-
-def test_non_homogeneous_g_rejected():
-    dw = catalog_lookup("double_well")
-    quartic = GradientIntegrand(
-        m=1, N=1, value=lambda A: np.sum(A ** 4, axis=(-2, -1)),
-        gradient=lambda A: 4.0 * A ** 3, homogeneous_quadratic=False)
-    with pytest.raises(BadParams):
-        ModelSpecs(name="quartic", W=dw.W, Psi=dw.Psi, G=quartic,
-                   constraint=dw.constraint)

@@ -127,6 +127,25 @@ def test_duality_gap_random_fluxes():
             assert rep.gap <= 1e-9 * (1.0 + m_sq)
 
 
+@pytest.mark.parametrize("bc", BcVariant.CELL_KINDS)
+def test_duality_gap_detects_wrong_potential(monkeypatch, bc):
+    # a solve whose grad H is off by a factor 1.5 is no minimizer: the
+    # gap must show it, not compare int |grad H|^2 with itself
+    solve = poisson.solve_cell_poisson
+
+    def scaled(*args, **kwargs):
+        pot = solve(*args, **kwargs)
+        pot.gradH = TensorField(pot.gradH.grid, 1.5 * pot.gradH.values)
+        return pot
+
+    g = _grid(17, 16)
+    M = TensorField(g, np.random.default_rng(3).standard_normal(g.shape + (1, 2)))
+    m_sq = inner(g, M.values, M.values)
+    assert duality_gap(M, bc).gap <= 1e-9 * (1.0 + m_sq)
+    monkeypatch.setattr(poisson, "solve_cell_poisson", scaled)
+    assert duality_gap(M, bc).gap > 1e-9 * (1.0 + m_sq)
+
+
 def test_dirichlet_below_neumann():
     g = _grid(17, 16)
     rng = np.random.default_rng(2)

@@ -6,13 +6,18 @@ multilinear interpolant of the nodal profile.  The gradient term
 int |grad zeta|^2 (the Dirichlet energy of every catalog model) is the
 Q1 stiffness form <zeta, K zeta>; the potential int W(zeta) uses
 tensor-product Gauss quadrature, 3 points per axis, exact through
-degree 5 per axis, which covers every catalog potential.  The discrete
-energy therefore IS the continuum energy of an admissible profile, so
-continuum lower bounds (e.g. the equal-partition bound int 2 sqrt(W)
-for the scalar double well) hold for the computed minima by
-construction.  The nonlocal term |grad H|^2 lives on the nodal grid
+degree 5 per axis, which covers every catalog potential.  Both apply
+their element operators one axis at a time (sum factorization): K as
+1D stencils, the quadrature as interpolation to the Gauss points along
+each axis in turn, with its exact transpose for the nodal gradient.
+The discrete energy therefore IS the continuum energy of an admissible
+profile, so continuum lower bounds (e.g. the equal-partition bound
+int 2 sqrt(W) for the scalar double well) hold for the computed minima
+by construction.  The nonlocal term |grad H|^2 lives on the nodal grid
 calculus of the poisson module, whose variational structure makes its
-adjoint gradient formula exact.
+adjoint gradient formula exact.  :class:`CellEvaluation` holds all
+three terms at one profile; the optimizer and the Gamma sweep's full
+energy both use it.
 """
 
 from dataclasses import dataclass
@@ -22,11 +27,13 @@ import numpy as np
 
 from .errors import (BadParams, BadStrategy, DegenerateScale, InadmissibleProfile,
                      NotConverged)
-from .grid import StateField, TensorField, cached_per_grid, smooth_noise
+from .grid import StateField, TensorField, smooth_noise
 from .poisson import BcVariant, nonlocal_energy
 
 _GAUSS_X = np.array([0.5 - np.sqrt(0.15), 0.5, 0.5 + np.sqrt(0.15)])
 _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
+# the left and right hat functions of an element at its Gauss points
+_HAT = np.stack([1.0 - _GAUSS_X, _GAUSS_X])
 
 
 # --- results --------------------------------------------------------------
@@ -99,81 +106,6 @@ class OptimizerOptions:
 _TIE_REL = 1e-6
 
 
-# --- multilinear element assembler ----------------------------------------
-
-class _LocalAssembler:
-    """Exact quadrature of the potential W over multilinear elements.
-
-    Precomputes shape-function tables and scatter indices for one grid;
-    instances are cached per grid object.
-    """
-
-    def __init__(self, grid):
-        self.grid = grid
-        d = grid.dim
-        self.n_corners = 1 << d
-        self.nq = 3 ** d
-        # element base indices per axis: normal axis has n-1 elements,
-        # periodic axes have n (the last one wraps)
-        el_shape = (grid.n_axes[0] - 1,) + tuple(grid.n_axes[1:])
-        self.vol = float(np.prod([grid.spacing(ax) for ax in range(d)]))
-
-        # tensor tables: the hat functions at the gauss points S[q, c] and
-        # the gauss weights wq[q], with q and c flattened
-        s1 = np.stack([1.0 - _GAUSS_X, _GAUSS_X])  # (2, 3)
-        S = np.ones((self.nq, self.n_corners))
-        wq = np.ones(self.nq)
-        for q in range(self.nq):
-            qi = np.unravel_index(q, (3,) * d)
-            for ax in range(d):
-                wq[q] *= _GAUSS_W[qi[ax]]
-                for c in range(self.n_corners):
-                    S[q, c] *= s1[(c >> ax) & 1, qi[ax]]
-        self.S = S
-        self.wq = wq
-        self._w_s = wq[:, None] * S
-
-        # corner index tuples for gather/scatter
-        base = np.meshgrid(*[np.arange(n) for n in el_shape], indexing="ij")
-        self.corner_idx = []
-        for c in range(self.n_corners):
-            idx = []
-            for ax in range(d):
-                i = base[ax] + ((c >> ax) & 1)
-                if ax > 0:
-                    i = i % grid.n_axes[ax]
-                idx.append(i)
-            self.corner_idx.append(tuple(idx))
-
-    def gauss_states(self, values):
-        """Interpolated states at every gauss point: (nq, el, m)."""
-        corners = np.stack([values[idx] for idx in self.corner_idx])  # (C, el, m)
-        flat = corners.reshape(self.n_corners, -1)
-        return (self.S @ flat).reshape((self.nq,) + corners.shape[1:])
-
-    def integrate_q(self, density):
-        """Integrate a per-gauss-point scalar density over the cell."""
-        w = self.wq.reshape((-1,) + (1,) * (density.ndim - 1))
-        return self.vol * float(np.sum(w * density))
-
-    def scatter(self, coeff):
-        """Nodal gradient of the integral of a density from its
-        per-gauss-point state derivatives coeff (nq, el, m)."""
-        contrib = np.tensordot(self._w_s, coeff, axes=(0, 0))
-        out = np.zeros(self.grid.shape + (coeff.shape[-1],))
-        # each corner's index tuple maps the elements to distinct nodes
-        for c in range(self.n_corners):
-            out[self.corner_idx[c]] += self.vol * contrib[c]
-        return out
-
-
-_assemblers = {}
-
-
-def _assembler(grid):
-    return cached_per_grid(_assemblers, id(grid), lambda: _LocalAssembler(grid))
-
-
 # --- admissibility --------------------------------------------------------
 
 def _check_admissible(profile, jump, specs):
@@ -225,22 +157,51 @@ def _stiffness(grid, values):
     return out
 
 
-def _local_values(grid, values, specs):
-    """One local assembly: int |grad zeta|^2 and int W(zeta), with the
-    stiffness product K zeta and the Gauss-point states z that the
-    gradient needs."""
-    asm = _assembler(grid)
-    Kz = _stiffness(grid, values)
-    z = asm.gauss_states(values)
-    return (float(np.sum(values * Kz)),
-            asm.integrate_q(specs.W.value(z)), Kz, z)
+def _to_gauss(grid, values):
+    """The multilinear interpolant of nodal values at the 3 Gauss points
+    per element along every axis, interpolated one axis at a time: shape
+    (3,) * d + element shape + (m,), Gauss axes in grid-axis order.  The
+    normal axis has n - 1 elements, a lateral axis n (the last wraps)."""
+    # each step puts its Gauss axis in front, so taking the grid axes
+    # last to first keeps the one being replaced at array position d - 1
+    p = grid.dim - 1
+    head = (slice(None),) * p
+    z = values
+    for ax in reversed(range(grid.dim)):
+        if ax == 0:
+            lo, hi = z[head + (slice(None, -1),)], z[head + (slice(1, None),)]
+        else:
+            lo, hi = z, np.roll(z, -1, axis=p)
+        hat = _HAT.reshape((2, 3) + (1,) * z.ndim)
+        z = hat[0] * lo + hat[1] * hi
+    return z
 
 
-def local_integrals(grid, values, specs):
-    """(int |grad zeta|^2, int W(zeta)) for the multilinear interpolant
-    of the nodal values: the stiffness form and the exact element
-    quadrature."""
-    return _local_values(grid, values, specs)[:2]
+def _from_gauss(grid, coeff):
+    """Exact transpose of :func:`_to_gauss`: contract each Gauss axis
+    with the two hat rows and add the results to the element's nodes."""
+    p = grid.dim - 1
+    head = (slice(None),) * p
+    for ax in range(grid.dim):
+        lo, hi = np.tensordot(_HAT, coeff, axes=(1, 0))
+        if ax == 0:
+            shape = list(lo.shape)
+            shape[p] += 1
+            coeff = np.zeros(shape)
+            coeff[head + (slice(None, -1),)] += lo
+            coeff[head + (slice(1, None),)] += hi
+        else:
+            coeff = lo + np.roll(hi, 1, axis=p)
+    return coeff
+
+
+def _gauss_weights(grid):
+    """Quadrature weights of :func:`_to_gauss`'s points, broadcastable
+    over its leading Gauss and element axes."""
+    w = np.ones(())
+    for ax in range(grid.dim):
+        w = np.multiply.outer(w, grid.spacing(ax) * _GAUSS_W)
+    return w.reshape(w.shape + (1,) * grid.dim)
 
 
 def _nonlocal_term(grid, values, specs, bc):
@@ -261,8 +222,9 @@ def _nonlocal_gradient(grid, values, specs, pot):
     return 2.0 * grid.node_weights()[..., None] * contr
 
 
-class _Evaluation:
-    """One local assembly and one potential solve at a profile.
+class CellEvaluation:
+    """The cell energy's parts at a profile: one stiffness product, one
+    Gauss-point interpolation and one potential solve.
 
     The energy at scale L is L A + B / L with A = EG = <zeta, K zeta> and
     B = EW + BH, so the energy and the gradient at any scale follow from
@@ -271,7 +233,10 @@ class _Evaluation:
 
     def __init__(self, grid, values, specs, bc):
         self.grid, self.values, self.specs = grid, values, specs
-        self.A, self.EW, self.Kz, self.z = _local_values(grid, values, specs)
+        self.Kz = _stiffness(grid, values)
+        self.A = float(np.sum(values * self.Kz))
+        self.z, self.w = _to_gauss(grid, values), _gauss_weights(grid)
+        self.EW = float(np.sum(self.w * specs.W.value(self.z)))
         self.BH, self.pot = _nonlocal_term(grid, values, specs, bc)
         self.B = self.EW + self.BH
 
@@ -281,7 +246,7 @@ class _Evaluation:
         and under the sphere constraint the tangential (Riemannian)
         projection is returned."""
         grid, specs = self.grid, self.specs
-        gW = _assembler(grid).scatter(specs.W.gradient(self.z))
+        gW = _from_gauss(grid, self.w[..., None] * specs.W.gradient(self.z))
         g = 2.0 * L * self.Kz + gW / L
         if self.pot is not None:
             g = g + _nonlocal_gradient(grid, self.values, specs, self.pot) / L
@@ -298,7 +263,7 @@ def assemble_energy(profile, L, specs, jump, bc=BcVariant.NEUMANN):
     if L <= 0:
         raise DegenerateScale("scale L must be positive")
     _check_admissible(profile, jump, specs)
-    ev = _Evaluation(profile.grid, profile.values, specs, bc)
+    ev = CellEvaluation(profile.grid, profile.values, specs, bc)
     return EnergyBreakdown(grad_term=ev.A, potential_term=ev.EW,
                            nonlocal_term=float(ev.BH), L=float(L),
                            total=float(L * ev.A + ev.B / L))
@@ -311,7 +276,7 @@ def energy_gradient(profile, L, specs, jump, bc=BcVariant.NEUMANN):
     if L <= 0:
         raise DegenerateScale("scale L must be positive")
     _check_admissible(profile, jump, specs)
-    ev = _Evaluation(profile.grid, profile.values, specs, bc)
+    ev = CellEvaluation(profile.grid, profile.values, specs, bc)
     return StateField(profile.grid, ev.gradient(L))
 
 
@@ -626,7 +591,7 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
 
 def _minimize_start(values, specs, jump, grid, bc, opts):
     """One start of the cell minimization by :func:`minimize_cg`: each
-    trial is one :class:`_Evaluation` (one local assembly, one
+    trial is one :class:`CellEvaluation` (one local assembly, one
     potential solve), directions are preconditioned by
     :func:`_normal_h1_inverse` and, under the sphere constraint,
     projected on the tangent space."""
@@ -634,7 +599,7 @@ def _minimize_start(values, specs, jump, grid, bc, opts):
 
     def evaluate(v):
         _check_admissible(StateField(grid, v), jump, specs)
-        return _Evaluation(grid, v, specs, bc)
+        return CellEvaluation(grid, v, specs, bc)
 
     def precondition(g, v, L):
         p = _normal_h1_inverse(grid, g, L)

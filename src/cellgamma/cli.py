@@ -150,6 +150,11 @@ def _model(config):
     return catalog_lookup(m["name"], m.get("params"))
 
 
+def _jump(config):
+    j = config["jump"]
+    return JumpData(phi_plus=j["phi_plus"], phi_minus=j["phi_minus"], nu=j["nu"])
+
+
 def _base_row(config):
     return {"config_hash": config_hash(config), "version": __version__,
             "seed": config.get("seed", 0)}
@@ -157,9 +162,7 @@ def _base_row(config):
 
 def _run_cell(config):
     specs = _model(config)
-    j = config["jump"]
-    jump = JumpData(phi_plus=j["phi_plus"], phi_minus=j["phi_minus"],
-                    nu=j["nu"])
+    jump = _jump(config)
     g = config.get("grid", {})
     frame = build_frame(jump.nu)
     grid = build_cell_grid(frame, g.get("n_normal", 128),
@@ -229,9 +232,7 @@ def _run_duality(config):
 
 def _run_gamma(config):
     specs = _model(config)
-    j = config["jump"]
-    jump = JumpData(phi_plus=j["phi_plus"], phi_minus=j["phi_minus"],
-                    nu=j["nu"])
+    jump = _jump(config)
     g = config["gamma"]
     domain = DomainSpec(nu=jump.nu, resolution=g.get("resolution", 256),
                         offset=g.get("offset", 0.0))
@@ -250,9 +251,7 @@ def _run_gamma(config):
 
 def _run_oracle(config):
     specs = _model(config)
-    j = config["jump"]
-    jump = JumpData(phi_plus=j["phi_plus"], phi_minus=j["phi_minus"],
-                    nu=j["nu"])
+    jump = _jump(config)
     sampling = config.get("oracle", {}).get("sampling", 200)
     value = geodesic_energy_1d(jump, specs, sampling=sampling)
     row = _base_row(config)

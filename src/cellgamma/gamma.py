@@ -16,11 +16,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cellopt import OptimizerOptions, compute_cell_energy, local_integrals
+from .cellopt import CellEvaluation, OptimizerOptions, compute_cell_energy
 from .errors import CellGammaError, EpsilonTooLarge, ShapeMismatch
-from .grid import (CellGrid, StateField, TensorField, build_cell_grid,
-                   build_frame)
-from .poisson import BcVariant, nonlocal_energy
+from .grid import CellGrid, StateField, build_cell_grid, build_frame
+from .poisson import BcVariant
 
 
 @dataclass(frozen=True)
@@ -118,19 +117,15 @@ def build_recovery_field(domain, cell, epsilon):
 # --- energy evaluation ------------------------------------------------------
 
 def evaluate_full_energy(field, epsilon, specs):
-    """The full epsilon-scaled energy of a field on the box: local
-    terms by element quadrature with L = epsilon, nonlocal term from
-    the periodic Neumann potential solve on the box grid."""
+    """The full epsilon-scaled energy of a field on the box: the cell's
+    evaluation on the box grid at L = epsilon, local terms by element
+    quadrature and the nonlocal term from the periodic Neumann potential
+    solve."""
     grid = field.grid
     if field.values.shape != grid.shape + (specs.m,):
         raise ShapeMismatch("field does not fit the domain grid")
-    EG, EW = local_integrals(grid, field.values, specs)
-    total = epsilon * EG + EW / epsilon
-    if not specs.Psi.is_zero:
-        M = TensorField(grid, specs.Psi.value(field.values))
-        e_nl, _ = nonlocal_energy(M, BcVariant.NEUMANN)
-        total += e_nl / epsilon
-    return float(total)
+    ev = CellEvaluation(grid, field.values, specs, BcVariant.NEUMANN)
+    return float(epsilon * ev.A + ev.B / epsilon)
 
 
 # --- sweep ------------------------------------------------------------------

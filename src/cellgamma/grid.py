@@ -13,7 +13,7 @@ composition laplacian = div(grad) hold to round-off, not just to
 truncation order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class CellGrid:
 
     frame: Frame
     n_axes: tuple
-    axis_bc: tuple = field(init=False)
 
     def __post_init__(self):
         n_axes = tuple(int(n) for n in self.n_axes)
@@ -102,8 +101,6 @@ class CellGrid:
             if n < 1:
                 raise ShapeMismatch("lateral axes need at least 1 node")
         object.__setattr__(self, "n_axes", n_axes)
-        bc = ("pinned_normal",) + ("periodic",) * (len(n_axes) - 1)
-        object.__setattr__(self, "axis_bc", bc)
 
     @property
     def dim(self):
@@ -236,7 +233,7 @@ def diff_axis(grid, values, axis):
     n = grid.n_axes[axis]
     if values.shape[axis] != n:
         raise ShapeMismatch("field does not match grid along axis")
-    if grid.axis_bc[axis] == "periodic":
+    if axis > 0:
         return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
     out = np.empty_like(values)
     sl = [slice(None)] * values.ndim
@@ -258,7 +255,7 @@ def diff_axis_transpose(grid, values, axis):
     n = grid.n_axes[axis]
     if values.shape[axis] != n:
         raise ShapeMismatch("field does not match grid along axis")
-    if grid.axis_bc[axis] == "periodic":
+    if axis > 0:
         # transpose of the circulant central stencil is its negative
         return (np.roll(values, 1, axis=axis) - np.roll(values, -1, axis=axis)) / (2.0 * h)
     out = np.zeros_like(values)
@@ -280,18 +277,6 @@ def diff_axis_transpose(grid, values, axis):
     out[at(n - 2)] += -4.0 * values[at(n - 1)] / (2.0 * h)
     out[at(n - 3)] += values[at(n - 1)] / (2.0 * h)
     return out
-
-
-def normal_diff_matrix(n, h):
-    """Dense (n, n) matrix of the pinned-normal-axis derivative stencil."""
-    d = np.zeros((n, n))
-    for j in range(1, n - 1):
-        d[j, j - 1] = -1.0 / (2.0 * h)
-        d[j, j + 1] = 1.0 / (2.0 * h)
-    d[0, 0], d[0, 1], d[0, 2] = -3.0 / (2.0 * h), 4.0 / (2.0 * h), -1.0 / (2.0 * h)
-    d[n - 1, n - 1], d[n - 1, n - 2], d[n - 1, n - 3] = (
-        3.0 / (2.0 * h), -4.0 / (2.0 * h), 1.0 / (2.0 * h))
-    return d
 
 
 # --- gradient / divergence / laplacian ------------------------------------
@@ -350,7 +335,7 @@ def smooth_noise(grid, noise):
     slabs), so that random starts are not hopeless for line searches."""
     for _ in range(2):
         for ax in range(grid.dim):
-            if grid.axis_bc[ax] == "periodic":
+            if ax > 0:
                 noise = (noise + np.roll(noise, 1, axis=ax)
                          + np.roll(noise, -1, axis=ax)) / 3.0
             else:

@@ -35,7 +35,7 @@ class FluxMap:
     N: int
     value: Callable
     jacobian: Callable
-    is_zero: bool = False  # lets the assembler skip the Poisson solve
+    is_zero: bool = False  # lets the cell evaluation skip the Poisson solve
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,11 @@ class ValidationReport:
 
 # --- catalog building blocks ----------------------------------------------
 
+def _zero_potential(m):
+    return ScalarPotential(m=m, value=lambda s: np.zeros(s.shape[:-1]),
+                           gradient=lambda s: np.zeros_like(s))
+
+
 def _zero_flux(m, N, l=1):
     z = np.zeros((l, N))
     zj = np.zeros((l, N, m))
@@ -257,11 +262,8 @@ def catalog_lookup(name, params=None):
     if name == "burgers":
         _reject_unknown(params, set())
         flux = _burgers_flux()
-        W = ScalarPotential(m=1,
-                            value=lambda s: np.zeros(s.shape[:-1]),
-                            gradient=lambda s: np.zeros_like(s))
         return ModelSpecs(
-            name=name, W=W, Psi=_zero_flux(1, 1),
+            name=name, W=_zero_potential(1), Psi=_zero_flux(1, 1),
             constraint=ConstraintSet("unconstrained"),
             flux=flux, entropy=_quadratic_entropy(1),
         )
@@ -270,11 +272,8 @@ def catalog_lookup(name, params=None):
         if "speed" not in params:
             raise BadParams("linear_advection requires a 'speed' parameter")
         flux = _linear_advection_flux(params["speed"])
-        W = ScalarPotential(m=1,
-                            value=lambda s: np.zeros(s.shape[:-1]),
-                            gradient=lambda s: np.zeros_like(s))
         return ModelSpecs(
-            name=name, W=W, Psi=_zero_flux(1, flux.N),
+            name=name, W=_zero_potential(1), Psi=_zero_flux(1, flux.N),
             constraint=ConstraintSet("unconstrained"),
             flux=flux, entropy=_quadratic_entropy(1),
         )
@@ -283,11 +282,8 @@ def catalog_lookup(name, params=None):
         k = int(params.get("state_dim", 1))
         if k < 1:
             raise BadParams("state_dim must be >= 1")
-        W = ScalarPotential(m=k,
-                            value=lambda s: np.zeros(s.shape[:-1]),
-                            gradient=lambda s: np.zeros_like(s))
         return ModelSpecs(
-            name=name, W=W, Psi=_zero_flux(k, 1),
+            name=name, W=_zero_potential(k), Psi=_zero_flux(k, 1),
             constraint=ConstraintSet("unconstrained"),
             entropy=_quadratic_entropy(k),
         )

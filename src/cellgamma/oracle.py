@@ -11,8 +11,6 @@ turns the cell energy into this path length.  Oracle tolerances are
 intentionally loose (0.5 - 5 percent); they certify magnitudes.
 """
 
-import heapq
-
 import numpy as np
 
 from .errors import DimensionTooLarge, ProblemTooLarge
@@ -24,35 +22,6 @@ def _cost_density(specs, jump, states):
     dpsi = (specs.Psi.value(states) - specs.Psi.value(jump.phi_minus)) @ jump.nu
     pot = np.sum(np.square(dpsi), axis=-1)
     return 2.0 * np.sqrt(np.maximum(w + pot, 0.0))
-
-
-def _dijkstra(n_nodes, edges, source, target):
-    """Node path of least cost; edges: adjacency list of (neighbor, cost)."""
-    dist = np.full(n_nodes, np.inf)
-    dist[source] = 0.0
-    prev = np.full(n_nodes, -1, dtype=np.int64)
-    heap = [(0.0, source)]
-    seen = np.zeros(n_nodes, dtype=bool)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if seen[u]:
-            continue
-        seen[u] = True
-        if u == target:
-            break
-        for v, c in edges[u]:
-            nd = d + c
-            if nd < dist[v]:
-                dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, v))
-    path = [target]
-    while path[-1] != source:
-        p = prev[path[-1]]
-        if p < 0:
-            raise RuntimeError("target unreachable in oracle graph")
-        path.append(p)
-    return path[::-1]
 
 
 def _lattice_path(specs, jump, points, shape, wrap_axes=()):
@@ -86,12 +55,22 @@ def _lattice_path(specs, jump, points, shape, wrap_axes=()):
     c = _cost_density(specs, jump, points)
     seg = np.linalg.norm(points[pairs[:, 1]] - points[pairs[:, 0]], axis=-1)
     costs = 0.5 * (c[pairs[:, 0]] + c[pairs[:, 1]]) * seg
-    edges = [[] for _ in range(points.shape[0])]
-    for (a, b), cost in zip(pairs, costs):
-        edges[a].append((b, cost))
+    # imported here: scipy.sparse loads scipy.linalg, which the package
+    # import leaves unloaded
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+    n = points.shape[0]
+    # a sparse graph keeps its explicit zeros as zero-cost edges
+    graph = csr_matrix((costs, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
     source, target = (int(np.argmin(np.sum((points - phi) ** 2, axis=1)))
                       for phi in (jump.phi_minus, jump.phi_plus))
-    states = points[_dijkstra(points.shape[0], edges, source, target)]
+    _, prev = dijkstra(graph, indices=source, return_predecessors=True)
+    path = [target]
+    while path[-1] != source:
+        if prev[path[-1]] < 0:
+            raise RuntimeError("target unreachable in oracle graph")
+        path.append(prev[path[-1]])
+    states = points[path[::-1]]
     states[0] = jump.phi_minus
     states[-1] = jump.phi_plus
     return states

@@ -31,8 +31,8 @@ import numpy as np
 import scipy.fft
 
 from .errors import NeumannIncompatible, ShapeMismatch, SolverDiverged
-from .grid import (StateField, TensorField, cached_per_grid, gradient,
-                   integrate, normal_diff_matrix)
+from .grid import (StateField, TensorField, cached_per_grid, diff_axis,
+                   gradient, integrate)
 
 
 class BcVariant:
@@ -69,7 +69,6 @@ class _CellSolverData:
         self.grid = grid
         self.bc = bc
         n0 = grid.n_axes[0]
-        h0 = grid.spacing(0)
         lat_shape = grid.n_axes[1:]
         freq_shape = tuple(lat_shape[:-1]) + (lat_shape[-1] // 2 + 1,)
         self.lat_shape = lat_shape
@@ -98,7 +97,7 @@ class _CellSolverData:
         for i in range(1, grid.dim):
             c_lat *= grid.spacing(i)
         self.w_nu = grid.axis_weights(0) * c_lat
-        self.D = normal_diff_matrix(n0, h0)
+        self.D = diff_axis(grid, np.eye(n0), 0)
         self.A0 = self.D.T @ (self.w_nu[:, None] * self.D)
 
         # V = W^-1/2 U from eigh(W^-1/2 A0 W^-1/2) on the solved rows

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dst, idst
 
-from cellgamma.cellopt import (OptimizerOptions, _normal_h1_inverse,
+from cellgamma.cellopt import (CellEvaluation, OptimizerOptions, _from_gauss,
+                               _normal_h1_inverse, _to_gauss,
                                assemble_energy, compute_cell_energy,
-                               energy_gradient, init_profiles,
-                               local_integrals, minimize_cg, optimize_scale,
-                               resolved_scale_floor, smoothstep)
+                               energy_gradient, init_profiles, minimize_cg,
+                               optimize_scale, resolved_scale_floor,
+                               smoothstep)
 from cellgamma.errors import (BadParams, BadStrategy, DegenerateScale,
                               InadmissibleProfile, NotConverged)
 from cellgamma.grid import StateField, build_cell_grid, build_frame
@@ -60,17 +61,41 @@ def test_linear_profile_exact_integrals():
 def test_stiffness_form_closed_form(nu, n_axes):
     # zeta = t c(y) with c piecewise linear along the first lateral axis
     # (constant along any other): int |grad zeta|^2 = int c^2 + int c'^2 / 12
-    # on the unit cell, in any orthonormal frame
+    # on the unit cell, in any orthonormal frame; for the double well
+    # int (1 - zeta^2)^2 = 1 - int c^2 / 6 + int c^4 / 80, which the Gauss
+    # quadrature integrates exactly, the wrapping lateral element included
     g = build_cell_grid(build_frame(nu), n_axes[0], n_axes=n_axes)
     c = np.random.default_rng(2).standard_normal(n_axes[1])
     shape = (1, -1) + (1,) * (len(n_axes) - 2)
     values = (g.coords_normal() * c.reshape(shape))[..., None]
     h = g.spacing(1)
     cn = np.roll(c, -1)
-    exact = (np.sum(h * (c * c + c * cn + cn * cn) / 3.0)
-             + np.sum(np.square(cn - c) / (12.0 * h)))
-    eg, _ = local_integrals(g, values, DW)
-    assert abs(eg - exact) <= 1e-14 * exact
+    c2 = np.sum(h * (c * c + c * cn + cn * cn) / 3.0)
+    c4 = np.sum(h * (c ** 4 + c ** 3 * cn + c ** 2 * cn ** 2 + c * cn ** 3
+                     + cn ** 4) / 5.0)
+    exact = c2 + np.sum(np.square(cn - c) / (12.0 * h))
+    ev = CellEvaluation(g, values, DW, BcVariant.NEUMANN)
+    assert abs(ev.A - exact) <= 1e-14 * exact
+    exact_w = 1.0 - c2 / 6.0 + c4 / 80.0
+    assert abs(ev.EW - exact_w) <= 1e-14 * exact_w
+
+
+@pytest.mark.parametrize("nu, n_axes", [([1.0], (12,)), ([0.6, 0.8], (9, 7)),
+                                         ([2 / 3, 2 / 3, 1 / 3], (9, 7, 4))])
+def test_gauss_interpolation_transpose(nu, n_axes):
+    # the potential's nodal gradient scatters Gauss-point coefficients
+    # back by the exact transpose of the interpolation
+    g = build_cell_grid(build_frame(nu), n_axes[0], n_axes=n_axes)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(g.shape + (2,))
+    z = _to_gauss(g, v)
+    el_shape = (n_axes[0] - 1,) + n_axes[1:]
+    assert z.shape == (3,) * len(n_axes) + el_shape + (2,)
+    c = rng.standard_normal(z.shape)
+    back = _from_gauss(g, c)
+    assert back.shape == v.shape
+    lhs, rhs = np.sum(z * c), np.sum(v * back)
+    assert abs(lhs - rhs) <= 1e-13 * np.sqrt(np.sum(z * z) * np.sum(c * c))
 
 
 def test_constant_no_jump_profile_zero_energy():

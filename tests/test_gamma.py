@@ -4,8 +4,8 @@ cell-problem prediction."""
 import numpy as np
 import pytest
 
-from cellgamma.cellopt import (OptimizerOptions, compute_cell_energy,
-                               local_integrals)
+from cellgamma.cellopt import (CellEvaluation, OptimizerOptions,
+                               compute_cell_energy)
 from cellgamma.errors import EpsilonTooLarge, ShapeMismatch
 from cellgamma.gamma import (DomainSpec, build_recovery_field,
                              evaluate_full_energy, run_gamma_sweep,
@@ -154,11 +154,11 @@ def test_full_energy_adds_periodic_stray_field():
     values = np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=-1)
     eps = 1.0 / 8.0
     total = evaluate_full_energy(StateField(g, values), eps, mm)
-    eg, ew = local_integrals(g, values, mm)
+    ev = CellEvaluation(g, values, mm, BcVariant.NEUMANN)
     e_nl, _ = nonlocal_energy(TensorField(g, mm.Psi.value(values)),
                               BcVariant.NEUMANN)
-    assert e_nl > 0.0
-    assert total == float(eps * eg + ew / eps + e_nl / eps)
+    assert ev.BH == e_nl > 0.0
+    assert total == float(eps * ev.A + ev.B / eps)
 
 
 def test_micromagnetic_bloch_wall_sweep_tends_to_one():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellgamma import cellopt, poisson
+from cellgamma import poisson
 from cellgamma.errors import NeumannIncompatible, ShapeMismatch
 from cellgamma.grid import (GRID_CACHE_SIZE, CellGrid, StateField, TensorField,
                             build_cell_grid, build_frame, gradient, inner)
@@ -88,8 +88,8 @@ def test_matches_dense_least_squares(bc, n_lateral):
 
 
 def test_per_grid_caches_bounded():
-    # one new grid per step, as in the gamma sweep: the solver and
-    # assembler caches stay bounded and let evicted grids go
+    # one new grid per step, as in the gamma sweep: the solver cache
+    # stays bounded and lets evicted grids go
     frame = build_frame([1.0, 0.0])
     grids = [build_cell_grid(frame, 9, 4) for _ in range(GRID_CACHE_SIZE + 3)]
     first = weakref.ref(grids[0])
@@ -97,9 +97,7 @@ def test_per_grid_caches_bounded():
     for g in grids:
         for bc in BcVariant.CELL_KINDS:
             solve_cell_poisson(TensorField(g, M), bc)
-        cellopt._assembler(g)
     assert len(poisson._cache) == GRID_CACHE_SIZE
-    assert len(cellopt._assemblers) == GRID_CACHE_SIZE
     assert (id(grids[-1]), BcVariant.NEUMANN) in poisson._cache
     del grids, g
     gc.collect()

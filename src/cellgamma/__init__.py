@@ -20,8 +20,8 @@ from .hyperbolic import (BaseFields, PotentialPerturbation, ShockSolution,
 from .model import (EntropyPair, FluxFunction, FluxMap, JumpData, ModelSpecs,
                     ScalarPotential, SpaceTimeJumpData, catalog_lookup,
                     validate_jump_data, validate_rankine_hugoniot)
-from .oracle import (brute_force_cell_min, finite_difference_gradient,
-                     geodesic_energy_1d, geodesic_path_1d)
+from .oracle import (finite_difference_gradient, geodesic_energy_1d,
+                     geodesic_path_1d)
 from .poisson import (BcVariant, duality_gap, leray_project, nonlocal_energy,
                       solve_cell_poisson)
 
@@ -41,8 +41,7 @@ __all__ = [
     "StaticReduction", "build_shock_grid", "build_base_fields",
     "assemble_st_energy", "compute_shock_cell_energy",
     "reduce_to_static_frame", "viscous_profile_oracle_1d",
-    "geodesic_path_1d", "geodesic_energy_1d", "brute_force_cell_min",
-    "finite_difference_gradient",
+    "geodesic_path_1d", "geodesic_energy_1d", "finite_difference_gradient",
     "DomainSpec", "SweepRow", "build_recovery_field", "evaluate_full_energy",
     "run_gamma_sweep",
 ]

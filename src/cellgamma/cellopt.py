@@ -21,7 +21,6 @@ energy both use it.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -87,7 +86,7 @@ class OptimizerOptions:
     gtol_scale: float = 1e-6
     n_random: int = 4
     amplitude: float = 0.1   # relative to |phi+ - phi-|
-    strategies: Optional[list] = None
+    strategies: tuple = ("one_dimensional_tanh", "random_perturbed")
     require_converged: bool = False
 
     def __post_init__(self):
@@ -210,8 +209,7 @@ def _nonlocal_term(grid, values, specs, bc):
     if specs.Psi.is_zero:
         return 0.0, None
     M = TensorField(grid, specs.Psi.value(values))
-    check = bc == BcVariant.NEUMANN
-    return nonlocal_energy(M, bc, check_compat=check)
+    return nonlocal_energy(M, bc)
 
 
 def _nonlocal_gradient(grid, values, specs, pot):
@@ -372,22 +370,6 @@ def _tanh_profile(jump, specs, grid, width=0.15, plane_rank=0):
     return jump.phi_minus + sig[..., None] * (jump.phi_plus - jump.phi_minus)
 
 
-def _geodesic_profile(jump, specs, grid, width=0.3):
-    from .oracle import geodesic_path_1d
-    states = geodesic_path_1d(jump, specs)
-    seg = np.linalg.norm(np.diff(states, axis=0), axis=-1)
-    arc = np.concatenate([[0.0], np.cumsum(seg)])
-    if arc[-1] <= 0:
-        return _tanh_profile(jump, specs, grid)
-    arc = arc / arc[-1]
-    t = grid.coords_normal()
-    s = smoothstep(t / width)
-    v = np.empty(grid.shape + (specs.m,))
-    for a in range(specs.m):
-        v[..., a] = np.interp(s, arc, states[:, a])
-    return _retract(v, 0.0, specs, jump)
-
-
 def _random_profile(jump, specs, grid, index, amplitude, seed):
     rng = np.random.Generator(np.random.Philox(key=(seed, index)))
     # diversify: perturb around a different member of the geodesic
@@ -401,23 +383,18 @@ def _random_profile(jump, specs, grid, index, amplitude, seed):
     return _retract(base, amplitude * jump_size * bump * noise, specs, jump)
 
 
-def init_profiles(jump, specs, grid, strategy, seed=0):
-    """Starting profiles for one strategy.
-
-    strategy is "one_dimensional_tanh", "geodesic_sweep", or the tuple
-    ("random_perturbed", k, amplitude) producing k perturbed starts.
-    """
+def init_profiles(jump, specs, grid, strategy, opts=None):
+    """Starting profiles for one strategy: "one_dimensional_tanh" is the
+    deterministic start, "random_perturbed" gives ``opts.n_random``
+    perturbed starts of relative amplitude ``opts.amplitude`` drawn from
+    ``opts.seed``."""
+    opts = opts or OptimizerOptions()
     if strategy == "one_dimensional_tanh":
         return [StateField(grid, _tanh_profile(jump, specs, grid))]
-    if strategy == "geodesic_sweep":
-        return [StateField(grid, _geodesic_profile(jump, specs, grid))]
-    if (isinstance(strategy, (tuple, list)) and len(strategy) == 3
-            and strategy[0] == "random_perturbed"):
-        k, amplitude = int(strategy[1]), float(strategy[2])
-        if k < 0 or amplitude < 0:
-            raise BadStrategy("random_perturbed needs k >= 0, amplitude >= 0")
-        return [StateField(grid, _random_profile(jump, specs, grid, i, amplitude, seed))
-                for i in range(k)]
+    if strategy == "random_perturbed":
+        return [StateField(grid, _random_profile(jump, specs, grid, i,
+                                                 opts.amplitude, opts.seed))
+                for i in range(opts.n_random)]
     raise BadStrategy(f"unknown init strategy {strategy!r}")
 
 
@@ -634,13 +611,9 @@ def compute_cell_energy(jump, specs, grid, bc=BcVariant.NEUMANN, opts=None):
     start with full diagnostics, deterministic for a fixed seed."""
     jump.check_state_length(specs.m)
     opts = opts or OptimizerOptions()
-    strategies = opts.strategies
-    if strategies is None:
-        strategies = ["one_dimensional_tanh", "geodesic_sweep",
-                      ("random_perturbed", opts.n_random, opts.amplitude)]
     starts = []
-    for s in strategies:
-        starts.extend(init_profiles(jump, specs, grid, s, seed=opts.seed))
+    for s in opts.strategies:
+        starts.extend(init_profiles(jump, specs, grid, s, opts))
 
     def run(start):
         return _minimize_start(start.values, specs, jump, grid, bc, opts)

@@ -74,10 +74,6 @@ class DimensionTooLarge(CellGammaError):
     pass
 
 
-class ProblemTooLarge(CellGammaError):
-    pass
-
-
 # --- gamma experiment ----------------------------------------------------
 
 class EpsilonTooLarge(CellGammaError):

@@ -45,10 +45,6 @@ class DomainSpec:
         frame = build_frame(self.nu)
         return CellGrid(frame=frame, n_axes=(self.resolution,) * frame.dim)
 
-    @property
-    def interface_length(self):
-        return 1.0
-
 
 @dataclass
 class SweepRow:
@@ -143,7 +139,7 @@ def run_gamma_sweep(domain, jump, specs, epsilons, cell=None, opts=None):
         cell_grid = build_cell_grid(build_frame(jump.nu), 257, n_lateral=8)
         cell = compute_cell_energy(jump, specs, cell_grid, BcVariant.NEUMANN,
                                    opts or OptimizerOptions())
-    predicted = cell.energy.total * domain.interface_length
+    predicted = cell.energy.total
     rows = []
     for e in eps:
         try:

@@ -156,26 +156,6 @@ def build_cell_grid(frame, n_normal, n_lateral=None, n_axes=None):
     return CellGrid(frame=frame, n_axes=(n_normal,))
 
 
-GRID_CACHE_SIZE = 8
-
-
-def cached_per_grid(cache, key, build):
-    """``cache[key]``, made by ``build()`` on a miss.
-
-    ``key`` starts with ``id(grid)`` and the built value keeps a
-    reference to its grid, so no other grid can share the id while the
-    entry lives.  Above GRID_CACHE_SIZE entries the oldest is evicted:
-    a sweep that builds a grid per step neither grows the cache nor
-    keeps every grid alive.
-    """
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = build()
-        if len(cache) > GRID_CACHE_SIZE:
-            cache.pop(next(iter(cache)), None)
-    return value
-
-
 # --- fields ---------------------------------------------------------------
 
 @dataclass
@@ -236,16 +216,9 @@ def diff_axis(grid, values, axis):
     if axis > 0:
         return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
     out = np.empty_like(values)
-    sl = [slice(None)] * values.ndim
-
-    def at(i):
-        s = list(sl)
-        s[axis] = i
-        return tuple(s)
-
-    out[at(slice(1, n - 1))] = (values[at(slice(2, n))] - values[at(slice(0, n - 2))]) / (2.0 * h)
-    out[at(0)] = (-3.0 * values[at(0)] + 4.0 * values[at(1)] - values[at(2)]) / (2.0 * h)
-    out[at(n - 1)] = (3.0 * values[at(n - 1)] - 4.0 * values[at(n - 2)] + values[at(n - 3)]) / (2.0 * h)
+    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
+    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
     return out
 
 
@@ -259,23 +232,16 @@ def diff_axis_transpose(grid, values, axis):
         # transpose of the circulant central stencil is its negative
         return (np.roll(values, 1, axis=axis) - np.roll(values, -1, axis=axis)) / (2.0 * h)
     out = np.zeros_like(values)
-    sl = [slice(None)] * values.ndim
-
-    def at(i):
-        s = list(sl)
-        s[axis] = i
-        return tuple(s)
-
     # interior central rows scatter to their neighbours
-    out[at(slice(2, n))] += values[at(slice(1, n - 1))] / (2.0 * h)
-    out[at(slice(0, n - 2))] -= values[at(slice(1, n - 1))] / (2.0 * h)
+    out[2:] += values[1:-1] / (2.0 * h)
+    out[:-2] -= values[1:-1] / (2.0 * h)
     # one-sided end rows
-    out[at(0)] += -3.0 * values[at(0)] / (2.0 * h)
-    out[at(1)] += 4.0 * values[at(0)] / (2.0 * h)
-    out[at(2)] += -values[at(0)] / (2.0 * h)
-    out[at(n - 1)] += 3.0 * values[at(n - 1)] / (2.0 * h)
-    out[at(n - 2)] += -4.0 * values[at(n - 1)] / (2.0 * h)
-    out[at(n - 3)] += values[at(n - 1)] / (2.0 * h)
+    out[0] += -3.0 * values[0] / (2.0 * h)
+    out[1] += 4.0 * values[0] / (2.0 * h)
+    out[2] += -values[0] / (2.0 * h)
+    out[-1] += 3.0 * values[-1] / (2.0 * h)
+    out[-2] += -4.0 * values[-1] / (2.0 * h)
+    out[-3] += values[-1] / (2.0 * h)
     return out
 
 

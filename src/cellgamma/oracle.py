@@ -1,8 +1,6 @@
 """Slow reference computations: 1D geodesic path energies by Dijkstra
-over a sampled state space, many-start minimization on tiny grids, and
-finite-difference gradients.  The geodesic paths and the finite
-differences are independent of the fast solvers; the many-start minimum
-runs the cell optimizer itself, so it checks the start selection only.
+over a sampled state space, and finite-difference gradients.  Neither
+runs the cell optimizer, so both are independent checks of it.
 
 The geodesic cost density is 2 |r'| sqrt(W(r) + |(Psi(r) - Psi(phi-)).nu|^2):
 for one-dimensional profiles the potential gradient reduces to the
@@ -13,7 +11,7 @@ intentionally loose (0.5 - 5 percent); they certify magnitudes.
 
 import numpy as np
 
-from .errors import DimensionTooLarge, ProblemTooLarge
+from .errors import DimensionTooLarge
 
 
 def _cost_density(specs, jump, states):
@@ -146,23 +144,6 @@ def geodesic_energy_1d(jump, specs, sampling=200):
     c = _cost_density(specs, jump, states)
     seg = np.linalg.norm(np.diff(states, axis=0), axis=-1)
     return float(np.sum(0.5 * (c[:-1] + c[1:]) * seg))
-
-
-def brute_force_cell_min(jump, specs, grid, bc=None, n_starts=64, seed=0):
-    """The cell optimizer run from ``n_starts`` starts on a tiny grid;
-    tests only.  It shares the optimizer it checks, so it bounds what
-    more starts would find, not the true minimum."""
-    from .cellopt import OptimizerOptions, compute_cell_energy
-    from .poisson import BcVariant
-    n_interior = (grid.shape[0] - 2) * int(np.prod(grid.shape[1:])) * specs.m
-    if n_interior > 200:
-        raise ProblemTooLarge(f"{n_interior} unknowns exceed the oracle budget")
-    bc = bc or BcVariant.NEUMANN
-    opts = OptimizerOptions(
-        seed=seed,
-        strategies=["one_dimensional_tanh", "geodesic_sweep",
-                    ("random_perturbed", n_starts - 2, 0.2)])
-    return compute_cell_energy(jump, specs, grid, bc, opts).energy.total
 
 
 def finite_difference_gradient(profile, L, specs, jump, bc=None, step=1e-6):

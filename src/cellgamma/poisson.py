@@ -14,8 +14,9 @@ normal derivative stencil and W the normal quadrature weights.  All modes
 are solved at once by fast diagonalization (Lynch, Rice & Thomas, Numer.
 Math. 6 (1964) 185-199): the generalized eigenbasis A0 V = W V diag(lam),
 V^T W V = I, on the solved rows (all nodes for Neumann, the interior for
-Dirichlet) is computed once per (grid, bc) and cached, and each solve is
-H = V diag(1/(lam + mu_k)) V^T b, two matrix products for every mode.
+Dirichlet) is computed once per (node counts, bc) and cached, and each
+solve is H = V diag(1/(lam + mu_k)) V^T b, two matrix products for every
+mode.
 D annihilates exactly the constants, so the Neumann operator is singular
 in the lateral modes with mu = 0 (the zero mode and, on even axes, pure
 Nyquist modes).  There the constant eigenvector gets 1/(lam + mu) := 0:
@@ -31,8 +32,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import NeumannIncompatible, ShapeMismatch, SolverDiverged
-from .grid import (StateField, TensorField, cached_per_grid, diff_axis,
-                   gradient, integrate)
+from .grid import StateField, TensorField, diff_axis, gradient, integrate
 
 
 class BcVariant:
@@ -62,12 +62,10 @@ _MU_TOL = 1e-12
 
 
 class _CellSolverData:
-    """Per-(grid, bc) spectral data: lateral symbols and the generalized
-    eigenbasis of the normal operator on the solved rows."""
+    """Per-(node counts, bc) spectral data: lateral symbols and the
+    generalized eigenbasis of the normal operator on the solved rows."""
 
     def __init__(self, grid, bc):
-        self.grid = grid
-        self.bc = bc
         n0 = grid.n_axes[0]
         lat_shape = grid.n_axes[1:]
         freq_shape = tuple(lat_shape[:-1]) + (lat_shape[-1] // 2 + 1,)
@@ -113,12 +111,24 @@ class _CellSolverData:
         self.inv = 1.0 / denom
 
 
+_CACHE_SIZE = 8
 _cache = {}
 
 
 def _solver_data(grid, bc):
-    return cached_per_grid(_cache, (id(grid), bc),
-                           lambda: _CellSolverData(grid, bc))
+    """The solver data of a grid's node counts and bc, built on a miss.
+
+    The data depend on the grid only through its node counts, so
+    straight and tilted grids of one shape share an entry.  Above
+    _CACHE_SIZE entries the oldest is evicted.
+    """
+    key = (grid.n_axes, bc)
+    data = _cache.get(key)
+    if data is None:
+        data = _cache[key] = _CellSolverData(grid, bc)
+        if len(_cache) > _CACHE_SIZE:
+            _cache.pop(next(iter(_cache)))
+    return data
 
 
 def _end_fluxes(grid, values):
@@ -227,14 +237,13 @@ def nonlocal_energy(M, bc, check_compat=True):
     return e, pot
 
 
-def leray_project(V, bc, check_compat=False):
+def leray_project(V, bc):
     """Divergence-free part V - grad H of a tensor field.
 
     Idempotent, and exactly orthogonal to discrete gradients of the bc
     class under the quadrature inner product.
     """
-    pot = solve_cell_poisson(V, bc, check_compat=check_compat,
-                             shift_mean_flux=False)
+    pot = solve_cell_poisson(V, bc, check_compat=False, shift_mean_flux=False)
     return TensorField(V.grid, V.values - pot.gradH.values)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import dst, idst
 
+from cellgamma import oracle
 from cellgamma.cellopt import (CellEvaluation, OptimizerOptions, _from_gauss,
                                _normal_h1_inverse, _to_gauss,
                                assemble_energy, compute_cell_energy,
@@ -266,15 +267,35 @@ def test_init_strategies():
     mm = catalog_lookup("micromagnetics_2d")
     j = JumpData(phi_plus=[0.0, 1.0, 0.0], phi_minus=[0.0, -1.0, 0.0],
                  nu=[1.0, 0.0])
-    for s in ("one_dimensional_tanh", "geodesic_sweep",
-              ("random_perturbed", 3, 0.2)):
-        for p in init_profiles(j, mm, g, s, seed=0):
+    opts = OptimizerOptions(n_random=3, amplitude=0.2)
+    counts = {"one_dimensional_tanh": 1, "random_perturbed": 3}
+    for s, count in counts.items():
+        profiles = init_profiles(j, mm, g, s, opts)
+        assert len(profiles) == count
+        for p in profiles:
             norms = np.linalg.norm(p.values, axis=-1)
             assert np.max(np.abs(norms - 1.0)) < 1e-10
             assert np.max(np.abs(p.values[0] - j.phi_minus)) < 1e-14
             assert np.max(np.abs(p.values[-1] - j.phi_plus)) < 1e-14
-    with pytest.raises(BadStrategy):
-        init_profiles(j, mm, g, "bogus")
+    for s in ("bogus", "geodesic_sweep", ("random_perturbed", 3, 0.2)):
+        with pytest.raises(BadStrategy):
+            init_profiles(j, mm, g, s, opts)
+
+
+def test_default_starts_do_not_call_the_oracle(monkeypatch):
+    # the 1D geodesic oracle is the independent bound the solver is
+    # checked against, so the default starts must not be built from it
+    def broken(*args, **kwargs):
+        raise AssertionError("the default starts called the oracle")
+
+    monkeypatch.setattr(oracle, "geodesic_path_1d", broken)
+    g = build_cell_grid(build_frame([1.0, 0.0]), 12, n_lateral=4)
+    mm = catalog_lookup("micromagnetics_2d")
+    j = JumpData(phi_plus=[0.0, 1.0, 0.0], phi_minus=[0.0, -1.0, 0.0],
+                 nu=[1.0, 0.0])
+    sol = compute_cell_energy(j, mm, g,
+                              opts=OptimizerOptions(n_random=1, max_iter=20))
+    assert len(sol.starts) == 2
 
 
 def test_determinism_same_seed():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from cellgamma import poisson
 from cellgamma.errors import NeumannIncompatible, ShapeMismatch
-from cellgamma.grid import (GRID_CACHE_SIZE, CellGrid, StateField, TensorField,
-                            build_cell_grid, build_frame, gradient, inner)
+from cellgamma.grid import (CellGrid, StateField, TensorField, build_cell_grid,
+                            build_frame, gradient, inner)
 from cellgamma.poisson import (BcVariant, duality_gap, leray_project,
                                nonlocal_energy, solve_cell_poisson)
 
@@ -88,17 +88,23 @@ def test_matches_dense_least_squares(bc, n_lateral):
 
 
 def test_per_grid_caches_bounded():
-    # one new grid per step, as in the gamma sweep: the solver cache
-    # stays bounded and lets evicted grids go
+    # one new grid per step, as in the gamma sweep: the solver cache is
+    # keyed by node counts, stays bounded and holds no grid
     frame = build_frame([1.0, 0.0])
-    grids = [build_cell_grid(frame, 9, 4) for _ in range(GRID_CACHE_SIZE + 3)]
+    grids = [build_cell_grid(frame, 9 + i, 4)
+             for i in range(poisson._CACHE_SIZE + 3)]
     first = weakref.ref(grids[0])
-    M = np.zeros((9, 4, 1, 2))
     for g in grids:
         for bc in BcVariant.CELL_KINDS:
-            solve_cell_poisson(TensorField(g, M), bc)
-    assert len(poisson._cache) == GRID_CACHE_SIZE
-    assert (id(grids[-1]), BcVariant.NEUMANN) in poisson._cache
+            solve_cell_poisson(TensorField(g, np.zeros(g.shape + (1, 2))), bc)
+    assert len(poisson._cache) == poisson._CACHE_SIZE
+    keys = list(poisson._cache)
+    # a new grid of a cached shape, tilted, reuses its entries
+    tilted = build_cell_grid(build_frame([0.6, 0.8]), grids[-1].n_axes[0], 4)
+    solve_cell_poisson(TensorField(tilted, np.zeros(tilted.shape + (1, 2))),
+                       BcVariant.NEUMANN)
+    assert list(poisson._cache) == keys
+    assert (tilted.n_axes, BcVariant.NEUMANN) in poisson._cache
     del grids, g
     gc.collect()
     assert first() is None

@@ -214,11 +214,15 @@ def diff_axis(grid, values, axis):
     if values.shape[axis] != n:
         raise ShapeMismatch("field does not match grid along axis")
     if axis > 0:
-        return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+        out = np.roll(values, -1, axis=axis)
+        out -= np.roll(values, 1, axis=axis)
+        out /= 2.0 * h
+        return out
     out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    np.subtract(values[2:], values[:-2], out=out[1:-1])
+    out[0] = -3.0 * values[0] + 4.0 * values[1] - values[2]
+    out[-1] = 3.0 * values[-1] - 4.0 * values[-2] + values[-3]
+    out /= 2.0 * h
     return out
 
 
@@ -230,11 +234,15 @@ def diff_axis_transpose(grid, values, axis):
         raise ShapeMismatch("field does not match grid along axis")
     if axis > 0:
         # transpose of the circulant central stencil is its negative
-        return (np.roll(values, 1, axis=axis) - np.roll(values, -1, axis=axis)) / (2.0 * h)
+        out = np.roll(values, 1, axis=axis)
+        out -= np.roll(values, -1, axis=axis)
+        out /= 2.0 * h
+        return out
     out = np.zeros_like(values)
     # interior central rows scatter to their neighbours
-    out[2:] += values[1:-1] / (2.0 * h)
-    out[:-2] -= values[1:-1] / (2.0 * h)
+    central = values[1:-1] / (2.0 * h)
+    out[2:] += central
+    out[:-2] -= central
     # one-sided end rows
     out[0] += -3.0 * values[0] / (2.0 * h)
     out[1] += 4.0 * values[0] / (2.0 * h)
@@ -247,18 +255,27 @@ def diff_axis_transpose(grid, values, axis):
 
 # --- gradient / divergence / laplacian ------------------------------------
 
+def frame_components(grid, values):
+    """Components of tensor values along the frame vectors, in one
+    product: out[ax] = values . basis[ax], of shape (dim,) +
+    values.shape[:-1]."""
+    n = values.shape[-1]
+    comps = grid.frame.basis @ values.reshape(-1, n).T
+    return comps.reshape((grid.dim,) + values.shape[:-1])
+
+
 def gradient(f):
     """Gradient of a StateField, in physical components.
 
     Returns a TensorField with values[..., a, p] = sum_ax (D_ax f_a) b_ax[p]
-    where b_ax are the frame vectors.
+    where b_ax are the frame vectors: the stacked axis derivatives times
+    the basis, in one product.
     """
     grid = f.grid
-    out = np.zeros(grid.shape + (f.m, grid.dim))
-    for ax in range(grid.dim):
-        d = diff_axis(grid, f.values, ax)
-        out += d[..., :, None] * grid.frame.basis[ax]
-    return TensorField(grid, out)
+    d = np.stack([diff_axis(grid, f.values, ax) for ax in range(grid.dim)],
+                 axis=-1)
+    out = d.reshape(-1, grid.dim) @ grid.frame.basis
+    return TensorField(grid, out.reshape(d.shape))
 
 
 def divergence(v):
@@ -270,12 +287,12 @@ def divergence(v):
     the duality identities exact discretely.
     """
     grid = v.grid
-    w = grid.node_weights()
+    w = grid.node_weights()[..., None]
+    comps = frame_components(grid, v.values)
     out = np.zeros(grid.shape + (v.rows,))
     for ax in range(grid.dim):
-        comp = v.values @ grid.frame.basis[ax]  # (..., rows)
-        out -= diff_axis_transpose(grid, w[..., None] * comp, ax)
-    return StateField(grid, out / w[..., None])
+        out -= diff_axis_transpose(grid, w * comps[ax], ax)
+    return StateField(grid, out / w)
 
 
 def laplacian(f):
@@ -284,15 +301,10 @@ def laplacian(f):
 
 
 def inner(grid, a, b):
-    """Quadrature inner product of two nodal arrays (components summed)."""
-    w = grid.node_weights()
-    extra = a.ndim - w.ndim
-    return float(np.sum(w.reshape(w.shape + (1,) * extra) * a * b))
-
-
-def integrate(grid, density):
-    """Quadrature of a scalar nodal density over the cell."""
-    return float(np.sum(grid.node_weights() * density))
+    """Quadrature inner product of two nodal arrays (components summed):
+    one weighted dot over the flattened (nodes, components) product."""
+    w = grid.node_weights().ravel()
+    return float(np.sum(w @ (a * b).reshape(w.size, -1)))
 
 
 def smooth_noise(grid, noise):

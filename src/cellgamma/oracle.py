@@ -22,13 +22,10 @@ def _cost_density(specs, jump, states):
     return 2.0 * np.sqrt(np.maximum(w + pot, 0.0))
 
 
-def _lattice_path(specs, jump, points, shape, wrap_axes=()):
-    """Cheapest path between the lattice nodes nearest phi- and phi+, by
-    Dijkstra over a lattice of states with all neighbor moves, diagonal
-    ones included, and trapezoid edge costs.  ``points`` is (n_nodes, m)
-    in the row-major order of ``shape``; the axes in ``wrap_axes`` are
-    periodic.  Returns the path states with the endpoints set to phi-
-    and phi+ exactly."""
+def _grid_pairs(shape, wrap_axes=()):
+    """Directed neighbor pairs of a tensor lattice in row-major order, all
+    neighbor moves, diagonal ones included; the axes in ``wrap_axes`` are
+    periodic."""
     nd = len(shape)
     idx = np.arange(int(np.prod(shape))).reshape(shape)
     offsets = [off for off in np.ndindex(*(3,) * nd)
@@ -49,7 +46,14 @@ def _lattice_path(specs, jump, points, shape, wrap_axes=()):
                 keep[tuple(sl)] = True
                 ok &= keep
         pair_list.append(np.stack([idx[ok], dst[ok]], axis=1))
-    pairs = np.concatenate(pair_list)
+    return np.concatenate(pair_list)
+
+
+def _lattice_path(specs, jump, points, pairs):
+    """Cheapest path between the lattice nodes nearest phi- and phi+, by
+    Dijkstra over the directed edges ``pairs`` between the states
+    ``points`` (n_nodes, m), with trapezoid edge costs.  Returns the path
+    states with the endpoints set to phi- and phi+ exactly."""
     c = _cost_density(specs, jump, points)
     seg = np.linalg.norm(points[pairs[:, 1]] - points[pairs[:, 0]], axis=-1)
     costs = 0.5 * (c[pairs[:, 0]] + c[pairs[:, 1]]) * seg
@@ -77,7 +81,8 @@ def _lattice_path(specs, jump, points, shape, wrap_axes=()):
 def _box_lattice(jump, sampling):
     """Tensor lattice of ``sampling`` states per axis over the box of the
     jump states, widened by a quarter of its span on each side, with
-    both jump states added as nodes."""
+    both jump states added as nodes: the states and their neighbor
+    pairs."""
     lo = np.minimum(jump.phi_minus, jump.phi_plus)
     hi = np.maximum(jump.phi_minus, jump.phi_plus)
     span = np.maximum(hi - lo, 1e-6)
@@ -88,7 +93,7 @@ def _box_lattice(jump, sampling):
             for a in range(lo.size)]
     points = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")],
                       axis=1)
-    return points, tuple(x.size for x in axes)
+    return points, _grid_pairs(tuple(x.size for x in axes))
 
 
 def _sphere_frame(phi_minus, phi_plus):
@@ -111,16 +116,25 @@ def _sphere_frame(phi_minus, phi_plus):
 
 
 def _sphere_lattice(jump, sampling):
-    """Polar lattice on the unit sphere about phi-: polar angle from
-    phi- by azimuth, the azimuth periodic."""
+    """Polar lattice on the unit sphere about phi-: ``sampling`` polar
+    angles from phi- by ``sampling`` azimuths, the azimuth periodic, with
+    one node per pole joined to every node of its adjacent ring.  Returns
+    the states and their neighbor pairs."""
     e1, e2, e3 = _sphere_frame(jump.phi_minus, jump.phi_plus)
-    theta = np.linspace(0.0, np.pi, sampling)       # polar angle from phi-
+    theta = np.linspace(0.0, np.pi, sampling)[1:-1]  # the rings
     psi = np.linspace(0.0, 2.0 * np.pi, sampling, endpoint=False)
     T, P = np.meshgrid(theta, psi, indexing="ij")
-    pts = (np.cos(T)[..., None] * e1
-           + (np.sin(T) * np.cos(P))[..., None] * e2
-           + (np.sin(T) * np.sin(P))[..., None] * e3)
-    return pts.reshape(-1, 3), (sampling, sampling)
+    rings = (np.cos(T)[..., None] * e1
+             + (np.sin(T) * np.cos(P))[..., None] * e2
+             + (np.sin(T) * np.sin(P))[..., None] * e3)
+    points = np.concatenate([e1[None], rings.reshape(-1, 3), -e1[None]])
+    south = points.shape[0] - 1
+    spokes = [np.column_stack([np.full(sampling, pole), ring])
+              for pole, ring in ((0, 1 + np.arange(sampling)),
+                                 (south, south - sampling + np.arange(sampling)))]
+    spokes += [pair[:, ::-1] for pair in spokes]
+    rings_pairs = 1 + _grid_pairs(T.shape, wrap_axes=(1,))
+    return points, np.concatenate([rings_pairs] + spokes)
 
 
 def geodesic_path_1d(jump, specs, sampling=200):
@@ -130,12 +144,10 @@ def geodesic_path_1d(jump, specs, sampling=200):
     if specs.constraint.kind == "unit_sphere":
         if m != 3:
             raise DimensionTooLarge("sphere oracle implemented for m = 3")
-        points, shape = _sphere_lattice(jump, sampling)
-        return _lattice_path(specs, jump, points, shape, wrap_axes=(1,))
+        return _lattice_path(specs, jump, *_sphere_lattice(jump, sampling))
     if m > 2:
         raise DimensionTooLarge("unconstrained oracle implemented for m <= 2")
-    points, shape = _box_lattice(jump, sampling)
-    return _lattice_path(specs, jump, points, shape)
+    return _lattice_path(specs, jump, *_box_lattice(jump, sampling))
 
 
 def geodesic_energy_1d(jump, specs, sampling=200):

@@ -15,8 +15,11 @@ are solved at once by fast diagonalization (Lynch, Rice & Thomas, Numer.
 Math. 6 (1964) 185-199): the generalized eigenbasis A0 V = W V diag(lam),
 V^T W V = I, on the solved rows (all nodes for Neumann, the interior for
 Dirichlet) is computed once per (node counts, bc) and cached, and each
-solve is H = V diag(1/(lam + mu_k)) V^T b, two matrix products for every
-mode.
+solve is H = V diag(1/(lam + mu_k)) V^T b.  V is real, so its two
+products act on the float64 view of the complex mode array, (n0, 2 modes
+l): two real matrix products for all modes and rows.  D and A0 are never
+formed for a solve: D^T (the right-hand side) and D^T W D (the residual
+check) are applied by the normal-axis stencils of the grid module.
 D annihilates exactly the constants, so the Neumann operator is singular
 in the lateral modes with mu = 0 (the zero mode and, on even axes, pure
 Nyquist modes).  There the constant eigenvector gets 1/(lam + mu) := 0:
@@ -32,7 +35,8 @@ import numpy as np
 import scipy.fft
 
 from .errors import NeumannIncompatible, ShapeMismatch, SolverDiverged
-from .grid import StateField, TensorField, diff_axis, gradient, integrate
+from .grid import (StateField, TensorField, diff_axis, diff_axis_transpose,
+                   frame_components, gradient, inner)
 
 
 class BcVariant:
@@ -62,8 +66,9 @@ _MU_TOL = 1e-12
 
 
 class _CellSolverData:
-    """Per-(node counts, bc) spectral data: lateral symbols and the
-    generalized eigenbasis of the normal operator on the solved rows."""
+    """Per-(node counts, bc) data of a solve: lateral symbols, the
+    generalized eigenbasis of the normal operator on the solved rows, and
+    the operator scales of the residual check."""
 
     def __init__(self, grid, bc):
         n0 = grid.n_axes[0]
@@ -95,20 +100,29 @@ class _CellSolverData:
         for i in range(1, grid.dim):
             c_lat *= grid.spacing(i)
         self.w_nu = grid.axis_weights(0) * c_lat
-        self.D = diff_axis(grid, np.eye(n0), 0)
-        self.A0 = self.D.T @ (self.w_nu[:, None] * self.D)
+        D = diff_axis(grid, np.eye(n0), 0)
+        A0 = D.T @ (self.w_nu[:, None] * D)
 
         # V = W^-1/2 U from eigh(W^-1/2 A0 W^-1/2) on the solved rows
         # (Dirichlet pins the end slabs): A0 V = W V diag(lam), V^T W V = I
         self.rows = slice(1, n0 - 1) if bc == BcVariant.DIRICHLET else slice(None)
         s = 1.0 / np.sqrt(self.w_nu[self.rows])
-        lam, u = np.linalg.eigh(s[:, None] * self.A0[self.rows, self.rows] * s)
+        lam, u = np.linalg.eigh(s[:, None] * A0[self.rows, self.rows] * s)
         self.V = s[:, None] * u
+        self.VT = np.ascontiguousarray(self.V.T)
         denom = lam[:, None] + self.mu
         if bc == BcVariant.NEUMANN:
             # the constants: smallest lam, zero up to round-off
             denom[0, self.mu <= _MU_TOL] = np.inf
         self.inv = 1.0 / denom
+
+        # residual scales: the norm of the full operator, and the largest
+        # column sum of |D| with the largest lateral symbol (the rhs is one
+        # application of the stencils to the flux)
+        self.a_norm = (np.max(np.sum(np.abs(A0), axis=1))
+                       + float(np.max(self.mu)) * float(np.max(self.w_nu)))
+        self.d_norm = np.max(np.sum(np.abs(D), axis=0))
+        self.sig_max = max(float(np.max(np.abs(s))) for s in self.sigma)
 
 
 _CACHE_SIZE = 8
@@ -134,9 +148,9 @@ def _solver_data(grid, bc):
 def _end_fluxes(grid, values):
     """Lateral means of M.nu on the two pinned normal slabs, one per
     row: (bottom, top)."""
-    m_nu = values @ grid.frame.nu  # (..., l)
+    m_nu = values[[0, -1]] @ grid.frame.nu  # (2, ..., l)
     lat_axes = tuple(range(grid.dim - 1))
-    return m_nu[0].mean(axis=lat_axes), m_nu[-1].mean(axis=lat_axes)
+    return m_nu[0].mean(axis=lat_axes), m_nu[1].mean(axis=lat_axes)
 
 
 def _check_compat(grid, values):
@@ -184,41 +198,49 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
     l = M.rows
     lat_axes = tuple(range(1, grid.dim))
 
-    values = M.values
+    comps = frame_components(grid, M.values)
     if shift_mean_flux:
-        bot, top = _end_fluxes(grid, values)
-        values = values - (0.5 * (top + bot))[..., None] * grid.frame.nu
-    comps = [values @ grid.frame.basis[ax] for ax in range(grid.dim)]
-    hats = [scipy.fft.rfftn(c, axes=lat_axes).reshape(n0, data.n_modes, l)
-            for c in comps]
+        # M - c x nu, c = (bot + top) / 2, has the frame components
+        # comps[ax] - c (nu . b_ax)
+        bot, top = _end_fluxes(grid, M.values)
+        c = np.multiply.outer(grid.frame.basis @ grid.frame.nu, 0.5 * (top + bot))
+        comps -= c.reshape((grid.dim,) + (1,) * grid.dim + (l,))
+    # the frame components lead, so the lateral axes move up by one
+    hats = scipy.fft.rfftn(comps, axes=[ax + 1 for ax in lat_axes])
+    hats = hats.reshape(grid.dim, n0, data.n_modes, l)
+    flux_norm = sum(np.linalg.norm(h) for h in hats)  # for the residual scale
 
     # variational rhs per mode: D^T(w m_nu) - w sum_ax (i sigma_ax) m_ax
     wn = data.w_nu[:, None, None]
-    rhs = np.tensordot(data.D, wn * hats[0], axes=(0, 0))
+    hats *= wn
+    rhs = diff_axis_transpose(grid, hats[0], 0)
     for i, s in enumerate(data.sigma):
-        rhs = rhs - wn * (1j * s)[None, :, None] * hats[i + 1]
+        rhs -= (1j * s)[:, None] * hats[i + 1]
 
+    # the two eigenbasis products, real, on the float view of the modes
     rows = data.rows
+    n_rows = data.V.shape[0]
+    coef = data.VT @ rhs[rows].reshape(n_rows, -1).view(np.float64)
+    coef = coef.reshape(n_rows, data.n_modes, 2 * l)
+    coef *= data.inv[:, :, None]
     Hhat = np.zeros((n0, data.n_modes, l), dtype=np.complex128)
-    coef = np.tensordot(data.V, rhs[rows], axes=(0, 0)) * data.inv[:, :, None]
-    Hhat[rows] = np.tensordot(data.V, coef, axes=(1, 0))
+    np.matmul(data.V, coef.reshape(n_rows, -1),
+              out=Hhat.reshape(n0, -1).view(np.float64)[rows])
 
     # relative residual of the normal equations over the solved rows
     # (Dirichlet pins the end slabs, so the end rows are not equations)
-    op = (np.tensordot(data.A0, Hhat, axes=(1, 0))
-          + data.mu[None, :, None] * (wn * Hhat))
-    num = np.linalg.norm((op - rhs)[rows])
-    a_norm = (np.max(np.sum(np.abs(data.A0), axis=1))
-              + float(np.max(data.mu)) * float(np.max(data.w_nu)))
+    wDH = diff_axis(grid, Hhat, 0)
+    wDH *= wn
+    op = diff_axis_transpose(grid, wDH, 0)
+    op += (wn * data.mu[:, None]) * Hhat
+    op -= rhs
+    num = np.linalg.norm(op[rows])
     # backward-error scale: the rhs is assembled from the flux by one
     # application of the stencils, so its own round-off floor is set by
     # the flux magnitude, not by |rhs| (which may cancel to zero for
     # divergence-free inputs)
-    d_norm = np.max(np.sum(np.abs(data.D), axis=0))
-    sig_max = max(float(np.max(np.abs(s))) for s in data.sigma)
-    b_scale = ((d_norm + sig_max) * float(np.max(data.w_nu))
-               * sum(np.linalg.norm(h) for h in hats))
-    den = (np.linalg.norm(rhs[rows]) + a_norm * np.linalg.norm(Hhat)
+    b_scale = (data.d_norm + data.sig_max) * float(np.max(data.w_nu)) * flux_norm
+    den = (np.linalg.norm(rhs[rows]) + data.a_norm * np.linalg.norm(Hhat)
            + b_scale + 1e-300)
     residual = float(num / den)
     if residual > RESIDUAL_TOL:
@@ -233,8 +255,7 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
 def nonlocal_energy(M, bc, check_compat=True):
     """The stray-field energy int |grad H|^2 for flux M, plus the field."""
     pot = solve_cell_poisson(M, bc, check_compat=check_compat)
-    e = integrate(M.grid, np.sum(np.square(pot.gradH.values), axis=(-2, -1)))
-    return e, pot
+    return inner(M.grid, pot.gradH.values, pot.gradH.values), pot
 
 
 def leray_project(V, bc):
@@ -258,6 +279,6 @@ def duality_gap(M, bc):
     """
     pot = solve_cell_poisson(M, bc, check_compat=False, shift_mean_flux=False)
     gradH = pot.gradH.values
-    j0 = integrate(M.grid, np.sum(M.values * gradH, axis=(-2, -1)))
-    e = integrate(M.grid, np.sum(np.square(gradH), axis=(-2, -1)))
+    j0 = inner(M.grid, M.values, gradH)
+    e = inner(M.grid, gradH, gradH)
     return DualityReport(J0_projection=j0, nonlocal_energy=e, gap=abs(j0 - e))

@@ -34,6 +34,20 @@ def test_micromagnetics_wall_oracle():
     assert abs(e - 4.0) <= 0.02 * 4.0
 
 
+def test_sphere_path_one_node_per_pole():
+    # the polar lattice has one node per pole, so the antipodal wall path
+    # has no zero-length steps between copies of a pole; its energy is
+    # the one of the lattice with a copy of each pole per azimuth
+    mm = catalog_lookup("micromagnetics_2d")
+    j = JumpData(phi_plus=[0.0, 1.0, 0.0], phi_minus=[0.0, -1.0, 0.0],
+                 nu=[1.0, 0.0])
+    states = geodesic_path_1d(j, mm)
+    seg = np.linalg.norm(np.diff(states, axis=0), axis=-1)
+    assert np.min(seg) > 1e-6
+    e = geodesic_energy_1d(j, mm)
+    assert abs(e - 3.9998753875766253) <= 1e-12 * 3.9998753875766253
+
+
 def test_no_jump_zero():
     j = JumpData(phi_plus=[1.0], phi_minus=[1.0], nu=[1.0])
     assert geodesic_energy_1d(j, DW) == 0.0

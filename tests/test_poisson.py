@@ -2,6 +2,7 @@
 and solvability guards."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellgamma import poisson
-from cellgamma.errors import NeumannIncompatible, ShapeMismatch
+from cellgamma.errors import NeumannIncompatible, ShapeMismatch, SolverDiverged
 from cellgamma.grid import (CellGrid, StateField, TensorField, build_cell_grid,
                             build_frame, gradient, inner)
 from cellgamma.poisson import (BcVariant, duality_gap, leray_project,
@@ -49,14 +50,20 @@ def test_neumann_convergence_to_analytic():
 
 
 @pytest.mark.parametrize("bc", BcVariant.CELL_KINDS)
-@pytest.mark.parametrize("n_lateral", [8, 7])
-def test_matches_dense_least_squares(bc, n_lateral):
+@pytest.mark.parametrize("nu, n_axes", [
+    pytest.param([1.0, 0.0], (9, 8), id="8"),
+    pytest.param([1.0, 0.0], (9, 7), id="7"),
+    pytest.param([0.6, 0.8], (9, 8), id="tilted"),
+    pytest.param([0.48, 0.6, 0.64], (9, 6, 5), id="3d"),
+])
+def test_matches_dense_least_squares(bc, nu, n_axes):
     # gradH against the dense minimizer of sum w |grad H - M|^2 over the
     # bc class, with grad H built column by column from grid.gradient;
-    # an even lateral count adds the Nyquist kernel mode
-    g = build_cell_grid(build_frame([1.0, 0.0]), 9, n_lateral)
-    rng = np.random.default_rng(n_lateral)
-    M = TensorField(g, rng.standard_normal(g.shape + (2, 2)))
+    # an even lateral count adds a Nyquist kernel mode, and the tilted
+    # and 3-D cells check the frame components of the solve
+    g = CellGrid(frame=build_frame(nu), n_axes=n_axes)
+    rng = np.random.default_rng(n_axes[-1])
+    M = TensorField(g, rng.standard_normal(g.shape + (2, g.dim)))
     pot = solve_cell_poisson(M, bc, check_compat=False, shift_mean_flux=False)
 
     free = np.ones(g.shape, dtype=bool)
@@ -78,13 +85,28 @@ def test_matches_dense_least_squares(bc, n_lateral):
 
     if bc == BcVariant.NEUMANN:
         # the gauge: H is W-orthogonal to the constants in every lateral
-        # mode with mu = 0 (the zero mode and the Nyquist mode if even)
+        # mode with mu = 0 (the zero mode, and the Nyquist mode of each
+        # even axis)
         w = g.axis_weights(0)
-        Hhat = np.fft.rfft(pot.H.values, axis=1)
-        kernel = [0] + ([n_lateral // 2] if n_lateral % 2 == 0 else [])
+        Hhat = np.fft.rfftn(pot.H.values, axes=tuple(range(1, g.dim)))
         scale = np.max(np.abs(Hhat))
+        kernel = itertools.product(*[[0] + ([n // 2] if n % 2 == 0 else [])
+                                     for n in n_axes[1:]])
         for k in kernel:
-            assert np.max(np.abs(w @ Hhat[:, k])) <= 1e-12 * scale
+            assert np.max(np.abs(w @ Hhat[(slice(None),) + k])) <= 1e-12 * scale
+
+
+def test_residual_check_fires(monkeypatch):
+    # a solve with inverse eigenvalues off by 1% is no solve: the
+    # residual check of the normal equations must raise
+    g = _grid(17, 16)
+    M = TensorField(g, np.random.default_rng(5).standard_normal(g.shape + (1, 2)))
+    for bc in BcVariant.CELL_KINDS:
+        solve_cell_poisson(M, bc, check_compat=False)
+        data = poisson._solver_data(g, bc)
+        monkeypatch.setattr(data, "inv", 1.01 * data.inv)
+        with pytest.raises(SolverDiverged):
+            solve_cell_poisson(M, bc, check_compat=False)
 
 
 def test_per_grid_caches_bounded():

@@ -21,6 +21,7 @@ energy both use it.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -421,24 +422,32 @@ def resolved_scale_floor(grid):
     return 4.0 * grid.spacing(0)
 
 
-def normal_band_inverse(g, bands, margin):
-    """Apply the inverse of a symmetric positive definite banded matrix
-    along the normal axis to a nodal array g, on the nodes between the
-    ``margin`` pinned slabs at each end; those slabs stay zero.
+@lru_cache(maxsize=8)
+def _tridiagonal_factor(n, diag, off):
+    """pttrf factors of the n x n tridiagonal matrix (off, diag, off),
+    cached, so a matrix that does not change is factored once."""
+    from scipy.linalg.lapack import dpttrf
+    return dpttrf(np.full(n, diag), np.full(n - 1, off))[:2]
 
-    ``bands`` holds the upper diagonals in LAPACK's upper form: the last
-    row is the main diagonal and row -1-k the k-th superdiagonal,
-    right-aligned.  Every lateral node column and state component is
-    solved with the same matrix.
+
+def normal_tridiagonal_inverse(g, matrices, margin):
+    """Apply the inverses of symmetric positive definite tridiagonal
+    matrices, one (diagonal, off-diagonal) pair of constants each,
+    in turn along the normal axis of a nodal array g.  They act on the
+    nodes between the ``margin`` pinned slabs at each end; those slabs
+    stay zero.  Every lateral node column and state component is one
+    right-hand side of the same solve (pttrs).
     """
     # imported here: importing scipy.linalg takes 80 to 100 ms, which
     # every import of the package would pay, and only the optimizers
     # need it
-    from scipy.linalg import solveh_banded
+    from scipy.linalg.lapack import dpttrs
     inner = g[margin:-margin]
+    x = inner.reshape(inner.shape[0], -1)
+    for diag, off in matrices:
+        x, _ = dpttrs(*_tridiagonal_factor(x.shape[0], diag, off), x)
     p = np.zeros_like(g)
-    p[margin:-margin] = solveh_banded(
-        bands, inner.reshape(inner.shape[0], -1)).reshape(inner.shape)
+    p[margin:-margin] = x.reshape(inner.shape)
     return p
 
 
@@ -451,17 +460,15 @@ def _normal_h1_inverse(grid, g, L):
     The conditioning of the Euclidean nodal gradient grows like
     (L / h)^2 across the layer, so on fine cells its steps crawl; in
     this metric it does not depend on the normal resolution.  Lateral
-    axes keep the nodal metric: each lateral node column is solved
-    separately, by the tridiagonal solve of :func:`normal_band_inverse`
-    on the interior nodes.
+    axes keep the nodal metric: each lateral node column is one
+    right-hand side of one tridiagonal solve on the interior nodes, by
+    :func:`normal_tridiagonal_inverse`.
     """
     h = grid.spacing(0)
     cross = float(np.prod([grid.spacing(ax) for ax in range(1, grid.dim)]))
     scale = 2.0 * cross
-    bands = np.empty((2, g.shape[0] - 2))
-    bands[0] = -scale * L / h
-    bands[1] = scale * (2.0 * L / h + h / L)
-    return normal_band_inverse(g, bands, 1)
+    return normal_tridiagonal_inverse(
+        g, [(scale * (2.0 * L / h + h / L), -scale * L / h)], 1)
 
 
 def _parabola_step(a, E0, slope, Ea):
@@ -504,6 +511,7 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
       last 10 iterations, or when no descent direction is left.  It
       stops unconverged when the line search fails or after
       ``opts.max_iter`` iterations.
+    - Every dot product (slope, restart, PR+) is one flat ``np.vdot``.
     """
     def scaled(ev):
         L = max(optimize_scale(ev.A, ev.B)[0], lmin)
@@ -525,10 +533,10 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
         if gmax <= gtol and flat:
             converged = True
             break
-        slope = float(np.sum(g * d))
+        slope = float(np.vdot(g, d))
         if slope >= 0.0:
             d = -pg
-            slope = -float(np.sum(g * pg))
+            slope = -float(np.vdot(g, pg))
             if slope == 0.0:
                 converged = True
                 break
@@ -544,7 +552,7 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
                 # the energy change is at round-off, so judge the trial
                 # by its directional derivative instead
                 g_try = trial.gradient(L_try)
-                if float(np.sum(g_try * d)) <= -0.8 * slope:
+                if float(np.vdot(g_try, d)) <= -0.8 * slope:
                     break
             a = min(max(_parabola_step(a, E, slope, E_try), 0.1 * a), 0.5 * a)
         else:
@@ -554,10 +562,10 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
         alpha = min(a * 2.0, 1e4)
         g_new = ev.gradient(L) if g_try is None else g_try
         pg_new = precondition(g_new, x, L)
-        denom = float(np.sum(g * pg))
+        denom = float(np.vdot(g, pg))
         beta = 0.0
         if denom > 0.0:
-            beta = max(0.0, float(np.sum(pg_new * (g_new - g))) / denom)
+            beta = max(0.0, float(np.vdot(pg_new, g_new - g)) / denom)
         d = -pg_new + beta * d
         g, pg = g_new, pg_new
         history.append(E)

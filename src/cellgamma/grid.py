@@ -14,6 +14,7 @@ truncation order.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -134,9 +135,15 @@ class CellGrid:
         return np.full(n, h)
 
     def node_weights(self):
+        """Product of the axis weights at every node (cached, read-only)."""
+        return self._node_weights
+
+    @cached_property
+    def _node_weights(self):
         w = self.axis_weights(0)
         for ax in range(1, self.dim):
             w = np.multiply.outer(w, self.axis_weights(ax))
+        w.setflags(write=False)
         return w
 
     def coords_normal(self):

@@ -9,11 +9,13 @@ multipliers, candidates are parametrized by a potential perturbation w:
     zeta = zeta0 + div_y w,    gamma = gamma0 - d_s w,
 
 whose induced pair satisfies the constraint identically because the
-discrete per-axis derivatives commute (rolls and the one-sided normal
-stencil act along different axes).  The base pair (zeta0, gamma0) is a
-smoothed sweep between the two shock states whose constraint residual
-vanishes exactly by the Rankine-Hugoniot relation; only w is ever
-stored, the unbounded primitive it represents is never materialized.
+discrete physical derivatives commute: each is a sparse matrix, built
+once per grid, that combines per-axis stencils (periodic rolls and the
+one-sided normal stencil) acting along different axes.  The base pair
+(zeta0, gamma0) is a smoothed sweep between the two shock states whose
+constraint residual vanishes by the Rankine-Hugoniot relation, up to
+round-off; only w is ever stored, the unbounded primitive it
+represents is never materialized.
 
 The energy density L |grad_y(grad_u eta(zeta))|^2 + (1/L)|gamma -
 F(zeta)|^2 is assembled nodally (trapezoid normal axis, uniform
@@ -22,8 +24,9 @@ nodal second-order quadrature suffices.
 
 The energy is minimized over (w, L) by the conjugate-gradient driver of
 the cell problems, with directions preconditioned across the layer by
-the banded normal operator 2 cross h (L K_h^2 + K_h / L), which matches
-the L d^4 + d^2 / L behaviour of the Hessian in w.
+the normal operator 2 cross h (L K_h^2 + K_h / L), which matches the
+L d^4 + d^2 / L behaviour of the Hessian in w, by two tridiagonal
+solves.
 """
 
 from dataclasses import dataclass
@@ -31,12 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cellopt import (CellSolution, EnergyBreakdown, OptimizerOptions,
-                      minimize_cg, multistart, normal_band_inverse,
+                      minimize_cg, multistart, normal_tridiagonal_inverse,
                       resolved_scale_floor, smoothstep)
 from .errors import (DegenerateNormal, NonScalar, RankineHugoniotViolated,
                      ShapeMismatch)
 from .grid import (StateField, TensorField, build_cell_grid, build_frame,
-                   diff_axis, diff_axis_transpose, smooth_noise)
+                   diff_axis, smooth_noise)
 from .model import FluxFunction, validate_rankine_hugoniot
 
 
@@ -102,28 +105,60 @@ class StaticReduction:
 
 # --- physical-coordinate derivatives on the space-time cell ---------------
 
-def _phys_diff(grid, values, j, op=diff_axis):
+_CACHE_SIZE = 8
+_cache = {}
+
+
+def _build_derivatives(grid):
+    """The physical derivatives d_j (j < N spatial, j = N time) of a
+    grid as CSR matrices on flat (nodes, components) arrays, and their
+    transposes: d_j = sum_ax basis[ax, j] D_ax, where D_ax is
+    :func:`grid.diff_axis` applied to the identity of its axis, kron'ed
+    with the identities of the other axes."""
+    # imported here: scipy.sparse loads scipy.linalg, which every import
+    # of the package would otherwise pay
+    import scipy.sparse as sp
+    axis_ops = []
+    for ax, n in enumerate(grid.n_axes):
+        d1 = diff_axis(grid, np.eye(n).reshape((1,) * ax + (n, n)), ax)
+        before = sp.eye_array(int(np.prod(grid.n_axes[:ax])))
+        after = sp.eye_array(int(np.prod(grid.n_axes[ax + 1:])))
+        axis_ops.append(sp.kron(sp.kron(before, d1.reshape(n, n)), after,
+                                format="csr"))
+    ops = [sum(c * op for c, op in zip(grid.frame.basis[:, j], axis_ops)
+               if c != 0.0) for j in range(grid.dim)]
+    return ops, [d.T.tocsr() for d in ops]
+
+
+def _derivatives(grid):
+    """The cached (d_j, d_j^T) matrices of a grid, keyed by its node
+    counts and its frame; above _CACHE_SIZE entries the oldest is
+    evicted."""
+    key = (grid.n_axes, grid.frame.basis.tobytes())
+    ops = _cache.get(key)
+    if ops is None:
+        ops = _cache[key] = _build_derivatives(grid)
+        if len(_cache) > _CACHE_SIZE:
+            _cache.pop(next(iter(_cache)))
+    return ops
+
+
+def _apply(mat, values):
+    """A node matrix applied to a nodal array with trailing component
+    axes."""
+    return (mat @ values.reshape(mat.shape[1], -1)).reshape(values.shape)
+
+
+def _phys_diff(grid, values, j):
     """Derivative along physical coordinate j (j < N spatial, j = N
-    time); chain rule through the frame with the per-axis operator
-    ``op``, skipping zero components.  ``op=diff_axis_transpose`` gives
-    its exact transpose on nodal values."""
-    out = None
-    for ax in range(grid.dim):
-        c = grid.frame.basis[ax, j]
-        if c == 0.0:
-            continue
-        term = c * op(grid, values, ax)
-        out = term if out is None else out + term
-    return out
+    time) of a nodal array."""
+    return _apply(_derivatives(grid)[0][j], values)
 
 
 def space_divergence(grid, w_values):
     """div_y of a (..., k, N) nodal tensor: (..., k)."""
-    n_space = w_values.shape[-1]
-    out = _phys_diff(grid, w_values[..., 0], 0)
-    for j in range(1, n_space):
-        out = out + _phys_diff(grid, w_values[..., j], j)
-    return out
+    return sum(_phys_diff(grid, w_values[..., j], j)
+               for j in range(w_values.shape[-1]))
 
 
 def time_derivative(grid, values):
@@ -214,35 +249,32 @@ class _ShockEvaluation:
         self.flux, self.entropy = flux, entropy
         self.zeta = base.zeta0.values + space_divergence(grid, w_values)
         gamma = base.gamma0.values - time_derivative(grid, w_values)
-        self.wt = wt = grid.node_weights()
         p = entropy.grad_eta(self.zeta)
         self.grads = [_phys_diff(grid, p, j) for j in range(flux.N)]
-        self.A = float(sum(np.sum(wt[..., None] * np.square(gj))
-                           for gj in self.grads))
+        wt = grid.node_weights()[..., None]
+        self.A = float(sum(np.vdot(gj, wt * gj) for gj in self.grads))
         self.r = gamma - flux.value(self.zeta)
-        self.B = float(np.sum(wt[..., None, None] * np.square(self.r)))
+        self.B = float(np.vdot(self.r, wt[..., None] * self.r))
 
     def gradient(self, L):
         """d(L A + B / L)/dw, with the margin slabs pinned to zero."""
-        grid, wt, n_space = self.grid, self.wt, self.flux.N
+        grid, n_space = self.grid, self.flux.N
+        ops_t = _derivatives(grid)[1]
+        wt = grid.node_weights()[..., None]
         # chain rule: through eta'' for the A term, through the flux
         # jacobian for the B term, then through the linear maps div_y
-        # (columns of w) and -d_s via their exact transposes
-        de_dp = None
-        for j in range(n_space):
-            term = _phys_diff(grid, 2.0 * L * wt[..., None] * self.grads[j], j,
-                              diff_axis_transpose)
-            de_dp = term if de_dp is None else de_dp + term
+        # (columns of w) and -d_s via their transposes
+        de_dp = sum(_apply(ops_t[j], (2.0 * L) * wt * self.grads[j])
+                    for j in range(n_space))
         de_dzeta = np.einsum("...b,...ba->...a", de_dp,
                              self.entropy.hess_eta(self.zeta))
-        wr = wt[..., None, None] * self.r
-        de_dzeta -= (2.0 / L) * np.einsum("...ij,...ija->...a",
-                                          wr, self.flux.jacobian(self.zeta))
-        de_dgamma = (2.0 / L) * wr
+        de_dgamma = (2.0 / L) * wt[..., None] * self.r
+        de_dzeta -= np.einsum("...ij,...ija->...a", de_dgamma,
+                              self.flux.jacobian(self.zeta))
         gw = np.empty_like(self.w_values)
         for j in range(n_space):
-            gw[..., j] = _phys_diff(grid, de_dzeta, j, diff_axis_transpose)
-        gw -= _phys_diff(grid, de_dgamma, grid.dim - 1, diff_axis_transpose)
+            gw[..., j] = _apply(ops_t[j], de_dzeta)
+        gw -= _apply(ops_t[grid.dim - 1], de_dgamma)
         gw[:_MARGIN] = 0.0
         gw[-_MARGIN:] = 0.0
         return gw
@@ -285,27 +317,22 @@ def _normal_inverse(grid, g, L):
     """Apply the inverse of 2 cross h (L K_h^2 + K_h / L) along the
     normal axis to a gradient in w; the margin slabs stay zero.
 
-    K_h = tridiag(-1, 2, -1) / h^2 is the Dirichlet second difference
-    on the nodes between the margin slabs, and cross the product of the
-    lateral spacings.  w enters the entropy-gradient term through two
-    normal derivatives and the flux mismatch through one, so across the
-    layer the Hessian in w behaves like L d^4 + d^2 / L; in the sine
-    basis this matrix has the eigenvalues 2 cross h lambda (L lambda +
-    1 / L) of that operator, with lambda those of K_h.  Lateral axes
-    keep the nodal metric.
+    K_h = T / h^2 with T = tridiag(-1, 2, -1) is the Dirichlet second
+    difference on the nodes between the margin slabs, and cross the
+    product of the lateral spacings.  w enters the entropy-gradient
+    term through two normal derivatives and the flux mismatch through
+    one, so across the layer the Hessian in w behaves like L d^4 + d^2
+    / L; in the sine basis this matrix has the eigenvalues 2 cross h
+    lambda (L lambda + 1 / L) of that operator, with lambda those of
+    K_h.  It equals T (a T + b I) with a = 2 cross L / h^3 and b =
+    2 cross / (L h), so it is applied as two tridiagonal solves, T's
+    factored once per size.  Lateral axes keep the nodal metric.
     """
     h = grid.spacing(0)
     cross = float(np.prod([grid.spacing(ax) for ax in range(1, grid.dim)]))
-    scale = 2.0 * cross * h
-    a, b = scale * L / h ** 4, scale / (L * h * h)
-    bands = np.empty((3, g.shape[0] - 2 * _MARGIN))
-    bands[0] = a
-    bands[1] = -4.0 * a - b
-    bands[2] = 6.0 * a + 2.0 * b
-    # the first and last rows of K_h^2 lose the neighbour beyond the ends
-    bands[2, 0] -= a
-    bands[2, -1] -= a
-    return normal_band_inverse(g, bands, _MARGIN)
+    a, b = 2.0 * cross * L / h ** 3, 2.0 * cross / (L * h)
+    return normal_tridiagonal_inverse(g, [(2.0, -1.0), (2.0 * a + b, -a)],
+                                      _MARGIN)
 
 
 def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,

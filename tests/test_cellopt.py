@@ -352,23 +352,28 @@ def test_one_potential_solve_per_line_search_trial(monkeypatch):
     assert counts["solves"] == counts["trials"] + 1
 
 
-@pytest.mark.parametrize("fourth_order", [False, True])
-def test_normal_band_inverse_matches_dense_and_sine_solves(fourth_order):
+@pytest.mark.parametrize("case, n_normal", [("cell", 11), ("shock", 13),
+                                             ("shock", 256)],
+                         ids=["cell", "shock", "shock_256"])
+def test_normal_tridiagonal_inverse_matches_dense_and_sine_solves(case,
+                                                                  n_normal):
     # the cell's tridiagonal 2 cross h (L K_h + I / L) with margin 1 and
     # the shock's pentadiagonal 2 cross h (L K_h^2 + K_h / L) inside the
-    # margin slabs, K_h = tridiag(-1, 2, -1) / h^2: the banded solve
-    # agrees with a dense solve and with the DST-I diagonalization by
-    # the symbols L lam + 1/L and lam (L lam + 1/L)
+    # margin slabs, K_h = tridiag(-1, 2, -1) / h^2, the latter applied
+    # as two tridiagonal solves: the solves agree with a dense solve
+    # and with the DST-I diagonalization by the symbols L lam + 1/L and
+    # lam (L lam + 1/L)
     L = 0.3
     rng = np.random.default_rng(4)
+    fourth_order = case == "shock"
     if fourth_order:
         jump = SpaceTimeJumpData(u_plus=[-1.0], u_minus=[1.0], nu_y=[1.0],
                                  nu_s=0.0)
-        grid = build_shock_grid(jump, 13, n_time=3)
+        grid = build_shock_grid(jump, n_normal, n_time=3)
         g = rng.standard_normal(grid.shape + (1, 1))
         p, margin = _normal_inverse(grid, g, L), _MARGIN
     else:
-        grid = build_cell_grid(build_frame([1.0, 0.0]), 11, n_lateral=4)
+        grid = build_cell_grid(build_frame([1.0, 0.0]), n_normal, n_lateral=4)
         g = rng.standard_normal(grid.shape + (2,))
         p, margin = _normal_h1_inverse(grid, g, L), 1
     assert np.all(p[:margin] == 0.0) and np.all(p[-margin:] == 0.0)
@@ -378,13 +383,22 @@ def test_normal_band_inverse_matches_dense_and_sine_solves(fourth_order):
     scale = 2.0 * h * grid.spacing(1)
     K = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h ** 2
     lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / h ** 2
+    rhs = inner.reshape(n, -1)
     if fourth_order:
         dense = scale * (L * K @ K + K / L)
         symbol = scale * lam * (L * lam + 1.0 / L)
     else:
         dense = scale * (L * K + np.eye(n) / L)
         symbol = scale * (L * lam + 1.0 / L)
-    ref = np.linalg.solve(dense, inner.reshape(n, -1)).reshape(inner.shape)
+    if n_normal < 256:
+        ref = np.linalg.solve(dense, rhs)
+    else:
+        # the pentadiagonal has condition number 3e8 here, so its own
+        # dense solve is off by ~5e-9; solve with the two well
+        # conditioned dense factors K and scale (L K + I / L) in turn
+        ref = np.linalg.solve(scale * (L * K + np.eye(n) / L),
+                              np.linalg.solve(K, rhs))
+    ref = ref.reshape(inner.shape)
     sine = idst(dst(inner, type=1, axis=0)
                 / symbol.reshape((n,) + (1,) * (inner.ndim - 1)),
                 type=1, axis=0)
@@ -447,7 +461,8 @@ def test_package_import_leaves_scipy_linalg_and_interpolate_unloaded():
     import cellgamma
     src = os.path.dirname(os.path.dirname(os.path.abspath(cellgamma.__file__)))
     code = ("import sys, cellgamma; "
-            "print([m for m in ('scipy.linalg', 'scipy.interpolate') "
+            "print([m for m in ('scipy.linalg', 'scipy.interpolate', "
+            "'scipy.sparse') "
             "if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

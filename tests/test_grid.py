@@ -44,6 +44,18 @@ def test_grid_geometry():
     assert abs(np.sum(g.node_weights()) - 1.0) < 1e-14
 
 
+def test_node_weights_cached_and_read_only():
+    g = CellGrid(frame=build_frame([0.48, 0.36, 0.8]), n_axes=(9, 5, 3))
+    w = g.node_weights()
+    ref = np.multiply.outer(np.multiply.outer(g.axis_weights(0),
+                                              g.axis_weights(1)),
+                            g.axis_weights(2))
+    assert np.array_equal(w, ref)
+    assert g.node_weights() is w
+    with pytest.raises(ValueError):
+        w[0, 0, 0] = 1.0
+
+
 def test_grid_validation():
     f = build_frame([1.0, 0.0])
     with pytest.raises(ShapeMismatch):

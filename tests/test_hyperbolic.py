@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from cellgamma.cellopt import OptimizerOptions
 from cellgamma.errors import (BadParams, DegenerateNormal, NonScalar,
                               RankineHugoniotViolated, ShapeMismatch)
-from cellgamma.grid import TensorField
-from cellgamma.hyperbolic import (PotentialPerturbation, assemble_st_energy,
+from cellgamma.grid import TensorField, diff_axis, diff_axis_transpose
+from cellgamma.hyperbolic import (PotentialPerturbation, _apply, _derivatives,
+                                  _phys_diff, assemble_st_energy,
                                   build_base_fields, build_shock_grid,
                                   compute_shock_cell_energy,
                                   constraint_residual,
@@ -152,6 +153,54 @@ def test_gradient_without_base_rebuilds_it():
                                    base=base).values
     rebuilt = st_energy_gradient(pert, 0.7, TILTED, FLUX, ENTROPY, g).values
     assert np.array_equal(rebuilt, with_base)
+
+
+def _composed(grid, values, j, op):
+    # d_j as the frame combination of per-axis stencils
+    return sum(grid.frame.basis[ax, j] * op(grid, values, ax)
+               for ax in range(grid.dim))
+
+
+@pytest.mark.parametrize("nu_y, n_lateral", [([0.6], None),
+                                             ([0.48, 0.36], 5)],
+                         ids=["1+1", "2+1"])
+def test_sparse_derivatives_match_stencils_and_adjoint(nu_y, n_lateral):
+    # tilted frames (nu_s != 0, every basis entry nonzero) with k = 2
+    # state components: each cached matrix d_j equals the composition
+    # of diff_axis along the frame, its cached transpose that of
+    # diff_axis_transpose, and <d_j u, v> = <u, d_j^T v>
+    jump = SpaceTimeJumpData(u_plus=[0.0, 1.0], u_minus=[1.0, 0.0],
+                             nu_y=nu_y, nu_s=-0.8)
+    g = build_shock_grid(jump, 12, n_lateral=n_lateral, n_time=6)
+    n_space = g.dim - 1
+    assert np.all(g.frame.basis != 0.0)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(g.shape + (2, n_space))
+    v = rng.standard_normal(g.shape + (2, n_space))
+    ops_t = _derivatives(g)[1]
+    for j in range(g.dim):
+        du, ref = _phys_diff(g, u, j), _composed(g, u, j, diff_axis)
+        assert np.max(np.abs(du - ref)) <= 1e-13 * np.max(np.abs(ref))
+        dtv = _apply(ops_t[j], v)
+        ref_t = _composed(g, v, j, diff_axis_transpose)
+        assert np.max(np.abs(dtv - ref_t)) <= 1e-13 * np.max(np.abs(ref_t))
+        lhs, rhs = np.vdot(du, v), np.vdot(u, dtv)
+        assert abs(lhs - rhs) <= 1e-14 * np.linalg.norm(du) * np.linalg.norm(v)
+
+
+def test_derivative_cache_keyed_by_frame():
+    # a standing and a tilted grid of one shape: a cache keyed by the
+    # node counts alone would hand the second grid the first's matrices
+    a = build_shock_grid(STANDING, 16, n_time=4)
+    b = build_shock_grid(TILTED, 16, n_time=4)
+    assert a.n_axes == b.n_axes
+    u = np.random.default_rng(6).standard_normal(a.shape + (1,))
+    for g in (a, b, a):
+        for j in range(g.dim):
+            ref = _composed(g, u, j, diff_axis)
+            assert np.max(np.abs(_phys_diff(g, u, j) - ref)) <= (
+                1e-13 * np.max(np.abs(ref)))
+    assert _derivatives(a) is not _derivatives(b)
 
 
 def test_linear_advection_3d_space_time_cell():

@@ -209,66 +209,85 @@ class TensorField:
 
 # --- per-axis derivatives -------------------------------------------------
 
-def diff_axis(grid, values, axis):
+def _periodic_central(values, axis, sign, out):
+    """out[i] = values[i + sign] - values[i - sign] along a periodic axis
+    (sign = +1 or -1), by slices; axes under 3 nodes wrap by rolls."""
+    if values.shape[axis] < 3:
+        out[...] = np.roll(values, -sign, axis=axis)
+        out -= np.roll(values, sign, axis=axis)
+        return
+    ahead = (slice(2, None), slice(1, 2), slice(0, 1))
+    behind = (slice(None, -2), slice(-1, None), slice(-2, -1))
+    if sign < 0:
+        ahead, behind = behind, ahead
+    lead = (slice(None),) * axis
+    for o, a, b in zip((slice(1, -1), slice(0, 1), slice(-1, None)), ahead, behind):
+        np.subtract(values[lead + (a,)], values[lead + (b,)], out=out[lead + (o,)])
+
+
+def diff_axis(grid, values, axis, out=None):
     """Second-order derivative of nodal values along one grid axis.
 
     Central stencils everywhere; the pinned normal axis closes with
     one-sided second-order rows, periodic axes wrap.  ``values`` may
-    carry trailing component axes.
+    carry trailing component axes.  The result is written to ``out``
+    (shaped like ``values`` and not overlapping it) when given.
     """
     h = grid.spacing(axis)
     n = grid.n_axes[axis]
     if values.shape[axis] != n:
         raise ShapeMismatch("field does not match grid along axis")
+    if out is None:
+        out = np.empty_like(values)
     if axis > 0:
-        out = np.roll(values, -1, axis=axis)
-        out -= np.roll(values, 1, axis=axis)
-        out /= 2.0 * h
-        return out
-    out = np.empty_like(values)
-    np.subtract(values[2:], values[:-2], out=out[1:-1])
-    out[0] = -3.0 * values[0] + 4.0 * values[1] - values[2]
-    out[-1] = 3.0 * values[-1] - 4.0 * values[-2] + values[-3]
+        _periodic_central(values, axis, 1, out)
+    else:
+        np.subtract(values[2:], values[:-2], out=out[1:-1])
+        out[0] = -3.0 * values[0] + 4.0 * values[1] - values[2]
+        out[-1] = 3.0 * values[-1] - 4.0 * values[-2] + values[-3]
     out /= 2.0 * h
     return out
 
 
-def diff_axis_transpose(grid, values, axis):
-    """Exact transpose of :func:`diff_axis` as a linear map on nodal values."""
+def diff_axis_transpose(grid, values, axis, out=None):
+    """Exact transpose of :func:`diff_axis` as a linear map on nodal
+    values, written to ``out`` (as in :func:`diff_axis`) when given."""
     h = grid.spacing(axis)
     n = grid.n_axes[axis]
     if values.shape[axis] != n:
         raise ShapeMismatch("field does not match grid along axis")
+    if out is None:
+        out = np.empty_like(values)
     if axis > 0:
         # transpose of the circulant central stencil is its negative
-        out = np.roll(values, 1, axis=axis)
-        out -= np.roll(values, -1, axis=axis)
-        out /= 2.0 * h
-        return out
-    out = np.zeros_like(values)
-    # interior central rows scatter to their neighbours
-    central = values[1:-1] / (2.0 * h)
-    out[2:] += central
-    out[:-2] -= central
-    # one-sided end rows
-    out[0] += -3.0 * values[0] / (2.0 * h)
-    out[1] += 4.0 * values[0] / (2.0 * h)
-    out[2] += -values[0] / (2.0 * h)
-    out[-1] += 3.0 * values[-1] / (2.0 * h)
-    out[-2] += -4.0 * values[-1] / (2.0 * h)
-    out[-3] += values[-1] / (2.0 * h)
+        _periodic_central(values, axis, -1, out)
+    else:
+        # each row gathers the central rows of its two neighbours; the
+        # first and last three rows also collect the one-sided end rows
+        # (the normal axis has at least 8 nodes, so these rows differ)
+        np.subtract(values[1:-3], values[3:-1], out=out[2:-2])
+        out[0] = -3.0 * values[0] - values[1]
+        out[1] = 4.0 * values[0] - values[2]
+        out[2] -= values[0]
+        out[-1] = 3.0 * values[-1] + values[-2]
+        out[-2] = values[-3] - 4.0 * values[-1]
+        out[-3] += values[-1]
+    out /= 2.0 * h
     return out
 
 
 # --- gradient / divergence / laplacian ------------------------------------
 
-def frame_components(grid, values):
+def frame_components(grid, values, out=None):
     """Components of tensor values along the frame vectors, in one
     product: out[ax] = values . basis[ax], of shape (dim,) +
-    values.shape[:-1]."""
+    values.shape[:-1], written to ``out`` (C-contiguous) when given."""
     n = values.shape[-1]
-    comps = grid.frame.basis @ values.reshape(-1, n).T
-    return comps.reshape((grid.dim,) + values.shape[:-1])
+    if out is None:
+        out = np.empty((grid.dim,) + values.shape[:-1])
+    np.matmul(grid.frame.basis, values.reshape(-1, n).T,
+              out=out.reshape(grid.dim, -1))
+    return out
 
 
 def gradient(f):
@@ -279,10 +298,13 @@ def gradient(f):
     the basis, in one product.
     """
     grid = f.grid
-    d = np.stack([diff_axis(grid, f.values, ax) for ax in range(grid.dim)],
-                 axis=-1)
-    out = d.reshape(-1, grid.dim) @ grid.frame.basis
-    return TensorField(grid, out.reshape(d.shape))
+    d = np.empty(f.values.shape + (grid.dim,))
+    for ax in range(grid.dim):
+        diff_axis(grid, f.values, ax, out=d[..., ax])
+    out = np.empty_like(d)
+    np.matmul(d.reshape(-1, grid.dim), grid.frame.basis,
+              out=out.reshape(-1, grid.dim))
+    return TensorField(grid, out)
 
 
 def divergence(v):

@@ -27,8 +27,15 @@ the pseudo-inverse solution, which is the Neumann gauge, H W-orthogonal
 to the constants in every kernel mode (to round-off times the condition
 of A0, about 1e-11 relative at 256 normal nodes).  The right-hand sides of those
 modes are compatible by construction: 1^T D^T(w m) = 0 identically.
+
+Memory: the intermediates of a solve (frame components, right-hand side,
+eigenbasis coefficients, H-hat and the residual stages) are written into
+one work area per thread, kept while the node counts and flux rows stay
+the same and shared by both bcs; only the returned H and grad H are
+fresh arrays, so a caller may keep them across later solves.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +122,8 @@ class _CellSolverData:
             # the constants: smallest lam, zero up to round-off
             denom[0, self.mu <= _MU_TOL] = np.inf
         self.inv = 1.0 / denom
+        # the lateral part of the operator, w_nu mu, on the mode array
+        self.w_mu = self.w_nu[:, None, None] * self.mu[:, None]
 
         # residual scales: the norm of the full operator, and the largest
         # column sum of |D| with the largest lateral symbol (the rhs is one
@@ -145,6 +154,36 @@ def _solver_data(grid, bc):
     return data
 
 
+class _WorkArea:
+    """The intermediates of one solve for given node counts and flux
+    rows, shared by both boundary conditions: the frame components, and
+    mode arrays for the right-hand side, the eigenbasis coefficients,
+    H-hat and the two residual stages."""
+
+    def __init__(self, n_axes, rows, n_modes):
+        n0 = n_axes[0]
+        self.key = (n_axes, rows)
+        self.comps = np.empty((len(n_axes),) + n_axes + (rows,))
+        modes = (n0, n_modes, rows)
+        self.rhs = np.empty(modes, dtype=np.complex128)
+        self.coef = np.empty((n0, n_modes * 2 * rows))
+        self.Hhat = np.empty(modes, dtype=np.complex128)
+        self.wDH = np.empty(modes, dtype=np.complex128)
+        self.op = np.empty(modes, dtype=np.complex128)
+
+
+_local = threading.local()
+
+
+def _work_area(grid, rows, n_modes):
+    """This thread's work area, replaced when the shape changes."""
+    key = (grid.n_axes, rows)
+    work = getattr(_local, "work", None)
+    if work is None or work.key != key:
+        work = _local.work = _WorkArea(grid.n_axes, rows, n_modes)
+    return work
+
+
 def _end_fluxes(grid, values):
     """Lateral means of M.nu on the two pinned normal slabs, one per
     row: (bottom, top)."""
@@ -153,10 +192,10 @@ def _end_fluxes(grid, values):
     return m_nu[0].mean(axis=lat_axes), m_nu[1].mean(axis=lat_axes)
 
 
-def _check_compat(grid, values):
+def _check_compat(values, bot, top):
     """Discrete flux balance: the lateral means of M.nu on the two
-    pinned normal slabs must agree (the discrete (Psi+ - Psi-).nu = 0)."""
-    bot, top = _end_fluxes(grid, values)
+    pinned normal slabs, ``bot`` and ``top`` from :func:`_end_fluxes`,
+    must agree (the discrete (Psi+ - Psi-).nu = 0)."""
     imbalance = float(np.max(np.abs(top - bot)))
     eps = 1e-8 * (1.0 + float(np.max(np.abs(values))))
     if imbalance > eps:
@@ -191,18 +230,21 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
     grid = M.grid
     if grid.dim < 2:
         raise ShapeMismatch("the cell potential solve needs a lateral axis")
-    if bc == BcVariant.NEUMANN and check_compat:
-        _check_compat(grid, M.values)
+    check_compat = check_compat and bc == BcVariant.NEUMANN
+    if check_compat or shift_mean_flux:
+        bot, top = _end_fluxes(grid, M.values)
+    if check_compat:
+        _check_compat(M.values, bot, top)
     data = _solver_data(grid, bc)
     n0 = grid.n_axes[0]
     l = M.rows
     lat_axes = tuple(range(1, grid.dim))
+    work = _work_area(grid, l, data.n_modes)
 
-    comps = frame_components(grid, M.values)
+    comps = frame_components(grid, M.values, out=work.comps)
     if shift_mean_flux:
         # M - c x nu, c = (bot + top) / 2, has the frame components
         # comps[ax] - c (nu . b_ax)
-        bot, top = _end_fluxes(grid, M.values)
         c = np.multiply.outer(grid.frame.basis @ grid.frame.nu, 0.5 * (top + bot))
         comps -= c.reshape((grid.dim,) + (1,) * grid.dim + (l,))
     # the frame components lead, so the lateral axes move up by one
@@ -213,26 +255,31 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
     # variational rhs per mode: D^T(w m_nu) - w sum_ax (i sigma_ax) m_ax
     wn = data.w_nu[:, None, None]
     hats *= wn
-    rhs = diff_axis_transpose(grid, hats[0], 0)
+    rhs = diff_axis_transpose(grid, hats[0], 0, out=work.rhs)
     for i, s in enumerate(data.sigma):
-        rhs -= (1j * s)[:, None] * hats[i + 1]
+        np.multiply((1j * s)[:, None], hats[i + 1], out=hats[i + 1])
+        rhs -= hats[i + 1]
+    del hats  # the one fresh transform is not needed past the rhs
 
     # the two eigenbasis products, real, on the float view of the modes
     rows = data.rows
     n_rows = data.V.shape[0]
-    coef = data.VT @ rhs[rows].reshape(n_rows, -1).view(np.float64)
-    coef = coef.reshape(n_rows, data.n_modes, 2 * l)
-    coef *= data.inv[:, :, None]
-    Hhat = np.zeros((n0, data.n_modes, l), dtype=np.complex128)
-    np.matmul(data.V, coef.reshape(n_rows, -1),
-              out=Hhat.reshape(n0, -1).view(np.float64)[rows])
+    coef = work.coef[:n_rows]
+    np.matmul(data.VT, rhs[rows].reshape(n_rows, -1).view(np.float64), out=coef)
+    coef3 = coef.reshape(n_rows, data.n_modes, 2 * l)
+    coef3 *= data.inv[:, :, None]
+    Hhat = work.Hhat
+    if bc == BcVariant.DIRICHLET:
+        # the pinned end slabs; a Neumann solve of this shape wrote them
+        Hhat[[0, -1]] = 0.0
+    np.matmul(data.V, coef, out=Hhat.reshape(n0, -1).view(np.float64)[rows])
 
     # relative residual of the normal equations over the solved rows
     # (Dirichlet pins the end slabs, so the end rows are not equations)
-    wDH = diff_axis(grid, Hhat, 0)
+    wDH = diff_axis(grid, Hhat, 0, out=work.wDH)
     wDH *= wn
-    op = diff_axis_transpose(grid, wDH, 0)
-    op += (wn * data.mu[:, None]) * Hhat
+    op = diff_axis_transpose(grid, wDH, 0, out=work.op)
+    op += np.multiply(data.w_mu, Hhat, out=wDH)
     op -= rhs
     num = np.linalg.norm(op[rows])
     # backward-error scale: the rhs is assembled from the flux by one

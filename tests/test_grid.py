@@ -65,14 +65,33 @@ def test_grid_validation():
 
 
 def test_transpose_is_exact_adjoint():
-    g = build_cell_grid(build_frame([0.0, 1.0]), 11, n_lateral=6)
+    # lateral axes of 1 and 2 nodes wrap by rolls, longer ones by slices;
+    # writing to out, strided or not, gives the allocating result bit
+    # for bit, and the lateral stencil is the circulant difference
     rng = np.random.default_rng(3)
-    for ax in range(2):
-        u = rng.standard_normal(g.shape)
-        v = rng.standard_normal(g.shape)
-        lhs = np.sum(diff_axis(g, u, ax) * v)
-        rhs = np.sum(u * diff_axis_transpose(g, v, ax))
-        assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(lhs))
+    for n_axes in ((11, 6), (11, 1), (11, 2), (11, 3), (11, 8), (9, 3, 1)):
+        g = CellGrid(frame=build_frame([0.0, 1.0, 0.0][:len(n_axes)]),
+                     n_axes=n_axes)
+        for ax in range(g.dim):
+            u = rng.standard_normal(g.shape + (2,))
+            v = rng.standard_normal(g.shape + (2,))
+            du = diff_axis(g, u, ax)
+            dtv = diff_axis_transpose(g, v, ax)
+            lhs = np.sum(du * v)
+            rhs = np.sum(u * dtv)
+            assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(lhs))
+            for op, x, ref in ((diff_axis, u, du), (diff_axis_transpose, v, dtv)):
+                out = np.empty_like(x)
+                assert op(g, x, ax, out=out) is out
+                assert np.array_equal(out, ref)
+                strided = np.full(x.shape + (2,), np.nan)
+                op(g, x, ax, out=strided[..., 1])
+                assert np.array_equal(strided[..., 1], ref)
+                assert np.all(np.isnan(strided[..., 0]))
+            if ax > 0:
+                h2 = 2.0 * g.spacing(ax)
+                circ = (np.roll(u, -1, axis=ax) - np.roll(u, 1, axis=ax)) / h2
+                assert np.array_equal(du, circ)
 
 
 def test_divergence_is_negative_weighted_adjoint():
@@ -86,14 +105,17 @@ def test_divergence_is_negative_weighted_adjoint():
 
 
 def test_gradient_matches_per_axis_sum():
-    # the one stacked product against the per-axis sum of derivative
-    # times frame vector, on a tilted 3-D frame with m = 2
-    g = CellGrid(frame=build_frame([0.48, 0.6, 0.64]), n_axes=(10, 6, 5))
-    f = StateField(g, np.random.default_rng(6).standard_normal(g.shape + (2,)))
-    ref = sum(diff_axis(g, f.values, ax)[..., None] * g.frame.basis[ax]
-              for ax in range(g.dim))
-    err = np.max(np.abs(gradient(f).values - ref))
-    assert err <= 1e-14 * np.max(np.abs(ref))
+    # the one basis product against the per-axis sum of derivative
+    # times frame vector, on tilted 3-D frames with m = 2 and lateral
+    # axes that wrap by rolls and by slices
+    rng = np.random.default_rng(6)
+    for n_axes in ((10, 6, 5), (10, 1, 2), (10, 3, 8)):
+        g = CellGrid(frame=build_frame([0.48, 0.6, 0.64]), n_axes=n_axes)
+        f = StateField(g, rng.standard_normal(g.shape + (2,)))
+        ref = sum(diff_axis(g, f.values, ax)[..., None] * g.frame.basis[ax]
+                  for ax in range(g.dim))
+        err = np.max(np.abs(gradient(f).values - ref))
+        assert err <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_laplacian_of_lateral_mode():

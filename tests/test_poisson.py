@@ -3,7 +3,13 @@ and solvability guards."""
 
 import gc
 import itertools
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +113,140 @@ def test_residual_check_fires(monkeypatch):
         monkeypatch.setattr(data, "inv", 1.01 * data.inv)
         with pytest.raises(SolverDiverged):
             solve_cell_poisson(M, bc, check_compat=False)
+
+
+def _solve_copy(M, bc):
+    pot = solve_cell_poisson(M, bc, check_compat=False)
+    return pot.H.values.copy(), pot.gradH.values.copy(), pot
+
+
+def test_work_area_never_leaks_into_results():
+    # H and grad H are fresh arrays: later solves of the same shape under
+    # both bcs, and of another flux row count, leave them as they were
+    g = _grid(17, 16)
+    rng = np.random.default_rng(8)
+    M = TensorField(g, rng.standard_normal(g.shape + (1, 2)))
+    H, gH, pot = _solve_copy(M, BcVariant.NEUMANN)
+    other = TensorField(g, rng.standard_normal(g.shape + (1, 2)))
+    for bc in BcVariant.CELL_KINDS:
+        solve_cell_poisson(other, bc, check_compat=False)
+    solve_cell_poisson(TensorField(g, rng.standard_normal(g.shape + (2, 2))),
+                       BcVariant.DIRICHLET, check_compat=False)
+    assert np.array_equal(pot.H.values, H)
+    assert np.array_equal(pot.gradH.values, gH)
+
+
+_FRESH_DIRICHLET = """
+import sys
+import numpy as np
+from cellgamma.grid import TensorField, build_cell_grid, build_frame
+from cellgamma.poisson import BcVariant, solve_cell_poisson
+g = build_cell_grid(build_frame([0.6, 0.8]), 19, 12)
+M = TensorField(g, np.random.default_rng(9).standard_normal(g.shape + (1, 2)))
+pot = solve_cell_poisson(M, BcVariant.DIRICHLET)
+np.save(sys.argv[1], np.concatenate([pot.H.values.ravel(), pot.gradH.values.ravel()]))
+"""
+
+
+def test_dirichlet_after_neumann_matches_fresh_process(tmp_path):
+    # the two bcs share one work area; the end slabs a Neumann solve
+    # wrote must not reach the Dirichlet solve that follows it
+    g = build_cell_grid(build_frame([0.6, 0.8]), 19, 12)
+    M = TensorField(g, np.random.default_rng(9).standard_normal(g.shape + (1, 2)))
+    solve_cell_poisson(M, BcVariant.NEUMANN, check_compat=False)
+    pot = solve_cell_poisson(M, BcVariant.DIRICHLET)
+    out = tmp_path / "fresh.npy"
+    src = str(Path(poisson.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", _FRESH_DIRICHLET, str(out)],
+                   check=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    fresh = np.load(out)
+    got = np.concatenate([pot.H.values.ravel(), pot.gradH.values.ravel()])
+    assert np.array_equal(got, fresh)
+
+
+def test_solve_after_divergence_is_correct(monkeypatch):
+    # a solve that raised SolverDiverged half way leaves the work area in
+    # any state; the next solve must not see it
+    g = _grid(17, 16)
+    M = TensorField(g, np.random.default_rng(10).standard_normal(g.shape + (1, 2)))
+    for bc in BcVariant.CELL_KINDS:
+        H, gH, _ = _solve_copy(M, bc)
+        data = poisson._solver_data(g, bc)
+        with monkeypatch.context() as patch:
+            patch.setattr(data, "inv", 1.01 * data.inv)
+            with pytest.raises(SolverDiverged):
+                solve_cell_poisson(M, bc, check_compat=False)
+        pot = solve_cell_poisson(M, bc, check_compat=False)
+        assert np.array_equal(pot.H.values, H)
+        assert np.array_equal(pot.gradH.values, gH)
+
+
+def test_work_areas_are_per_thread():
+    # threads solving different shapes at once each get the serial result
+    cases = [(_grid(17, 16), 1), (_grid(17, 16), 2), (_grid(19, 12), 1),
+             (_grid(21, 8), 2), (_grid(17, 16), 1), (_grid(19, 12), 1)]
+    fluxes = [TensorField(g, np.random.default_rng(i).standard_normal(
+        g.shape + (rows, 2))) for i, (g, rows) in enumerate(cases)]
+    ref = [[_solve_copy(M, bc)[0] for bc in BcVariant.CELL_KINDS] for M in fluxes]
+    bad = []
+
+    def work(i):
+        for _ in range(10):
+            for j, bc in enumerate(BcVariant.CELL_KINDS):
+                H = solve_cell_poisson(fluxes[i], bc, check_compat=False).H.values
+                if not np.array_equal(H, ref[i][j]):
+                    bad.append((i, bc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+@pytest.mark.parametrize("bc", BcVariant.CELL_KINDS)
+def test_solve_memory_peak(bc):
+    # after a warm-up call fills the caches and the work area, a 64x64
+    # energy allocates little beyond the H and grad H it returns (3 nodal
+    # arrays): the traced peak stays at 9 nodal float64 arrays
+    g = _grid(64, 64)
+    M = TensorField(g, np.random.default_rng(11).standard_normal(g.shape + (1, 2)))
+    nonlocal_energy(M, bc, check_compat=False)
+    tracing = tracemalloc.is_tracing()  # e.g. under python -X tracemalloc
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        nonlocal_energy(M, bc, check_compat=False)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 9 * g.n_axes[0] * g.n_axes[1] * 8
+
+
+def test_end_fluxes_once_per_neumann_solve(monkeypatch):
+    # the compatibility check and the mean-flux shift share one
+    # computation of the end-slab fluxes
+    calls = []
+    end_fluxes = poisson._end_fluxes
+
+    def counted(*args):
+        calls.append(1)
+        return end_fluxes(*args)
+
+    monkeypatch.setattr(poisson, "_end_fluxes", counted)
+    g = _grid(17, 16)
+    solve_cell_poisson(TensorField(g, np.zeros(g.shape + (1, 2))), BcVariant.NEUMANN)
+    assert len(calls) == 1
 
 
 def test_per_grid_caches_bounded():

@@ -20,8 +20,8 @@ three terms at one profile; the optimizer and the Gamma sweep's full
 energy both use it.
 """
 
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +45,14 @@ class EnergyBreakdown:
     nonlocal_term: float   # int |grad H|^2
     L: float
     total: float
+
+    @classmethod
+    def at_scale(cls, A, potential, nonlocal_term, L):
+        """The breakdown of L A + (potential + nonlocal_term) / L, the
+        energy of every model at scale L from its parts."""
+        return cls(grad_term=float(A), potential_term=float(potential),
+                   nonlocal_term=float(nonlocal_term), L=float(L),
+                   total=float(L * A + (potential + nonlocal_term) / L))
 
     def to_dict(self):
         return {
@@ -263,9 +271,7 @@ def assemble_energy(profile, L, specs, jump, bc=BcVariant.NEUMANN):
         raise DegenerateScale("scale L must be positive")
     _check_admissible(profile, jump, specs)
     ev = CellEvaluation(profile.grid, profile.values, specs, bc)
-    return EnergyBreakdown(grad_term=ev.A, potential_term=ev.EW,
-                           nonlocal_term=float(ev.BH), L=float(L),
-                           total=float(L * ev.A + ev.B / L))
+    return EnergyBreakdown.at_scale(ev.A, ev.EW, ev.BH, L)
 
 
 def energy_gradient(profile, L, specs, jump, bc=BcVariant.NEUMANN):
@@ -422,30 +428,23 @@ def resolved_scale_floor(grid):
     return 4.0 * grid.spacing(0)
 
 
-@lru_cache(maxsize=8)
-def _tridiagonal_factor(n, diag, off):
-    """pttrf factors of the n x n tridiagonal matrix (off, diag, off),
-    cached, so a matrix that does not change is factored once."""
-    from scipy.linalg.lapack import dpttrf
-    return dpttrf(np.full(n, diag), np.full(n - 1, off))[:2]
-
-
 def normal_tridiagonal_inverse(g, matrices, margin):
     """Apply the inverses of symmetric positive definite tridiagonal
     matrices, one (diagonal, off-diagonal) pair of constants each,
     in turn along the normal axis of a nodal array g.  They act on the
     nodes between the ``margin`` pinned slabs at each end; those slabs
     stay zero.  Every lateral node column and state component is one
-    right-hand side of the same solve (pttrs).
+    right-hand side of the same solve (ptsv: factor, then solve).
     """
     # imported here: importing scipy.linalg takes 80 to 100 ms, which
     # every import of the package would pay, and only the optimizers
     # need it
-    from scipy.linalg.lapack import dpttrs
+    from scipy.linalg.lapack import dptsv
     inner = g[margin:-margin]
     x = inner.reshape(inner.shape[0], -1)
+    n = x.shape[0]
     for diag, off in matrices:
-        x, _ = dpttrs(*_tridiagonal_factor(x.shape[0], diag, off), x)
+        x = dptsv(np.full(n, diag), np.full(n - 1, off), x)[2]
     p = np.zeros_like(g)
     p[margin:-margin] = x.reshape(inner.shape)
     return p
@@ -482,7 +481,8 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
     """Minimize E(x, L) = L A(x) + B(x) / L over x and the scale L >= lmin
     by preconditioned Polak-Ribiere (PR+) conjugate gradient with
     restarts and Armijo backtracking.  Returns (x, L, E, iterations,
-    converged).
+    converged, evaluation), the last being ``evaluate``'s result at the
+    returned x, so callers read the result's parts from it.
 
     - ``evaluate(x)`` returns an object with the parts ``A`` and ``B``
       and a method ``gradient(L)``, the partial gradient of E in x at
@@ -524,12 +524,13 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
     pg = precondition(g, x, L)
     d = -pg
     alpha = 1.0
-    history = [E]
+    # the plateau test reads the energies of the last 10 iterations
+    history = deque([E], maxlen=11)
     converged = False
     for it in range(1, opts.max_iter + 1):
         gmax = float(np.max(np.abs(g)))
-        flat = (len(history) > 10
-                and (history[-11] - history[-1]) <= opts.etol * (1.0 + abs(history[-1])))
+        flat = (len(history) == 11
+                and (history[0] - history[-1]) <= opts.etol * (1.0 + abs(history[-1])))
         if gmax <= gtol and flat:
             converged = True
             break
@@ -569,9 +570,7 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
         d = -pg_new + beta * d
         g, pg = g_new, pg_new
         history.append(E)
-        if len(history) > 64:
-            history = history[-32:]
-    return x, L, E, it, converged
+    return x, L, E, it, converged, ev
 
 
 def _minimize_start(values, specs, jump, grid, bc, opts):
@@ -601,9 +600,9 @@ def _minimize_start(values, specs, jump, grid, bc, opts):
 def multistart(starts, minimize, opts):
     """Run ``minimize`` from every start and pick the first start whose
     energy is within a relative 1e-6 of the lowest.  Returns that
-    start's (x, L, E, iterations, converged) and the list of start
-    energies; raises NotConverged under ``opts.require_converged`` when
-    the picked start did not converge."""
+    start's (x, L, E, iterations, converged, evaluation) and the list of
+    start energies; raises NotConverged under ``opts.require_converged``
+    when the picked start did not converge."""
     results = [minimize(s) for s in starts]
     energies = [r[2] for r in results]
     best_e = min(energies)
@@ -626,9 +625,8 @@ def compute_cell_energy(jump, specs, grid, bc=BcVariant.NEUMANN, opts=None):
     def run(start):
         return _minimize_start(start.values, specs, jump, grid, bc, opts)
 
-    (v, L, _, it, converged), energies = multistart(starts, run, opts)
-    profile = StateField(grid, v)
-    breakdown = assemble_energy(profile, L, specs, jump, bc)
-    return CellSolution(profile=profile, L_star=L, energy=breakdown, bc=bc,
-                        iterations=it, converged=converged,
+    (v, L, _, it, converged, ev), energies = multistart(starts, run, opts)
+    return CellSolution(profile=StateField(grid, v), L_star=L,
+                        energy=EnergyBreakdown.at_scale(ev.A, ev.EW, ev.BH, L),
+                        bc=bc, iterations=it, converged=converged,
                         starts=energies, seed=opts.seed)

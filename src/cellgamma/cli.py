@@ -76,11 +76,11 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "seed": {"type": "integer", "minimum": 0},
-                "max_iter": {"type": "integer", "minimum": 1},
+                "max_iter": {"type": "integer"},
                 "etol": {"type": "number"},
                 "gtol_scale": {"type": "number"},
-                "n_random": {"type": "integer", "minimum": 0},
-                "amplitude": {"type": "number", "minimum": 0},
+                "n_random": {"type": "integer"},
+                "amplitude": {"type": "number"},
                 "require_converged": {"type": "boolean"},
             },
         },

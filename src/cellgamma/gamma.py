@@ -16,7 +16,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cellopt import CellEvaluation, OptimizerOptions, compute_cell_energy
+from .cellopt import (CellEvaluation, EnergyBreakdown, OptimizerOptions,
+                      compute_cell_energy)
 from .errors import CellGammaError, EpsilonTooLarge, ShapeMismatch
 from .grid import CellGrid, StateField, build_cell_grid, build_frame
 from .poisson import BcVariant
@@ -121,7 +122,7 @@ def evaluate_full_energy(field, epsilon, specs):
     if field.values.shape != grid.shape + (specs.m,):
         raise ShapeMismatch("field does not fit the domain grid")
     ev = CellEvaluation(grid, field.values, specs, BcVariant.NEUMANN)
-    return float(epsilon * ev.A + ev.B / epsilon)
+    return EnergyBreakdown.at_scale(ev.A, ev.EW, ev.BH, epsilon).total
 
 
 # --- sweep ------------------------------------------------------------------

@@ -211,10 +211,10 @@ class TensorField:
 
 def _periodic_central(values, axis, sign, out):
     """out[i] = values[i + sign] - values[i - sign] along a periodic axis
-    (sign = +1 or -1), by slices; axes under 3 nodes wrap by rolls."""
+    (sign = +1 or -1), by slices.  On an axis under 3 nodes both
+    neighbours are the same node, so the difference is zero."""
     if values.shape[axis] < 3:
-        out[...] = np.roll(values, -sign, axis=axis)
-        out -= np.roll(values, sign, axis=axis)
+        out[...] = 0.0
         return
     ahead = (slice(2, None), slice(1, 2), slice(0, 1))
     behind = (slice(None, -2), slice(-1, None), slice(-2, -1))

@@ -288,9 +288,7 @@ def assemble_st_energy(pert, L, st_jump, flux, entropy, grid, base=None):
     if pert.w.values.shape != grid.shape + (flux.k, flux.N):
         raise ShapeMismatch("perturbation shaped for a different cell")
     ev = _ShockEvaluation(grid, base, pert.w.values, flux, entropy)
-    return EnergyBreakdown(grad_term=ev.A, potential_term=ev.B,
-                           nonlocal_term=0.0, L=L,
-                           total=L * ev.A + ev.B / L)
+    return EnergyBreakdown.at_scale(ev.A, ev.B, 0.0, L)
 
 
 def st_energy_gradient(pert, L, st_jump, flux, entropy, grid, base=None):
@@ -325,8 +323,8 @@ def _normal_inverse(grid, g, L):
     / L; in the sine basis this matrix has the eigenvalues 2 cross h
     lambda (L lambda + 1 / L) of that operator, with lambda those of
     K_h.  It equals T (a T + b I) with a = 2 cross L / h^3 and b =
-    2 cross / (L h), so it is applied as two tridiagonal solves, T's
-    factored once per size.  Lateral axes keep the nodal metric.
+    2 cross / (L h), so it is applied as two tridiagonal solves.
+    Lateral axes keep the nodal metric.
     """
     h = grid.spacing(0)
     cross = float(np.prod([grid.spacing(ax) for ax in range(1, grid.dim)]))
@@ -371,14 +369,11 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
         return minimize_cg(w0, evaluate, precondition,
                            lambda w, step: w + step, lmin, gtol, opts)
 
-    (w, L, _, it, converged), energies = multistart(starts, run, opts)
-    pert = PotentialPerturbation(w=TensorField(grid, w))
-    breakdown = assemble_st_energy(pert, L, st_jump, flux, entropy, grid,
-                                   base=base)
-    zeta = base.zeta0.values + space_divergence(grid, w)
+    (_, L, _, it, converged, ev), energies = multistart(starts, run, opts)
     rh = validate_rankine_hugoniot(st_jump, flux, 1e-8)
     return ShockSolution(
-        profile=StateField(grid, zeta), L_star=L, energy=breakdown,
+        profile=StateField(grid, ev.zeta), L_star=L,
+        energy=EnergyBreakdown.at_scale(ev.A, ev.B, 0.0, L),
         bc="space_time", iterations=it, converged=converged,
         starts=energies, seed=opts.seed,
         nu=st_jump.nu, nu_y_norm=float(np.linalg.norm(st_jump.nu_y)),

@@ -290,7 +290,7 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
     den = (np.linalg.norm(rhs[rows]) + data.a_norm * np.linalg.norm(Hhat)
            + b_scale + 1e-300)
     residual = float(num / den)
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:  # also catches NaN
         raise SolverDiverged(f"relative residual {residual:.3e} above target")
 
     H = scipy.fft.irfftn(Hhat.reshape((n0,) + data.freq_shape + (l,)),

@@ -329,27 +329,43 @@ def test_smoothstep_endpoints():
 
 def test_one_potential_solve_per_line_search_trial(monkeypatch):
     # the accepted trial's parts give the scale, the energy and the
-    # gradient, so a start solves once per trial plus once at the start
+    # gradient, so a start solves once per trial plus once at the start;
+    # the result is built from the accepted evaluation, with no solve
+    # after the multistart
     import cellgamma.cellopt as co
     mm = catalog_lookup("micromagnetics_2d")
     j = JumpData(phi_plus=[0.0, 1.0, 0.0], phi_minus=[0.0, -1.0, 0.0],
                  nu=[1.0, 0.0])
     g = build_cell_grid(build_frame([1.0, 0.0]), 12, n_lateral=4)
     start = init_profiles(j, mm, g, "one_dimensional_tanh")[0]
-    counts = {"solves": 0, "trials": 0}
+    counts = {"solves": 0, "trials": 0, "starts": 0}
+    real_solve, real_driver = co.nonlocal_energy, co.minimize_cg
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def nonlocal_energy(*args, **kwargs):
+        counts["solves"] += 1
+        return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(co, "nonlocal_energy", counted("solves", co.nonlocal_energy))
-    monkeypatch.setattr(co, "_retract", counted("trials", co._retract))
-    _, _, _, iterations, _ = co._minimize_start(
-        start.values, mm, j, g, BcVariant.NEUMANN, OptimizerOptions(max_iter=60))
+    def driver(x0, evaluate, precondition, retract, *rest):
+        # trials are counted at the driver's retract: building the
+        # random starts also calls _retract
+        def counted_retract(x, step):
+            counts["trials"] += 1
+            return retract(x, step)
+
+        counts["starts"] += 1
+        return real_driver(x0, evaluate, precondition, counted_retract, *rest)
+
+    monkeypatch.setattr(co, "nonlocal_energy", nonlocal_energy)
+    monkeypatch.setattr(co, "minimize_cg", driver)
+    opts = OptimizerOptions(max_iter=60, n_random=2)
+    _, _, _, iterations, _, _ = co._minimize_start(
+        start.values, mm, j, g, BcVariant.NEUMANN, opts)
     assert counts["trials"] >= iterations > 1
     assert counts["solves"] == counts["trials"] + 1
+    counts.update(solves=0, trials=0, starts=0)
+    co.compute_cell_energy(j, mm, g, BcVariant.NEUMANN, opts)
+    assert counts["starts"] == 3
+    assert counts["solves"] == counts["trials"] + counts["starts"]
 
 
 @pytest.mark.parametrize("case, n_normal", [("cell", 11), ("shock", 13),
@@ -442,7 +458,7 @@ def test_roundoff_trials_judged_by_directional_derivative():
         return evaluations[-1]
 
     gtol = 1e-6
-    x, L, _, _, converged = minimize_cg(
+    x, L, _, _, converged, _ = minimize_cg(
         np.zeros(n), evaluate, lambda g, x, L: g, lambda x, step: x + step,
         1e-3, gtol, OptimizerOptions(max_iter=2000))
     assert converged

@@ -262,12 +262,37 @@ def test_shock_model_without_flux_exit_2(tmp_path, capsys):
 
 
 def test_nan_optimizer_tolerance_exit_1_one_line(tmp_path, capsys):
-    # NaN is valid JSON for Python and passes the schema's "number"
-    cfg = dict(CELL_CONFIG, optimizer={"n_random": 1, "etol": float("nan")})
-    out = tmp_path / "o"
-    assert main(["cell", "--config", _write(tmp_path, cfg),
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("cellgamma: compute failed: BadParams: ")
-    assert err.count("\n") == 1
-    assert not (out / "report.json").exists()
+    # NaN is valid JSON for Python and passes the schema's "number"; the
+    # schema checks only the types of these numbers and OptimizerOptions
+    # their bounds, so each out-of-range one exits 1 as well
+    bad = [{"n_random": 1, "etol": float("nan")}, {"max_iter": 0},
+           {"n_random": -1}, {"amplitude": -0.5}]
+    for i, optimizer in enumerate(bad):
+        cfg = dict(CELL_CONFIG, optimizer=optimizer)
+        out = tmp_path / f"o{i}"
+        assert main(["cell", "--config", _write(tmp_path, cfg),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cellgamma: compute failed: BadParams: ")
+        assert err.count("\n") == 1
+        assert not (out / "report.json").exists()
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # python -m cellgamma.cli runs main() and exits with its code
+    import subprocess
+    import sys
+
+    import cellgamma
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cellgamma.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "cat"
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "cellgamma.cli", *args],
+                              env=env, capture_output=True, text=True)
+
+    assert run("catalog", "--out", str(out)).returncode == 0
+    for name in ("report.json", "report.csv", "timing.json"):
+        assert (out / name).exists()
+    assert run("bogus").returncode == 2

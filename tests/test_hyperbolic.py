@@ -353,7 +353,9 @@ def test_solver_not_below_oracle():
 def test_one_forward_pass_per_line_search_trial(monkeypatch):
     # the accepted trial's forward pass gives the scale, the energy and
     # the gradient, so a start runs it once per trial plus once at the
-    # start; time_derivative is called once per forward pass
+    # start; time_derivative is called once per forward pass, and the
+    # result is built from the accepted pass, with none after the
+    # multistart
     import cellgamma.hyperbolic as hy
     counts = {"forward": 0, "trials": 0}
     runs = []
@@ -382,3 +384,4 @@ def test_one_forward_pass_per_line_search_trial(monkeypatch):
     (run,) = runs
     assert run["trials"] >= run["iterations"] > 1
     assert run["forward"] == run["trials"] + 1
+    assert counts["forward"] == counts["trials"] + len(runs)

@@ -103,11 +103,16 @@ def test_matches_dense_least_squares(bc, nu, n_axes):
 
 
 def test_residual_check_fires(monkeypatch):
-    # a solve with inverse eigenvalues off by 1% is no solve: the
-    # residual check of the normal equations must raise
+    # a flux with a NaN entry, or a solve with inverse eigenvalues off by
+    # 1%, is no solve: the residual check of the normal equations must
+    # raise
     g = _grid(17, 16)
     M = TensorField(g, np.random.default_rng(5).standard_normal(g.shape + (1, 2)))
+    bad = M.values.copy()
+    bad[5, 3, 0, 1] = np.nan
     for bc in BcVariant.CELL_KINDS:
+        with pytest.raises(SolverDiverged):
+            solve_cell_poisson(TensorField(g, bad), bc, check_compat=False)
         solve_cell_poisson(M, bc, check_compat=False)
         data = poisson._solver_data(g, bc)
         monkeypatch.setattr(data, "inv", 1.01 * data.inv)

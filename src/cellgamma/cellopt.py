@@ -103,10 +103,10 @@ class OptimizerOptions:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise BadParams(f"optimizer {name} must be finite and >= 0, got {value!r}")
-        if self.max_iter < 1:
-            raise BadParams(f"optimizer max_iter must be >= 1, got {self.max_iter!r}")
-        if self.n_random < 0:
-            raise BadParams(f"optimizer n_random must be >= 0, got {self.n_random!r}")
+        for name, low in (("max_iter", 1), ("n_random", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise BadParams(f"optimizer {name} must be >= {low}, got {value!r}")
 
 
 # starts whose energy is within this relative tie of the lowest count as

@@ -75,7 +75,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "seed": {"type": "integer", "minimum": 0},
+                "seed": {"type": "integer"},
                 "max_iter": {"type": "integer"},
                 "etol": {"type": "number"},
                 "gtol_scale": {"type": "number"},

@@ -4,11 +4,13 @@ and the epsilon sweep of the full energy against (cell energy) x
 
 The domain is the unit cell of the interface frame: normal axis across
 the interface, lateral axes periodic, so a straight interface of unit
-measure.  The recovery field is the optimal cell profile mapped to
-physical width epsilon / L*, so it is exactly phi-/phi+ wherever the
-mapped cell's pinned end slabs lie.  Its energy density carries the
-1/epsilon scaling, and the nonlocal term is the same periodic Neumann
-potential solve as the cell's, on the domain grid.
+measure.  The recovery field is the optimal cell profile with its
+normal axis mapped to physical width epsilon / L*, so it is exactly
+phi-/phi+ wherever the mapped cell's pinned end slabs lie, and its
+lateral period fitted to a whole number of copies per box period, so it
+has no seam.  Its energy density carries the 1/epsilon scaling, and the
+nonlocal term is the same periodic Neumann potential solve as the
+cell's, on the domain grid.
 """
 
 import csv
@@ -58,39 +60,32 @@ class SweepRow:
 
 # --- recovery construction --------------------------------------------------
 
-def _interp_profile(cell, u, lat_coords):
-    """Sample the cell profile at normal coordinate u (clipped to the
-    cell) and periodically wrapped lateral coordinates."""
-    # imported here: scipy.interpolate adds about half a second to the
-    # package import, and only the sweep needs it
-    from scipy.interpolate import RegularGridInterpolator
-    cgrid = cell.profile.grid
-    vals = cell.profile.values
-    axes = [cgrid.axis_coords(0)]
-    pad_vals = vals
-    for ax in range(1, cgrid.dim):
-        c = cgrid.axis_coords(ax)
-        axes.append(np.concatenate([c, [c[0] + 1.0]]))
-        first = np.take(pad_vals, [0], axis=ax)
-        pad_vals = np.concatenate([pad_vals, first], axis=ax)
-    itp = RegularGridInterpolator(tuple(axes), pad_vals, method="linear")
-    pts = [u]
-    for c in lat_coords:
-        wrapped = np.mod(c + 0.5, 1.0) - 0.5
-        pts.append(np.broadcast_to(wrapped, u.shape))
-    return itp(np.stack(pts, axis=-1))
+def _lerp_axis(values, axis, p):
+    """Linear interpolation along one axis at fractional node positions
+    p, as v0 + t (v1 - v0): exact at nodes and between equal neighbours.
+    Node 0 follows the last node: the periodic wrap, and a clamp at the
+    last normal node, where t = 0."""
+    n, i0 = values.shape[axis], np.floor(p).astype(np.intp)
+    shape = [1] * values.ndim
+    shape[axis] = -1
+    v0 = np.take(values, i0 % n, axis=axis)
+    v1 = np.take(values, (i0 + 1) % n, axis=axis)
+    return v0 + (p - i0).reshape(shape) * (v1 - v0)
 
 
 def build_recovery_field(domain, cell, epsilon):
     """Sweep of the optimal cell profile across the interface.
 
     The cell pair (profile, L*) is reparametrization-covariant: mapping
-    the whole cell to physical width delta = epsilon / L* reproduces
-    the cell energy exactly under the 1/epsilon scaling (the scale
-    multiplies the gradient term, so the profile width varies inversely
-    with L).  The cell's end slabs are pinned, so the field is exactly
-    phi-/phi+ for |s| >= epsilon / (2 L*); where that exceeds the box,
-    the box faces cut the tails.
+    the cell's normal axis to physical width delta = epsilon / L*
+    reproduces the cell energy under the 1/epsilon scaling.  The normal
+    coordinate s maps to clip(s / delta, -1/2, 1/2), so the field is
+    exactly phi-/phi+ for |s| >= epsilon / (2 L*); where that exceeds
+    the box, the box faces cut the tails.  Each lateral axis holds N =
+    max(1, round(L* / epsilon)) cell periods, a stretch of delta N -> 1,
+    so the field is periodic across the box seam.  The sample points
+    form a tensor product, so the multilinear interpolant is linear
+    interpolation one axis at a time.
     """
     if not epsilon > 0:  # also catches NaN
         raise EpsilonTooLarge("epsilon must be positive")
@@ -98,17 +93,18 @@ def build_recovery_field(domain, cell, epsilon):
     if epsilon >= 0.5 * avail:
         raise EpsilonTooLarge(
             f"epsilon {epsilon} too large for box thickness {2 * avail}")
-    grid = domain.build_grid()
-    delta = epsilon / cell.L_star
-    s = grid.coords_normal() - domain.offset
-    u = np.clip(s / delta, -0.5, 0.5)
-    lat_coords = []
+    grid, cgrid = domain.build_grid(), cell.profile.grid
+    if cgrid.dim != grid.dim:
+        raise ShapeMismatch("cell and domain differ in dimension")
+    delta, n = epsilon / cell.L_star, cgrid.n_axes[0]
+    u = np.clip((grid.axis_coords(0) - domain.offset) / delta, -0.5, 0.5)
+    values = _lerp_axis(cell.profile.values, 0, (u + 0.5) * (n - 1))
+    periods = max(1, round(cell.L_star / epsilon))
     for ax in range(1, grid.dim):
-        c = grid.axis_coords(ax)
-        shape = [1] * grid.dim
-        shape[ax] = -1
-        lat_coords.append((c.reshape(shape) * np.ones(grid.shape)) / delta)
-    return StateField(grid, _interp_profile(cell, u, lat_coords))
+        n = cgrid.n_axes[ax]
+        p = np.mod((grid.axis_coords(ax) * periods + 0.5) * n, n)
+        values = _lerp_axis(values, ax, p)
+    return StateField(grid, values)
 
 
 # --- energy evaluation ------------------------------------------------------

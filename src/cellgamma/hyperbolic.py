@@ -280,23 +280,26 @@ class _ShockEvaluation:
         return gw
 
 
+def _evaluate(pert, st_jump, flux, entropy, grid, base):
+    """Shape check, base fields unless supplied, and the forward pass."""
+    if pert.w.values.shape != grid.shape + (flux.k, flux.N):
+        raise ShapeMismatch("perturbation shaped for a different cell")
+    if base is None:
+        base = build_base_fields(st_jump, flux, grid)
+    return _ShockEvaluation(grid, base, pert.w.values, flux, entropy)
+
+
 def assemble_st_energy(pert, L, st_jump, flux, entropy, grid, base=None):
     """Energy L A + B / L of the candidate induced by the perturbation
     potential; base fields are rebuilt unless supplied."""
-    if base is None:
-        base = build_base_fields(st_jump, flux, grid)
-    if pert.w.values.shape != grid.shape + (flux.k, flux.N):
-        raise ShapeMismatch("perturbation shaped for a different cell")
-    ev = _ShockEvaluation(grid, base, pert.w.values, flux, entropy)
+    ev = _evaluate(pert, st_jump, flux, entropy, grid, base)
     return EnergyBreakdown.at_scale(ev.A, ev.B, 0.0, L)
 
 
 def st_energy_gradient(pert, L, st_jump, flux, entropy, grid, base=None):
     """Analytic gradient of the energy with respect to the nodal values
     of w (margin slabs pinned to zero)."""
-    if base is None:
-        base = build_base_fields(st_jump, flux, grid)
-    ev = _ShockEvaluation(grid, base, pert.w.values, flux, entropy)
+    ev = _evaluate(pert, st_jump, flux, entropy, grid, base)
     return TensorField(grid, ev.gradient(L))
 
 

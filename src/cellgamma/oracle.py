@@ -11,7 +11,7 @@ intentionally loose (0.5 - 5 percent); they certify magnitudes.
 
 import numpy as np
 
-from .errors import DimensionTooLarge
+from .errors import BadParams, DimensionTooLarge
 
 
 def _cost_density(specs, jump, states):
@@ -164,8 +164,8 @@ def finite_difference_gradient(profile, L, specs, jump, bc=None, step=1e-6):
     from .grid import StateField
     from .poisson import BcVariant
     bc = bc or BcVariant.NEUMANN
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not step > 0:  # also catches NaN
+        raise BadParams(f"step must be positive, got {step!r}")
     v = profile.values
     out = np.zeros_like(v)
     grid = profile.grid

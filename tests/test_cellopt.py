@@ -132,10 +132,11 @@ def test_optimize_scale_closed_form():
     {"etol": float("nan")}, {"etol": float("inf")}, {"etol": -1e-8},
     {"gtol_scale": -1.0}, {"gtol_scale": float("nan")},
     {"amplitude": float("nan")}, {"amplitude": -0.1},
-    {"max_iter": 0}, {"n_random": -1}])
+    {"max_iter": 0}, {"n_random": -1}, {"seed": -1}])
 def test_optimizer_options_rejected(bad):
     # a NaN or negative tolerance would run every start to max_iter
-    # with converged=False; a NaN amplitude would give NaN start energies
+    # with converged=False; a NaN amplitude would give NaN start energies;
+    # a negative seed would wrap silently to a 64-bit Philox key
     with pytest.raises(BadParams):
         OptimizerOptions(**bad)
 
@@ -468,19 +469,37 @@ def test_roundoff_trials_judged_by_directional_derivative():
 
 
 def test_package_import_leaves_scipy_linalg_and_interpolate_unloaded():
-    # cellopt and gamma import these lazily: each costs tens of ms that
-    # every import of the package would otherwise pay
+    # cellopt, hyperbolic and oracle import scipy.linalg and scipy.sparse
+    # lazily: each costs tens of ms that every import of the package
+    # would otherwise pay.  No module needs scipy.interpolate: the
+    # recovery field interpolates one axis at a time, so not even a
+    # sweep loads it
     import os
     import subprocess
     import sys
 
     import cellgamma
     src = os.path.dirname(os.path.dirname(os.path.abspath(cellgamma.__file__)))
-    code = ("import sys, cellgamma; "
-            "print([m for m in ('scipy.linalg', 'scipy.interpolate', "
-            "'scipy.sparse') "
-            "if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+
+    def loaded(code, modules):
+        code += f"\nprint([m for m in {modules!r} if m in sys.modules])"
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    assert loaded("import sys, cellgamma", ("scipy.linalg", "scipy.interpolate",
+                                           "scipy.sparse")) == "[]"
+    sweep = """import sys
+from cellgamma import (DomainSpec, JumpData, OptimizerOptions,
+                       build_cell_grid, build_frame, build_recovery_field,
+                       catalog_lookup, compute_cell_energy, run_gamma_sweep)
+dw = catalog_lookup("double_well", {"space_dim": 2})
+jump = JumpData(phi_plus=[1.0], phi_minus=[-1.0], nu=[1.0, 0.0])
+g = build_cell_grid(build_frame([1.0, 0.0]), 33, n_lateral=4)
+cell = compute_cell_energy(jump, dw, g, opts=OptimizerOptions(n_random=0))
+d = DomainSpec(nu=[1.0, 0.0], resolution=32)
+build_recovery_field(d, cell, 1 / 16)
+assert not run_gamma_sweep(d, jump, dw, [1 / 16], cell=cell)[0].error
+"""
+    assert loaded(sweep, ("scipy.interpolate",)) == "[]"

@@ -266,7 +266,7 @@ def test_nan_optimizer_tolerance_exit_1_one_line(tmp_path, capsys):
     # schema checks only the types of these numbers and OptimizerOptions
     # their bounds, so each out-of-range one exits 1 as well
     bad = [{"n_random": 1, "etol": float("nan")}, {"max_iter": 0},
-           {"n_random": -1}, {"amplitude": -0.5}]
+           {"n_random": -1}, {"amplitude": -0.5}, {"seed": -1}]
     for i, optimizer in enumerate(bad):
         cfg = dict(CELL_CONFIG, optimizer=optimizer)
         out = tmp_path / f"o{i}"

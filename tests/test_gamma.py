@@ -4,8 +4,8 @@ cell-problem prediction."""
 import numpy as np
 import pytest
 
-from cellgamma.cellopt import (CellEvaluation, OptimizerOptions,
-                               compute_cell_energy)
+from cellgamma.cellopt import (CellEvaluation, CellSolution,
+                               OptimizerOptions, compute_cell_energy)
 from cellgamma.errors import EpsilonTooLarge, ShapeMismatch
 from cellgamma.gamma import (DomainSpec, build_recovery_field,
                              evaluate_full_energy, run_gamma_sweep,
@@ -48,6 +48,63 @@ def test_recovery_monotone_across_interface():
     assert line[0] == -1.0 and line[-1] == 1.0
 
 
+def _given_cell(grid, values, L_star):
+    # a cell result from a given profile, without running the optimizer
+    return CellSolution(profile=StateField(grid, values[..., None]),
+                        L_star=L_star, energy=None, bc="neumann",
+                        iterations=0, converged=True, starts=[], seed=0)
+
+
+def _modulated_front():
+    # the modulation sin(2 pi y) is not even about y = 0, so the box's
+    # mirror symmetry cannot hide a jump across its seam
+    g = build_cell_grid(build_frame([1.0, 0.0]), 65, n_lateral=16)
+    t, y = g.axis_coords(0)[:, None], g.axis_coords(1)[None, :]
+    v = np.tanh(6.0 * (t - 0.1 * np.sin(2.0 * np.pi * y)))
+    v[0], v[-1] = -1.0, 1.0
+    return _given_cell(g, v, 0.1)
+
+
+@pytest.mark.parametrize("ratio", [4.0, 4.25, 4.4, 4.5])
+def test_recovery_field_has_no_seam(ratio):
+    # at a non-integer L*/epsilon a lateral period of epsilon / L* does
+    # not divide the box period; a whole number of stretched periods does
+    d = DomainSpec(nu=[1.0, 0.0], resolution=256)
+    f = build_recovery_field(d, _modulated_front(), 0.1 / ratio).values[..., 0]
+    seam = np.max(np.abs(f[:, 0] - f[:, -1]))
+    step = np.max(np.abs(np.diff(f, axis=1)))
+    assert seam <= step + 1e-12
+
+
+def test_recovery_field_matches_np_interp_reference():
+    # node by node: np.interp along the normal at each cell column, then
+    # periodic np.interp across the columns at y N (mod 1), N = 4 here
+    front, eps = _modulated_front(), 0.1 / 4.4
+    d = DomainSpec(nu=[1.0, 0.0], resolution=32, offset=0.1)
+    f = build_recovery_field(d, front, eps).values[..., 0]
+    g, cg = d.build_grid(), front.profile.grid
+    v = front.profile.values[..., 0]
+    for i, x in enumerate(g.axis_coords(0)):
+        u = np.clip((x - 0.1) / (eps / 0.1), -0.5, 0.5)
+        cols = [np.interp(u, cg.axis_coords(0), v[:, j]) for j in range(16)]
+        ref = np.interp(4 * g.axis_coords(1), cg.axis_coords(1), cols,
+                        period=1.0)
+        assert np.max(np.abs(f[i] - ref)) <= 1e-14
+
+
+def test_laterally_constant_cell_gives_laterally_constant_field():
+    assert np.all(CELL.profile.values == CELL.profile.values[:, :1])
+    f = build_recovery_field(DOMAIN, CELL, CELL.L_star / 4.4).values
+    assert np.all(f == f[:, :1])
+    g = build_cell_grid(build_frame([1.0, 0.0, 0.0]), 33, n_lateral=4)
+    v = np.tanh(6.0 * g.coords_normal())
+    v[0], v[-1] = -1.0, 1.0
+    d = DomainSpec(nu=[1.0, 0.0, 0.0], resolution=32)
+    f = build_recovery_field(d, _given_cell(g, v, 0.5), 0.5 / 4.4).values
+    assert np.all(f == f[:, :1, :1])
+    assert f[0, 0, 0, 0] == -1.0 and f[-1, 0, 0, 0] == 1.0
+
+
 def test_epsilon_halving_doubles_gradient():
     d = DomainSpec(nu=[1.0, 0.0], resolution=512)
     g1 = build_recovery_field(d, CELL, 1.0 / 16.0)
@@ -87,6 +144,8 @@ def test_domain_validation():
         DomainSpec(nu=[1.0, 0.0], resolution=16)
     with pytest.raises(ShapeMismatch):
         DomainSpec(nu=[1.0, 0.0], resolution=64, offset=0.5)
+    with pytest.raises(ShapeMismatch):
+        build_recovery_field(DomainSpec(nu=[1.0], resolution=64), CELL, 0.1)
 
 
 def test_epsilons_must_decrease():

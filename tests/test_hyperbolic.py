@@ -118,6 +118,16 @@ def test_margin_enforced():
         PotentialPerturbation(TensorField(g, w))
 
 
+def test_perturbation_for_another_cell_rejected():
+    # a w shaped for a 32x8 cell on the 32x4 grid, with and without base
+    g = build_shock_grid(STANDING, 32, n_time=4)
+    pert = _zero_pert(build_shock_grid(STANDING, 32, n_time=8))
+    for fn in (assemble_st_energy, st_energy_gradient):
+        for base in (None, build_base_fields(STANDING, FLUX, g)):
+            with pytest.raises(ShapeMismatch):
+                fn(pert, 0.5, STANDING, FLUX, ENTROPY, g, base=base)
+
+
 def test_st_gradient_matches_fd():
     g = build_shock_grid(STANDING, 24, n_time=4)
     base = build_base_fields(STANDING, FLUX, g)

@@ -7,9 +7,10 @@ import pytest
 
 from cellgamma.cellopt import OptimizerOptions, compute_cell_energy
 from cellgamma.errors import BadParams, DimensionTooLarge
-from cellgamma.grid import build_cell_grid, build_frame
+from cellgamma.grid import StateField, build_cell_grid, build_frame
 from cellgamma.model import JumpData, catalog_lookup
-from cellgamma.oracle import geodesic_energy_1d, geodesic_path_1d
+from cellgamma.oracle import (finite_difference_gradient,
+                              geodesic_energy_1d, geodesic_path_1d)
 
 DW = catalog_lookup("double_well")
 DW_JUMP = JumpData(phi_plus=[1.0], phi_minus=[-1.0], nu=[1.0])
@@ -24,6 +25,14 @@ def test_state_length_must_match_model():
     j = JumpData(phi_plus=[1.0, 0.0], phi_minus=[-1.0, 0.0], nu=[1.0])
     with pytest.raises(BadParams):
         geodesic_energy_1d(j, DW)
+
+
+def test_finite_difference_step_must_be_positive():
+    g = build_cell_grid(build_frame([1.0]), 12)
+    prof = StateField(g, np.tanh(4.0 * g.axis_coords(0))[:, None])
+    for step in (0.0, -1e-6, float("nan")):
+        with pytest.raises(BadParams):
+            finite_difference_gradient(prof, 0.7, DW, DW_JUMP, step=step)
 
 
 def test_micromagnetics_wall_oracle():

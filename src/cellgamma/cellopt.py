@@ -21,13 +21,14 @@ energy both use it.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import (BadParams, BadStrategy, DegenerateScale, InadmissibleProfile,
                      NotConverged)
 from .grid import StateField, TensorField, smooth_noise
+from .model import check_count
 from .poisson import BcVariant, nonlocal_energy
 
 _GAUSS_X = np.array([0.5 - np.sqrt(0.15), 0.5, 0.5 + np.sqrt(0.15)])
@@ -55,13 +56,7 @@ class EnergyBreakdown:
                    total=float(L * A + (potential + nonlocal_term) / L))
 
     def to_dict(self):
-        return {
-            "grad_term": self.grad_term,
-            "potential_term": self.potential_term,
-            "nonlocal_term": self.nonlocal_term,
-            "L": self.L,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -104,9 +99,7 @@ class OptimizerOptions:
             if not (np.isfinite(value) and value >= 0):
                 raise BadParams(f"optimizer {name} must be finite and >= 0, got {value!r}")
         for name, low in (("max_iter", 1), ("n_random", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if value < low:
-                raise BadParams(f"optimizer {name} must be >= {low}, got {value!r}")
+            check_count(f"optimizer {name}", getattr(self, name), low)
 
 
 # starts whose energy is within this relative tie of the lowest count as
@@ -601,8 +594,11 @@ def multistart(starts, minimize, opts):
     """Run ``minimize`` from every start and pick the first start whose
     energy is within a relative 1e-6 of the lowest.  Returns that
     start's (x, L, E, iterations, converged, evaluation) and the list of
-    start energies; raises NotConverged under ``opts.require_converged``
-    when the picked start did not converge."""
+    start energies; raises BadStrategy when there is no start and
+    NotConverged under ``opts.require_converged`` when the picked start
+    did not converge."""
+    if not starts:
+        raise BadStrategy("no optimizer starts: the strategies give none")
     results = [minimize(s) for s in starts]
     energies = [r[2] for r in results]
     best_e = min(energies)

@@ -1,11 +1,19 @@
 """Batch front-end: schema-validated JSON config, subcommand dispatch,
 deterministic reports.
 
+``SUBCOMMANDS`` maps each subcommand to its runner and to the jump keys
+it requires; the schema enum, the argparse choices, ``validate_config``
+and ``run_config`` read it.  A runner returns only its own columns, and
+``run_config`` puts config_hash, version, seed and subcommand in front.
+
 Exit codes: 0 success, 1 a requested computation failed, 2 invalid
-configuration.  Flags override top-level config scalars.
+configuration, a config whose top level is not a JSON object included.
+Either failure prints one line on stderr, never a traceback.  Flags
+override top-level config scalars.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -24,119 +32,7 @@ from .oracle import geodesic_energy_1d
 from .poisson import BcVariant, duality_gap, nonlocal_energy
 from .report import config_hash, emit_report, emit_timing
 
-SUBCOMMANDS = ("cell", "shock", "duality", "gamma", "oracle", "catalog")
-
 _BC_NAMES = {"neumann": BcVariant.NEUMANN, "dirichlet": BcVariant.DIRICHLET}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["subcommand"],
-    "properties": {
-        "subcommand": {"enum": list(SUBCOMMANDS)},
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"type": "string"},
-                "params": {"type": "object"},
-            },
-        },
-        "jump": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "phi_plus": {"type": "array", "items": {"type": "number"}},
-                "phi_minus": {"type": "array", "items": {"type": "number"}},
-                "nu": {"type": "array", "items": {"type": "number"}},
-                "u_plus": {"type": "array", "items": {"type": "number"}},
-                "u_minus": {"type": "array", "items": {"type": "number"}},
-                "nu_y": {"type": "array", "items": {"type": "number"}},
-                "nu_s": {"type": "number"},
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_normal": {"type": "integer", "minimum": 8},
-                "n_lateral": {"type": "integer", "minimum": 1},
-                "n_time": {"type": "integer", "minimum": 1},
-            },
-        },
-        "bc": {
-            "anyOf": [
-                {"enum": list(_BC_NAMES)},
-                {"type": "array", "items": {"enum": list(_BC_NAMES)}},
-            ]
-        },
-        "optimizer": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "seed": {"type": "integer"},
-                "max_iter": {"type": "integer"},
-                "etol": {"type": "number"},
-                "gtol_scale": {"type": "number"},
-                "n_random": {"type": "integer"},
-                "amplitude": {"type": "number"},
-                "require_converged": {"type": "boolean"},
-            },
-        },
-        "duality": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_fluxes": {"type": "integer", "minimum": 1},
-                "resolution": {"type": "integer", "minimum": 8},
-            },
-        },
-        "gamma": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["epsilons"],
-            "properties": {
-                "epsilons": {"type": "array", "items": {"type": "number"},
-                             "minItems": 1},
-                "resolution": {"type": "integer", "minimum": 32},
-                "offset": {"type": "number"},
-            },
-        },
-        "oracle": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sampling": {"type": "integer", "minimum": 16},
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "output_dir": {"type": "string"},
-    },
-}
-
-
-def validate_config(config):
-    import jsonschema
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigInvalid(f"config rejected: {exc.message}") from exc
-    sub = config["subcommand"]
-    needs_model = sub in ("cell", "shock", "gamma", "oracle")
-    if needs_model and "model" not in config:
-        raise ConfigInvalid(f"subcommand {sub!r} requires a model block")
-    if sub in ("cell", "gamma", "oracle"):
-        jump = config.get("jump", {})
-        for key in ("phi_plus", "phi_minus", "nu"):
-            if key not in jump:
-                raise ConfigInvalid(f"subcommand {sub!r} requires jump.{key}")
-    if sub == "shock":
-        jump = config.get("jump", {})
-        for key in ("u_plus", "u_minus", "nu_y", "nu_s"):
-            if key not in jump:
-                raise ConfigInvalid(f"subcommand {sub!r} requires jump.{key}")
-    return config
 
 
 def _opts(config):
@@ -155,12 +51,7 @@ def _jump(config):
     return JumpData(phi_plus=j["phi_plus"], phi_minus=j["phi_minus"], nu=j["nu"])
 
 
-def _base_row(config):
-    return {"config_hash": config_hash(config), "version": __version__,
-            "seed": config.get("seed", 0)}
-
-
-def _run_cell(config):
+def _run_cell(config, out_dir):
     specs = _model(config)
     jump = _jump(config)
     g = config.get("grid", {})
@@ -171,17 +62,14 @@ def _run_cell(config):
     if isinstance(bcs, str):
         bcs = [bcs]
     opts = _opts(config)
-    rows = []
-    for name in bcs:
-        sol = compute_cell_energy(jump, specs, grid, _BC_NAMES[name], opts)
-        row = _base_row(config)
-        row.update({"subcommand": "cell", "model": specs.name, "bc": name})
-        row.update(sol.to_dict())
-        rows.append(row)
-    return rows
+    # "bc" goes before the solution's columns; its value is the solution's
+    return [{"model": specs.name, "bc": name,
+             **compute_cell_energy(jump, specs, grid, _BC_NAMES[name],
+                                   opts).to_dict()}
+            for name in bcs]
 
 
-def _run_shock(config):
+def _run_shock(config, out_dir):
     specs = _model(config)
     if specs.flux is None or specs.entropy is None:
         raise ConfigInvalid(f"model {specs.name!r} has no flux/entropy pair")
@@ -194,13 +82,10 @@ def _run_shock(config):
                             n_time=g.get("n_time", g.get("n_lateral", 8)))
     sol = compute_shock_cell_energy(st, specs.flux, specs.entropy, grid,
                                     _opts(config))
-    row = _base_row(config)
-    row.update({"subcommand": "shock", "model": specs.name})
-    row.update(sol.to_dict())
-    return [row]
+    return [{"model": specs.name, **sol.to_dict()}]
 
 
-def _run_duality(config):
+def _run_duality(config, out_dir):
     d = config.get("duality", {})
     n_fluxes = d.get("n_fluxes", 50)
     res = d.get("resolution", 16)
@@ -216,9 +101,8 @@ def _run_duality(config):
         e_d, _ = nonlocal_energy(M, BcVariant.DIRICHLET)
         m_sq = float(np.sum(grid.node_weights()[..., None, None]
                             * np.square(M.values)))
-        row = _base_row(config)
-        row.update({
-            "subcommand": "duality", "flux_index": i,
+        rows.append({
+            "flux_index": i,
             "gap": rep.gap, "projection_min": rep.J0_projection,
             "nonlocal_energy": rep.nonlocal_energy,
             "neumann_energy": e_n, "dirichlet_energy": e_d,
@@ -226,57 +110,128 @@ def _run_duality(config):
             "gap_ok": rep.gap <= 1e-9 * (1.0 + m_sq),
             "ordering_ok": e_d <= e_n + 1e-9 * (1.0 + e_n),
         })
-        rows.append(row)
     return rows
 
 
-def _run_gamma(config):
+def _run_gamma(config, out_dir):
+    """Also writes gamma_sweep.csv; a failed epsilon is a row whose
+    "error" is set, which run_config turns into ComputeFailed."""
     specs = _model(config)
     jump = _jump(config)
     g = config["gamma"]
     domain = DomainSpec(nu=jump.nu, resolution=g.get("resolution", 256),
                         offset=g.get("offset", 0.0))
-    rows_sweep = run_gamma_sweep(domain, jump, specs, g["epsilons"],
-                                 opts=_opts(config))
-    rows = []
-    for r in rows_sweep:
-        row = _base_row(config)
-        row.update({"subcommand": "gamma", "model": specs.name,
-                    "epsilon": r.epsilon, "full_energy": r.full_energy,
-                    "predicted": r.predicted, "ratio": r.ratio,
-                    "error": r.error})
-        rows.append(row)
-    return rows, rows_sweep
+    sweep = run_gamma_sweep(domain, jump, specs, g["epsilons"],
+                            opts=_opts(config))
+    os.makedirs(out_dir, exist_ok=True)
+    write_sweep_csv(sweep, os.path.join(out_dir, "gamma_sweep.csv"))
+    return [{"model": specs.name, **dataclasses.asdict(r)} for r in sweep]
 
 
-def _run_oracle(config):
+def _run_oracle(config, out_dir):
     specs = _model(config)
     jump = _jump(config)
     sampling = config.get("oracle", {}).get("sampling", 200)
     value = geodesic_energy_1d(jump, specs, sampling=sampling)
-    row = _base_row(config)
-    row.update({"subcommand": "oracle", "model": specs.name,
-                "sampling": sampling, "geodesic_energy": value})
-    return [row]
+    return [{"model": specs.name, "sampling": sampling,
+             "geodesic_energy": value}]
 
 
-def _run_catalog(config):
+def _run_catalog(config, out_dir):
     names = ["double_well", "micromagnetics_2d", "burgers",
              "linear_advection", "quadratic_entropy"]
     rows = []
     for name in names:
         params = {"speed": [1.0]} if name == "linear_advection" else {}
         specs = catalog_lookup(name, params)
-        row = _base_row(config)
-        row.update({
-            "subcommand": "catalog", "model": name, "m": specs.m,
+        rows.append({
+            "model": name, "m": specs.m,
             "N": specs.Psi.N, "constraint": specs.constraint.kind,
             "has_flux": specs.flux is not None,
             "has_entropy": specs.entropy is not None,
             "psi_zero": specs.Psi.is_zero,
         })
-        rows.append(row)
     return rows
+
+
+_PHI_JUMP = ("phi_plus", "phi_minus", "nu")
+
+# subcommand -> (runner(config, out_dir) -> rows, required jump keys);
+# a subcommand that requires jump keys requires a model block as well
+SUBCOMMANDS = {
+    "cell": (_run_cell, _PHI_JUMP),
+    "shock": (_run_shock, ("u_plus", "u_minus", "nu_y", "nu_s")),
+    "duality": (_run_duality, ()),
+    "gamma": (_run_gamma, _PHI_JUMP),
+    "oracle": (_run_oracle, _PHI_JUMP),
+    "catalog": (_run_catalog, ()),
+}
+
+
+def _block(properties, **extra):
+    """Schema of a JSON object that takes only the listed properties."""
+    return {"type": "object", "additionalProperties": False, **extra,
+            "properties": properties}
+
+
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
+
+CONFIG_SCHEMA = _block({
+    "subcommand": {"enum": list(SUBCOMMANDS)},
+    "model": _block({"name": {"type": "string"}, "params": {"type": "object"}},
+                    required=["name"]),
+    "jump": _block({
+        **{k: _NUMBERS for k in ("phi_plus", "phi_minus", "nu",
+                                 "u_plus", "u_minus", "nu_y")},
+        "nu_s": {"type": "number"},
+    }),
+    "grid": _block({
+        "n_normal": {"type": "integer", "minimum": 8},
+        "n_lateral": {"type": "integer", "minimum": 1},
+        "n_time": {"type": "integer", "minimum": 1},
+    }),
+    "bc": {"anyOf": [
+        {"enum": list(_BC_NAMES)},
+        {"type": "array", "items": {"enum": list(_BC_NAMES)}, "minItems": 1},
+    ]},
+    "optimizer": _block({
+        "seed": {"type": "integer"},
+        "max_iter": {"type": "integer"},
+        "etol": {"type": "number"},
+        "gtol_scale": {"type": "number"},
+        "n_random": {"type": "integer"},
+        "amplitude": {"type": "number"},
+        "require_converged": {"type": "boolean"},
+    }),
+    "duality": _block({
+        "n_fluxes": {"type": "integer", "minimum": 1},
+        "resolution": {"type": "integer", "minimum": 8},
+    }),
+    "gamma": _block({
+        "epsilons": dict(_NUMBERS, minItems=1),
+        "resolution": {"type": "integer", "minimum": 32},
+        "offset": {"type": "number"},
+    }, required=["epsilons"]),
+    "oracle": _block({"sampling": {"type": "integer", "minimum": 16}}),
+    "seed": {"type": "integer", "minimum": 0},
+    "output_dir": {"type": "string"},
+}, required=["subcommand"])
+
+
+def validate_config(config):
+    import jsonschema
+    try:
+        jsonschema.validate(config, CONFIG_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise ConfigInvalid(f"config rejected: {exc.message}") from exc
+    sub = config["subcommand"]
+    jump_keys = SUBCOMMANDS[sub][1]
+    if jump_keys and "model" not in config:
+        raise ConfigInvalid(f"subcommand {sub!r} requires a model block")
+    for key in jump_keys:
+        if key not in config.get("jump", {}):
+            raise ConfigInvalid(f"subcommand {sub!r} requires jump.{key}")
+    return config
 
 
 def run_config(config, out_dir):
@@ -285,28 +240,16 @@ def run_config(config, out_dir):
     with a failed row writes every file, then raises ComputeFailed."""
     sub = config["subcommand"]
     t0 = time.perf_counter()
-    sweep = None
-    if sub == "cell":
-        rows = _run_cell(config)
-    elif sub == "shock":
-        rows = _run_shock(config)
-    elif sub == "duality":
-        rows = _run_duality(config)
-    elif sub == "gamma":
-        rows, sweep = _run_gamma(config)
-    elif sub == "oracle":
-        rows = _run_oracle(config)
-    elif sub == "catalog":
-        rows = _run_catalog(config)
-    else:
-        raise ConfigInvalid(f"unknown subcommand {sub!r}")
+    rows = SUBCOMMANDS[sub][0](config, out_dir)
     wall = time.perf_counter() - t0
-    paths = emit_report(rows, out_dir)
-    if sweep is not None:
-        write_sweep_csv(sweep, os.path.join(out_dir, "gamma_sweep.csv"))
+    # a runner's own value wins where it repeats a stamped column (a
+    # solution's optimizer seed), but the stamped position stays
+    stamp = {"config_hash": config_hash(config), "version": __version__,
+             "seed": config.get("seed", 0), "subcommand": sub}
+    paths = emit_report([{**stamp, **row} for row in rows], out_dir)
     emit_timing({"subcommand": sub, "wall_seconds": wall,
                  "rows": len(rows)}, out_dir)
-    if sweep is not None and any(r.error for r in sweep):
+    if any(row.get("error") for row in rows):
         raise ComputeFailed("one or more sweep rows failed")
     return paths
 
@@ -314,18 +257,21 @@ def run_config(config, out_dir):
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigInvalid("the top level of the config must be a JSON object")
+    return config
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="cellgamma",
         description="Cell-problem energies, shock layers, and gamma sweeps")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=list(SUBCOMMANDS))
     parser.add_argument("--config", help="JSON run configuration")
     parser.add_argument("--out", default=None,
                         help="output directory for reports")
@@ -346,11 +292,6 @@ def main(argv=None):
                 optimizer["seed"] = args.seed
         out_dir = args.out or config.get("output_dir", "cellgamma_out")
         validate_config(config)
-    except ConfigInvalid as exc:
-        print(f"cellgamma: config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         run_config(config, out_dir)
     except ConfigInvalid as exc:
         print(f"cellgamma: config error: {exc}", file=sys.stderr)

@@ -152,10 +152,9 @@ class CellGrid:
         return t.reshape((-1,) + (1,) * (self.dim - 1)) * np.ones(self.shape)
 
 
-def build_cell_grid(frame, n_normal, n_lateral=None, n_axes=None):
-    """Standard constructor: one normal count plus a shared lateral count."""
-    if n_axes is not None:
-        return CellGrid(frame=frame, n_axes=tuple(n_axes))
+def build_cell_grid(frame, n_normal, n_lateral=None):
+    """Standard constructor: one normal count plus a shared lateral count.
+    Build ``CellGrid(frame=..., n_axes=...)`` for other per-axis counts."""
     if frame.dim > 1:
         if n_lateral is None or n_lateral < 4:
             raise ShapeMismatch("lateral axes need at least 4 nodes")

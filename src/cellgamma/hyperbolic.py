@@ -38,8 +38,8 @@ from .cellopt import (CellSolution, EnergyBreakdown, OptimizerOptions,
                       resolved_scale_floor, smoothstep)
 from .errors import (DegenerateNormal, NonScalar, RankineHugoniotViolated,
                      ShapeMismatch)
-from .grid import (StateField, TensorField, build_cell_grid, build_frame,
-                   diff_axis, smooth_noise)
+from .grid import (CellGrid, StateField, TensorField, build_frame, diff_axis,
+                   smooth_noise)
 from .model import FluxFunction, validate_rankine_hugoniot
 
 
@@ -192,7 +192,7 @@ def build_shock_grid(st_jump, n_normal, n_lateral=None, n_time=None):
             raise ShapeMismatch("need n_lateral for spatial lateral axes")
         n_axes += (n_lateral,) * (frame.dim - 2)
     n_axes += (n_time,)
-    return build_cell_grid(frame, n_normal, n_axes=n_axes)
+    return CellGrid(frame=frame, n_axes=n_axes)
 
 
 def _ramp(t, center, width, kind):

@@ -61,6 +61,16 @@ def _require_finite(*arrays):
         raise BadParams("jump data must be finite")
 
 
+def check_count(name, value, low):
+    """Return value as an int; raise BadParams unless it is a Python or
+    NumPy integer, bool excluded, and at least low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadParams(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise BadParams(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
+
+
 def _check_state_length(minus, plus, m, name):
     """Raise BadParams unless both jump states have length m."""
     if minus.shape != (m,) or plus.shape != (m,):
@@ -222,9 +232,7 @@ def catalog_lookup(name, params=None):
     params = dict(params or {})
     if name == "double_well":
         _reject_unknown(params, {"space_dim"})
-        N = int(params.get("space_dim", 1))
-        if N < 1:
-            raise BadParams("space_dim must be >= 1")
+        N = check_count("space_dim", params.get("space_dim", 1), 1)
         W = ScalarPotential(
             m=1,
             value=lambda s: np.square(1.0 - np.square(s[..., 0])),
@@ -279,9 +287,7 @@ def catalog_lookup(name, params=None):
         )
     if name == "quadratic_entropy":
         _reject_unknown(params, {"state_dim"})
-        k = int(params.get("state_dim", 1))
-        if k < 1:
-            raise BadParams("state_dim must be >= 1")
+        k = check_count("state_dim", params.get("state_dim", 1), 1)
         return ModelSpecs(
             name=name, W=_zero_potential(k), Psi=_zero_flux(k, 1),
             constraint=ConstraintSet("unconstrained"),

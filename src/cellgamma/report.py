@@ -7,6 +7,7 @@ never enter the report files; they go to the timing.json sidecar, so
 the reports stay bit-stable for fixed seeds.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -90,19 +91,18 @@ def emit_report(rows, out_dir):
     with open(json_path, "w", newline="") as fh:
         json.dump(doc, fh, indent=2, sort_keys=False)
         fh.write("\n")
-    lines = [",".join(columns)]
-    for r in flat:
-        lines.append(",".join(_csv_cell(r.get(c, "")) for c in columns))
     with open(csv_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(columns)
+        for r in flat:
+            w.writerow([_csv_cell(r.get(c, "")) for c in columns])
     return json_path, csv_path
 
 
 def _csv_cell(v):
-    s = str(v) if not isinstance(v, bool) else ("true" if v else "false")
-    if any(c in s for c in ",\"\n"):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return v
 
 
 def emit_timing(timings, out_dir):

@@ -16,7 +16,7 @@ from cellgamma.cellopt import (CellEvaluation, OptimizerOptions, _from_gauss,
                                smoothstep)
 from cellgamma.errors import (BadParams, BadStrategy, DegenerateScale,
                               InadmissibleProfile, NotConverged)
-from cellgamma.grid import StateField, build_cell_grid, build_frame
+from cellgamma.grid import CellGrid, StateField, build_cell_grid, build_frame
 from cellgamma.hyperbolic import _MARGIN, _normal_inverse, build_shock_grid
 from cellgamma.model import (ConstraintSet, FluxMap, JumpData, ModelSpecs,
                              ScalarPotential, SpaceTimeJumpData,
@@ -65,7 +65,7 @@ def test_stiffness_form_closed_form(nu, n_axes):
     # on the unit cell, in any orthonormal frame; for the double well
     # int (1 - zeta^2)^2 = 1 - int c^2 / 6 + int c^4 / 80, which the Gauss
     # quadrature integrates exactly, the wrapping lateral element included
-    g = build_cell_grid(build_frame(nu), n_axes[0], n_axes=n_axes)
+    g = CellGrid(frame=build_frame(nu), n_axes=n_axes)
     c = np.random.default_rng(2).standard_normal(n_axes[1])
     shape = (1, -1) + (1,) * (len(n_axes) - 2)
     values = (g.coords_normal() * c.reshape(shape))[..., None]
@@ -86,7 +86,7 @@ def test_stiffness_form_closed_form(nu, n_axes):
 def test_gauss_interpolation_transpose(nu, n_axes):
     # the potential's nodal gradient scatters Gauss-point coefficients
     # back by the exact transpose of the interpolation
-    g = build_cell_grid(build_frame(nu), n_axes[0], n_axes=n_axes)
+    g = CellGrid(frame=build_frame(nu), n_axes=n_axes)
     rng = np.random.default_rng(3)
     v = rng.standard_normal(g.shape + (2,))
     z = _to_gauss(g, v)
@@ -132,13 +132,25 @@ def test_optimize_scale_closed_form():
     {"etol": float("nan")}, {"etol": float("inf")}, {"etol": -1e-8},
     {"gtol_scale": -1.0}, {"gtol_scale": float("nan")},
     {"amplitude": float("nan")}, {"amplitude": -0.1},
-    {"max_iter": 0}, {"n_random": -1}, {"seed": -1}])
+    {"max_iter": 0}, {"n_random": -1}, {"seed": -1},
+    {"n_random": 2.5}, {"max_iter": 100.0}, {"seed": 1.0},
+    {"n_random": True}, {"max_iter": True}, {"seed": False}])
 def test_optimizer_options_rejected(bad):
     # a NaN or negative tolerance would run every start to max_iter
     # with converged=False; a NaN amplitude would give NaN start energies;
-    # a negative seed would wrap silently to a 64-bit Philox key
+    # a negative seed would wrap silently to a 64-bit Philox key; a
+    # non-integer count would fail later, inside range()
     with pytest.raises(BadParams):
         OptimizerOptions(**bad)
+
+
+@pytest.mark.parametrize("opts", [
+    OptimizerOptions(strategies=()),
+    OptimizerOptions(strategies=("random_perturbed",), n_random=0)])
+def test_no_starts_raises_bad_strategy(opts):
+    g = build_cell_grid(build_frame([1.0]), 16)
+    with pytest.raises(BadStrategy):
+        compute_cell_energy(DW_JUMP, DW, g, opts=opts)
 
 
 def test_gradient_matches_fd_double_well():

@@ -20,6 +20,51 @@ CELL_CONFIG = {
 }
 
 
+GAMMA_CONFIG = {"subcommand": "gamma",
+                "model": {"name": "double_well", "params": {"space_dim": 2}},
+                "jump": {"phi_plus": [1.0], "phi_minus": [-1.0],
+                         "nu": [1.0, 0.0]},
+                "gamma": {"epsilons": [0.125, 0.0625], "resolution": 64},
+                "optimizer": {"n_random": 0}}
+
+ORACLE_CONFIG = {"subcommand": "oracle", "model": {"name": "double_well"},
+                 "jump": {"phi_plus": [1.0], "phi_minus": [-1.0], "nu": [1.0]},
+                 "oracle": {"sampling": 32}}
+
+SHOCK_CONFIG = {"subcommand": "shock", "model": {"name": "burgers"},
+                "jump": {"u_plus": [-1.0], "u_minus": [1.0], "nu_y": [1.0],
+                         "nu_s": 0.0},
+                "grid": {"n_normal": 64, "n_lateral": 4},
+                "optimizer": {"n_random": 0, "max_iter": 200}}
+
+# one config per subcommand and the report.csv header it must write:
+# the stamped columns, then the runner's, in this order
+_STAMP = "config_hash,version,seed,subcommand,"
+_ENERGY = ("L_star,energy.grad_term,energy.potential_term,"
+           "energy.nonlocal_term,energy.L,energy.total,")
+RUNS = {
+    "cell": (CELL_CONFIG,
+             _STAMP + "model,bc," + _ENERGY + "iterations,converged,"
+             "starts.0,starts.1"),
+    "shock": (SHOCK_CONFIG,
+              _STAMP + "model," + _ENERGY + "bc,iterations,converged,"
+              "starts.0,space_time.nu.0,space_time.nu.1,"
+              "space_time.nu_y_norm,space_time.rh_residuals.rh_residual_0"),
+    "duality": ({"subcommand": "duality",
+                 "duality": {"n_fluxes": 3, "resolution": 12}, "seed": 1},
+                _STAMP + "flux_index,gap,projection_min,nonlocal_energy,"
+                "neumann_energy,dirichlet_energy,flux_norm_sq,gap_ok,"
+                "ordering_ok"),
+    "gamma": (GAMMA_CONFIG,
+              _STAMP + "model,epsilon,full_energy,predicted,ratio,error"),
+    "oracle": (ORACLE_CONFIG,
+               _STAMP + "model,sampling,geodesic_energy"),
+    "catalog": ({"subcommand": "catalog"},
+                _STAMP + "model,m,N,constraint,has_flux,has_entropy,"
+                "psi_zero"),
+}
+
+
 def _write(tmp_path, config, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(config))
@@ -27,21 +72,27 @@ def _write(tmp_path, config, name="config.json"):
 
 
 def _read_outputs(out):
-    names = ("report.json", "report.csv")
-    return {n: (out / n).read_bytes() for n in names}
+    # every file but the wall-clock sidecar
+    return {p.name: p.read_bytes() for p in out.iterdir()
+            if p.name != "timing.json"}
 
 
 def test_cell_run_deterministic_bytes(tmp_path):
-    cfg = _write(tmp_path, CELL_CONFIG)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["cell", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["cell", "--config", cfg, "--out", str(out2)]) == 0
-    assert _read_outputs(out1) == _read_outputs(out2)
-    doc = json.loads((out1 / "report.json").read_text())
-    assert doc["rows"][0]["subcommand"] == "cell"
-    # timing sidecar exists but stays out of the deterministic set
-    assert (out1 / "timing.json").exists()
-    assert "wall" not in (out1 / "report.json").read_text()
+    # every subcommand runs twice to the same bytes and pinned header
+    for sub, (config, header) in RUNS.items():
+        cfg = _write(tmp_path, config, sub + ".json")
+        out1, out2 = tmp_path / sub / "a", tmp_path / sub / "b"
+        assert main([sub, "--config", cfg, "--out", str(out1)]) == 0
+        assert main([sub, "--config", cfg, "--out", str(out2)]) == 0
+        outputs = _read_outputs(out1)
+        assert outputs == _read_outputs(out2)
+        assert ("gamma_sweep.csv" in outputs) == (sub == "gamma")
+        assert outputs["report.csv"].decode().split("\n")[0] == header
+        doc = json.loads(outputs["report.json"])
+        assert {r["subcommand"] for r in doc["rows"]} == {sub}
+        # timing sidecar exists but stays out of the deterministic set
+        assert (out1 / "timing.json").exists()
+        assert b"wall" not in outputs["report.json"]
 
 
 def test_malformed_config_exit_2_no_outputs(tmp_path):
@@ -49,6 +100,27 @@ def test_malformed_config_exit_2_no_outputs(tmp_path):
     p.write_text("{not json")
     out = tmp_path / "out"
     assert main(["cell", "--config", str(p), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [[1, 2], "cell"])
+def test_non_object_config_exit_2_one_line(tmp_path, capsys, config):
+    out = tmp_path / "out"
+    assert main(["cell", "--config", _write(tmp_path, config),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cellgamma: config error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_empty_bc_list_exit_2_no_outputs(tmp_path):
+    cfg = dict(CELL_CONFIG, bc=[])
+    with pytest.raises(ConfigInvalid):
+        validate_config(cfg)
+    out = tmp_path / "out"
+    assert main(["cell", "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -127,11 +199,7 @@ def test_duality_small_run(tmp_path):
 
 
 def test_gamma_run_writes_sweep_csv(tmp_path):
-    cfg = {"subcommand": "gamma",
-           "model": {"name": "double_well", "params": {"space_dim": 2}},
-           "jump": {"phi_plus": [1.0], "phi_minus": [-1.0], "nu": [1.0, 0.0]},
-           "gamma": {"epsilons": [0.125, 0.0625], "resolution": 64},
-           "optimizer": {"n_random": 0}}
+    cfg = GAMMA_CONFIG
     out = tmp_path / "g"
     run_config(cfg, str(out))
     assert (out / "gamma_sweep.csv").exists()
@@ -188,11 +256,7 @@ def test_gamma_failed_row_written_before_exit_1(tmp_path, monkeypatch):
         return real(domain, cell, epsilon)
 
     monkeypatch.setattr(gamma, "build_recovery_field", failing)
-    cfg = {"subcommand": "gamma",
-           "model": {"name": "double_well", "params": {"space_dim": 2}},
-           "jump": {"phi_plus": [1.0], "phi_minus": [-1.0], "nu": [1.0, 0.0]},
-           "gamma": {"epsilons": [0.125, 0.0625], "resolution": 64},
-           "optimizer": {"n_random": 0}}
+    cfg = GAMMA_CONFIG
     out = tmp_path / "g"
     assert main(["gamma", "--config", _write(tmp_path, cfg),
                  "--out", str(out)]) == 1
@@ -203,11 +267,6 @@ def test_gamma_failed_row_written_before_exit_1(tmp_path, monkeypatch):
     assert len(lines) == 3 and lines[2].endswith("nan")
 
 
-ORACLE_CONFIG = {"subcommand": "oracle", "model": {"name": "double_well"},
-                 "jump": {"phi_plus": [1.0], "phi_minus": [-1.0], "nu": [1.0]},
-                 "oracle": {"sampling": 32}}
-
-
 @pytest.mark.parametrize("phi_plus", [[1.0, 0.0], [float("nan")]])
 def test_bad_jump_states_exit_1_one_line(tmp_path, capsys, phi_plus):
     cfg = dict(ORACLE_CONFIG, jump=dict(ORACLE_CONFIG["jump"], phi_plus=phi_plus))
@@ -216,6 +275,18 @@ def test_bad_jump_states_exit_1_one_line(tmp_path, capsys, phi_plus):
     err = capsys.readouterr().err
     assert err.startswith("cellgamma: compute failed: BadParams: ")
     assert err.count("\n") == 1
+
+
+def test_non_integer_model_dimension_exit_1_one_line(tmp_path, capsys):
+    cfg = dict(ORACLE_CONFIG, model={"name": "double_well",
+                                     "params": {"space_dim": 2.7}})
+    out = tmp_path / "o"
+    assert main(["oracle", "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cellgamma: compute failed: BadParams: space_dim")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_non_library_error_exit_1_one_line(tmp_path, capsys, monkeypatch):
@@ -230,13 +301,6 @@ def test_non_library_error_exit_1_one_line(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
         "cellgamma: compute failed: LinAlgError: injected\n")
-
-
-SHOCK_CONFIG = {"subcommand": "shock", "model": {"name": "burgers"},
-                "jump": {"u_plus": [-1.0], "u_minus": [1.0], "nu_y": [1.0],
-                         "nu_s": 0.0},
-                "grid": {"n_normal": 64, "n_lateral": 4},
-                "optimizer": {"n_random": 0, "max_iter": 200}}
 
 
 def test_shock_run_deterministic_bytes(tmp_path):
@@ -296,3 +360,8 @@ def test_module_entry_point_exit_codes(tmp_path):
     for name in ("report.json", "report.csv", "timing.json"):
         assert (out / name).exists()
     assert run("bogus").returncode == 2
+    bad = run("cell", "--config", _write(tmp_path, [1, 2]),
+              "--out", str(tmp_path / "bad"))
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("cellgamma: config error: ")
+    assert bad.stderr.count("\n") == 1

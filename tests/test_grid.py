@@ -64,6 +64,16 @@ def test_grid_validation():
         build_cell_grid(f, 16, n_lateral=2)
 
 
+def test_build_cell_grid_takes_only_normal_and_lateral_counts():
+    # per-axis counts go to CellGrid directly; build_cell_grid used to
+    # take them too and drop its n_normal without a word
+    f = build_frame([1.0, 0.0])
+    assert build_cell_grid(f, 64, n_lateral=8).shape == (64, 8)
+    assert CellGrid(frame=f, n_axes=(32, 8)).shape == (32, 8)
+    with pytest.raises(TypeError):
+        build_cell_grid(f, 64, n_axes=(32, 8))
+
+
 def test_transpose_is_exact_adjoint():
     # lateral axes of 1 and 2 nodes wrap by rolls, longer ones by slices;
     # writing to out, strided or not, gives the allocating result bit

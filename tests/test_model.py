@@ -22,6 +22,18 @@ def test_catalog_names():
         catalog_lookup("linear_advection")
 
 
+@pytest.mark.parametrize("name, key", [("double_well", "space_dim"),
+                                       ("quadratic_entropy", "state_dim")])
+def test_dimension_params_must_be_integers(name, key):
+    # a float, bool or string count used to be truncated or parsed silently
+    for bad in (2.7, 1.5, True, "2", 0, -1):
+        with pytest.raises(BadParams):
+            catalog_lookup(name, {key: bad})
+    for good in (2, np.int64(2)):
+        specs = catalog_lookup(name, {key: good})
+        assert (specs.Psi.N if key == "space_dim" else specs.m) == 2
+
+
 def test_double_well_values():
     s = catalog_lookup("double_well")
     assert s.m == 1

@@ -124,7 +124,7 @@ def _check_admissible(profile, jump, specs):
 
 # --- energy assembly ------------------------------------------------------
 
-def _tridiagonal(grid, values, axis, diag, off):
+def _tridiagonal(values, axis, diag, off):
     """Apply the symmetric tridiagonal stencil (off, diag, off) along one
     grid axis of a nodal array: periodic on lateral axes, with halved
     end-row diagonals on the normal axis."""
@@ -151,9 +151,9 @@ def _stiffness(grid, values):
         for b in range(grid.dim):
             h = grid.spacing(b)
             if b == ax:
-                t = _tridiagonal(grid, t, b, 2.0 / h, -1.0 / h)
+                t = _tridiagonal(t, b, 2.0 / h, -1.0 / h)
             else:
-                t = _tridiagonal(grid, t, b, 4.0 * h / 6.0, h / 6.0)
+                t = _tridiagonal(t, b, 4.0 * h / 6.0, h / 6.0)
         out = out + t
     return out
 
@@ -370,32 +370,45 @@ def _tanh_profile(jump, specs, grid, width=0.15, plane_rank=0):
     return jump.phi_minus + sig[..., None] * (jump.phi_plus - jump.phi_minus)
 
 
-def _random_profile(jump, specs, grid, index, amplitude, seed):
-    rng = np.random.Generator(np.random.Philox(key=(seed, index)))
-    # diversify: perturb around a different member of the geodesic
-    # family than the deterministic start when one exists (antipodal
-    # sphere data), instead of re-probing the same basin
-    base = _tanh_profile(jump, specs, grid, plane_rank=1)
-    noise = smooth_noise(grid, rng.standard_normal(grid.shape + (specs.m,)))
-    t = grid.coords_normal()
-    bump = np.square(np.sin(np.pi * (t + 0.5)))[..., None]
-    jump_size = np.linalg.norm(jump.phi_plus - jump.phi_minus)
-    return _retract(base, amplitude * jump_size * bump * noise, specs, jump)
+def strategy_starts(strategy, grid, shape, opts, unperturbed, perturb):
+    """The starts of one strategy name, for the cell and the shock alike:
+    "one_dimensional_tanh" gives the deterministic ``unperturbed()``,
+    and "random_perturbed" gives ``perturb(noise)`` for ``opts.n_random``
+    smoothed standard normal noise arrays of shape ``grid.shape +
+    shape``, array i drawn from the Philox stream (``opts.seed``, i).
+    Any other name raises BadStrategy."""
+    if strategy == "one_dimensional_tanh":
+        return [unperturbed()]
+    if strategy == "random_perturbed":
+        starts = []
+        for i in range(opts.n_random):
+            rng = np.random.Generator(np.random.Philox(key=(opts.seed, i)))
+            noise = smooth_noise(grid, rng.standard_normal(grid.shape + shape))
+            starts.append(perturb(noise))
+        return starts
+    raise BadStrategy(f"unknown init strategy {strategy!r}")
 
 
 def init_profiles(jump, specs, grid, strategy, opts=None):
-    """Starting profiles for one strategy: "one_dimensional_tanh" is the
-    deterministic start, "random_perturbed" gives ``opts.n_random``
-    perturbed starts of relative amplitude ``opts.amplitude`` drawn from
-    ``opts.seed``."""
+    """Starting profiles for one strategy of :func:`strategy_starts`:
+    the tanh profile, or perturbations of relative amplitude
+    ``opts.amplitude`` inside the layer."""
     opts = opts or OptimizerOptions()
-    if strategy == "one_dimensional_tanh":
-        return [StateField(grid, _tanh_profile(jump, specs, grid))]
-    if strategy == "random_perturbed":
-        return [StateField(grid, _random_profile(jump, specs, grid, i,
-                                                 opts.amplitude, opts.seed))
-                for i in range(opts.n_random)]
-    raise BadStrategy(f"unknown init strategy {strategy!r}")
+
+    def perturb(noise):
+        # diversify: perturb around a different member of the geodesic
+        # family than the deterministic start when one exists (antipodal
+        # sphere data), instead of re-probing the same basin
+        base = _tanh_profile(jump, specs, grid, plane_rank=1)
+        t = grid.coords_normal()
+        bump = np.square(np.sin(np.pi * (t + 0.5)))[..., None]
+        jump_size = np.linalg.norm(jump.phi_plus - jump.phi_minus)
+        return _retract(base, opts.amplitude * jump_size * bump * noise,
+                        specs, jump)
+
+    values = strategy_starts(strategy, grid, (specs.m,), opts,
+                             lambda: _tanh_profile(jump, specs, grid), perturb)
+    return [StateField(grid, v) for v in values]
 
 
 # --- minimizer ------------------------------------------------------------
@@ -566,12 +579,40 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
     return x, L, E, it, converged, ev
 
 
-def _minimize_start(values, specs, jump, grid, bc, opts):
-    """One start of the cell minimization by :func:`minimize_cg`: each
-    trial is one :class:`CellEvaluation` (one local assembly, one
-    potential solve), directions are preconditioned by
-    :func:`_normal_h1_inverse` and, under the sphere constraint,
+def multistart(starts, evaluate, precondition, retract, grid, jump_size,
+               opts):
+    """Run :func:`minimize_cg` from every start, with the gradient
+    tolerance ``opts.gtol_scale (1 + jump_size)`` and the grid's
+    :func:`resolved_scale_floor`, and pick the first start whose energy
+    is within a relative 1e-6 of the lowest.  Returns that start's (x,
+    L, E, iterations, converged, evaluation) and the start energies;
+    raises BadStrategy when there is no start and NotConverged under
+    ``opts.require_converged`` when the picked start did not converge."""
+    if not starts:
+        raise BadStrategy("no optimizer starts: the strategies give none")
+    gtol = opts.gtol_scale * (1.0 + jump_size)
+    lmin = resolved_scale_floor(grid)
+    results = [minimize_cg(x0, evaluate, precondition, retract, lmin, gtol,
+                           opts) for x0 in starts]
+    energies = [r[2] for r in results]
+    best_e = min(energies)
+    tie = _TIE_REL * (1.0 + abs(best_e))
+    best = next(r for r, e in zip(results, energies) if e <= best_e + tie)
+    if opts.require_converged and not best[4]:
+        raise NotConverged("optimizer did not meet the convergence contract")
+    return best, energies
+
+
+def compute_cell_energy(jump, specs, grid, bc=BcVariant.NEUMANN, opts=None):
+    """Multistart minimization of the cell energy; returns the best
+    start with full diagnostics, deterministic for a fixed seed.  Each
+    trial is one :class:`CellEvaluation`; directions are preconditioned
+    by :func:`_normal_h1_inverse` and, under the sphere constraint,
     projected on the tangent space."""
+    jump.check_state_length(specs.m)
+    opts = opts or OptimizerOptions()
+    starts = [p.values for s in opts.strategies
+              for p in init_profiles(jump, specs, grid, s, opts)]
     sphere = specs.constraint.kind == "unit_sphere"
 
     def evaluate(v):
@@ -584,44 +625,10 @@ def _minimize_start(values, specs, jump, grid, bc, opts):
             p = p - np.sum(p * v, axis=-1, keepdims=True) * v
         return p
 
-    gtol = opts.gtol_scale * (1.0 + float(np.linalg.norm(jump.phi_plus - jump.phi_minus)))
-    return minimize_cg(values, evaluate, precondition,
-                       lambda v, step: _retract(v, step, specs, jump),
-                       resolved_scale_floor(grid), gtol, opts)
-
-
-def multistart(starts, minimize, opts):
-    """Run ``minimize`` from every start and pick the first start whose
-    energy is within a relative 1e-6 of the lowest.  Returns that
-    start's (x, L, E, iterations, converged, evaluation) and the list of
-    start energies; raises BadStrategy when there is no start and
-    NotConverged under ``opts.require_converged`` when the picked start
-    did not converge."""
-    if not starts:
-        raise BadStrategy("no optimizer starts: the strategies give none")
-    results = [minimize(s) for s in starts]
-    energies = [r[2] for r in results]
-    best_e = min(energies)
-    tie = _TIE_REL * (1.0 + abs(best_e))
-    best = next(r for r, e in zip(results, energies) if e <= best_e + tie)
-    if opts.require_converged and not best[4]:
-        raise NotConverged("optimizer did not meet the convergence contract")
-    return best, energies
-
-
-def compute_cell_energy(jump, specs, grid, bc=BcVariant.NEUMANN, opts=None):
-    """Multistart minimization of the cell energy; returns the best
-    start with full diagnostics, deterministic for a fixed seed."""
-    jump.check_state_length(specs.m)
-    opts = opts or OptimizerOptions()
-    starts = []
-    for s in opts.strategies:
-        starts.extend(init_profiles(jump, specs, grid, s, opts))
-
-    def run(start):
-        return _minimize_start(start.values, specs, jump, grid, bc, opts)
-
-    (v, L, _, it, converged, ev), energies = multistart(starts, run, opts)
+    jump_size = float(np.linalg.norm(jump.phi_plus - jump.phi_minus))
+    (v, L, _, it, converged, ev), energies = multistart(
+        starts, evaluate, precondition,
+        lambda v, step: _retract(v, step, specs, jump), grid, jump_size, opts)
     return CellSolution(profile=StateField(grid, v), L_star=L,
                         energy=EnergyBreakdown.at_scale(ev.A, ev.EW, ev.BH, L),
                         bc=bc, iterations=it, converged=converged,

@@ -1,13 +1,15 @@
 """Batch front-end: schema-validated JSON config, subcommand dispatch,
 deterministic reports.
 
-``SUBCOMMANDS`` maps each subcommand to its runner and to the jump keys
-it requires; the schema enum, the argparse choices, ``validate_config``
-and ``run_config`` read it.  A runner returns only its own columns, and
-``run_config`` puts config_hash, version, seed and subcommand in front.
+``SUBCOMMANDS`` maps each subcommand to its runner and to the config
+blocks and jump keys it requires; the schema enum, the argparse
+choices, ``validate_config`` and ``run_config`` read it.  A runner
+returns only its own columns, and ``run_config`` puts config_hash,
+version, seed and subcommand in front.
 
 Exit codes: 0 success, 1 a requested computation failed, 2 invalid
-configuration, a config whose top level is not a JSON object included.
+configuration, a config whose top level is not a JSON object and a
+schema integer that is not a JSON integer (2.0 included) among them.
 Either failure prints one line on stderr, never a traceback.  Flags
 override top-level config scalars.
 """
@@ -154,15 +156,16 @@ def _run_catalog(config, out_dir):
     return rows
 
 
-_PHI_JUMP = ("phi_plus", "phi_minus", "nu")
+_PHI_JUMP = ("model", "jump.phi_plus", "jump.phi_minus", "jump.nu")
 
-# subcommand -> (runner(config, out_dir) -> rows, required jump keys);
-# a subcommand that requires jump keys requires a model block as well
+# subcommand -> (runner(config, out_dir) -> rows, required blocks and
+# block.key fields)
 SUBCOMMANDS = {
     "cell": (_run_cell, _PHI_JUMP),
-    "shock": (_run_shock, ("u_plus", "u_minus", "nu_y", "nu_s")),
+    "shock": (_run_shock, ("model", "jump.u_plus", "jump.u_minus",
+                           "jump.nu_y", "jump.nu_s")),
     "duality": (_run_duality, ()),
-    "gamma": (_run_gamma, _PHI_JUMP),
+    "gamma": (_run_gamma, _PHI_JUMP + ("gamma",)),
     "oracle": (_run_oracle, _PHI_JUMP),
     "catalog": (_run_catalog, ()),
 }
@@ -220,17 +223,19 @@ CONFIG_SCHEMA = _block({
 
 def validate_config(config):
     import jsonschema
+    # JSON Schema counts 2.0 as an integer; a count here must be an int
+    base = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    types = base.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int)
+    strict = jsonschema.validators.extend(base, type_checker=types)
     try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
+        jsonschema.validate(config, CONFIG_SCHEMA, cls=strict)
     except jsonschema.ValidationError as exc:
         raise ConfigInvalid(f"config rejected: {exc.message}") from exc
     sub = config["subcommand"]
-    jump_keys = SUBCOMMANDS[sub][1]
-    if jump_keys and "model" not in config:
-        raise ConfigInvalid(f"subcommand {sub!r} requires a model block")
-    for key in jump_keys:
-        if key not in config.get("jump", {}):
-            raise ConfigInvalid(f"subcommand {sub!r} requires jump.{key}")
+    for path in SUBCOMMANDS[sub][1]:
+        block, _, key = path.partition(".")
+        if block not in config or (key and key not in config[block]):
+            raise ConfigInvalid(f"subcommand {sub!r} requires {path}")
     return config
 
 

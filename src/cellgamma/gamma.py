@@ -23,6 +23,7 @@ from .cellopt import (CellEvaluation, EnergyBreakdown, OptimizerOptions,
 from .errors import CellGammaError, EpsilonTooLarge, ShapeMismatch
 from .grid import CellGrid, StateField, build_cell_grid, build_frame
 from .poisson import BcVariant
+from .report import format_float
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,11 @@ def run_gamma_sweep(domain, jump, specs, epsilons, cell=None, opts=None):
 
 
 def write_sweep_csv(rows, path):
-    """CSV emission: header mandatory, 17-significant-digit decimals."""
+    """CSV emission in the dialect of report.csv: header mandatory,
+    17-significant-digit decimals, LF line endings."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["epsilon", "full_energy", "predicted", "ratio"])
         for r in rows:
-            w.writerow([f"{r.epsilon:.17g}", f"{r.full_energy:.17g}",
-                        f"{r.predicted:.17g}", f"{r.ratio:.17g}"])
+            w.writerow([format_float(v) for v in (r.epsilon, r.full_energy,
+                                                  r.predicted, r.ratio)])

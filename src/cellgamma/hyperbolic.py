@@ -34,12 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cellopt import (CellSolution, EnergyBreakdown, OptimizerOptions,
-                      minimize_cg, multistart, normal_tridiagonal_inverse,
-                      resolved_scale_floor, smoothstep)
+                      multistart, normal_tridiagonal_inverse, smoothstep,
+                      strategy_starts)
 from .errors import (DegenerateNormal, NonScalar, RankineHugoniotViolated,
                      ShapeMismatch)
-from .grid import (CellGrid, StateField, TensorField, build_frame, diff_axis,
-                   smooth_noise)
+from .grid import CellGrid, StateField, TensorField, build_frame, diff_axis
 from .model import FluxFunction, validate_rankine_hugoniot
 
 
@@ -305,15 +304,6 @@ def st_energy_gradient(pert, L, st_jump, flux, entropy, grid, base=None):
 
 # --- minimization ----------------------------------------------------------
 
-def _random_w(grid, k, n_space, index, scale, seed):
-    rng = np.random.Generator(np.random.Philox(key=(seed, index)))
-    noise = smooth_noise(grid, rng.standard_normal(grid.shape + (k, n_space)))
-    noise *= scale
-    noise[:_MARGIN] = 0.0
-    noise[-_MARGIN:] = 0.0
-    return noise
-
-
 def _normal_inverse(grid, g, L):
     """Apply the inverse of 2 cross h (L K_h^2 + K_h / L) along the
     normal axis to a gradient in w; the margin slabs stay zero.
@@ -340,27 +330,32 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
                               center=0.0):
     """Multistart minimization over (w, L); deterministic per seed.
 
-    Starts: the unperturbed base fields plus ``n_random`` smoothed
-    random perturbation potentials.  Each start runs the shared driver
-    :func:`cellopt.minimize_cg`, with directions preconditioned across
-    the layer by :func:`_normal_inverse`, the inverse of the normal
-    fourth- plus second-difference operator at the current scale.
-    Returns the induced state profile zeta of the best start with full
-    diagnostics.
+    Starts come from ``opts.strategies`` by
+    :func:`cellopt.strategy_starts`: the unperturbed base fields (w = 0)
+    and smoothed random perturbation potentials.  They run through the
+    shared :func:`cellopt.multistart`, with directions preconditioned
+    across the layer by :func:`_normal_inverse`, the inverse of the
+    normal fourth- plus second-difference operator at the current
+    scale.  Returns the induced state profile zeta of the best start
+    with full diagnostics.
     """
     st_jump.check_state_length(flux.k)
     opts = opts or OptimizerOptions()
     base = build_base_fields(st_jump, flux, grid, center=center)
-    k, n_space = flux.k, flux.N
+    shape = (flux.k, flux.N)
     du = float(np.linalg.norm(st_jump.u_plus - st_jump.u_minus))
     # random w perturbs zeta through a derivative, so scale by a grid
     # spacing to get O(amplitude * |du|) state excursions
     scale = opts.amplitude * du * grid.spacing(0)
-    starts = [np.zeros(grid.shape + (k, n_space))]
-    starts += [_random_w(grid, k, n_space, i, scale, opts.seed)
-               for i in range(opts.n_random)]
-    lmin = resolved_scale_floor(grid)
-    gtol = opts.gtol_scale * (1.0 + du)
+
+    def perturb(noise):
+        noise *= scale
+        noise[:_MARGIN] = 0.0
+        noise[-_MARGIN:] = 0.0
+        return noise
+
+    starts = [w for s in opts.strategies for w in strategy_starts(
+        s, grid, shape, opts, lambda: np.zeros(grid.shape + shape), perturb)]
 
     def evaluate(w):
         return _ShockEvaluation(grid, base, w, flux, entropy)
@@ -368,11 +363,8 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
     def precondition(g, w, L):
         return _normal_inverse(grid, g, L)
 
-    def run(w0):
-        return minimize_cg(w0, evaluate, precondition,
-                           lambda w, step: w + step, lmin, gtol, opts)
-
-    (_, L, _, it, converged, ev), energies = multistart(starts, run, opts)
+    (_, L, _, it, converged, ev), energies = multistart(
+        starts, evaluate, precondition, np.add, grid, du, opts)
     rh = validate_rankine_hugoniot(st_jump, flux, 1e-8)
     return ShockSolution(
         profile=StateField(grid, ev.zeta), L_star=L,

@@ -17,7 +17,8 @@ from cellgamma.cellopt import (CellEvaluation, OptimizerOptions, _from_gauss,
 from cellgamma.errors import (BadParams, BadStrategy, DegenerateScale,
                               InadmissibleProfile, NotConverged)
 from cellgamma.grid import CellGrid, StateField, build_cell_grid, build_frame
-from cellgamma.hyperbolic import _MARGIN, _normal_inverse, build_shock_grid
+from cellgamma.hyperbolic import (_MARGIN, _normal_inverse, build_shock_grid,
+                                  compute_shock_cell_energy)
 from cellgamma.model import (ConstraintSet, FluxMap, JumpData, ModelSpecs,
                              ScalarPotential, SpaceTimeJumpData,
                              catalog_lookup)
@@ -26,6 +27,8 @@ from cellgamma.poisson import BcVariant
 
 DW = catalog_lookup("double_well")
 DW_JUMP = JumpData(phi_plus=[1.0], phi_minus=[-1.0], nu=[1.0])
+STANDING = SpaceTimeJumpData(u_plus=[-1.0], u_minus=[1.0], nu_y=[1.0],
+                             nu_s=0.0)
 
 
 def _lateral_flux_specs():
@@ -146,11 +149,18 @@ def test_optimizer_options_rejected(bad):
 
 @pytest.mark.parametrize("opts", [
     OptimizerOptions(strategies=()),
-    OptimizerOptions(strategies=("random_perturbed",), n_random=0)])
+    OptimizerOptions(strategies=("random_perturbed",), n_random=0),
+    OptimizerOptions(strategies=("bogus",))])
 def test_no_starts_raises_bad_strategy(opts):
+    # the cell and the shock read their starts from the same names
     g = build_cell_grid(build_frame([1.0]), 16)
     with pytest.raises(BadStrategy):
         compute_cell_energy(DW_JUMP, DW, g, opts=opts)
+    burgers = catalog_lookup("burgers")
+    g = build_shock_grid(STANDING, 16, n_time=2)
+    with pytest.raises(BadStrategy):
+        compute_shock_cell_energy(STANDING, burgers.flux, burgers.entropy, g,
+                                  opts)
 
 
 def test_gradient_matches_fd_double_well():
@@ -350,8 +360,8 @@ def test_one_potential_solve_per_line_search_trial(monkeypatch):
     j = JumpData(phi_plus=[0.0, 1.0, 0.0], phi_minus=[0.0, -1.0, 0.0],
                  nu=[1.0, 0.0])
     g = build_cell_grid(build_frame([1.0, 0.0]), 12, n_lateral=4)
-    start = init_profiles(j, mm, g, "one_dimensional_tanh")[0]
-    counts = {"solves": 0, "trials": 0, "starts": 0}
+    counts = {"solves": 0, "trials": 0}
+    runs = []
     real_solve, real_driver = co.nonlocal_energy, co.minimize_cg
 
     def nonlocal_energy(*args, **kwargs):
@@ -365,20 +375,21 @@ def test_one_potential_solve_per_line_search_trial(monkeypatch):
             counts["trials"] += 1
             return retract(x, step)
 
-        counts["starts"] += 1
-        return real_driver(x0, evaluate, precondition, counted_retract, *rest)
+        before = dict(counts)
+        out = real_driver(x0, evaluate, precondition, counted_retract, *rest)
+        runs.append({k: counts[k] - before[k] for k in counts})
+        runs[-1]["iterations"] = out[3]
+        return out
 
     monkeypatch.setattr(co, "nonlocal_energy", nonlocal_energy)
     monkeypatch.setattr(co, "minimize_cg", driver)
-    opts = OptimizerOptions(max_iter=60, n_random=2)
-    _, _, _, iterations, _, _ = co._minimize_start(
-        start.values, mm, j, g, BcVariant.NEUMANN, opts)
-    assert counts["trials"] >= iterations > 1
-    assert counts["solves"] == counts["trials"] + 1
-    counts.update(solves=0, trials=0, starts=0)
-    co.compute_cell_energy(j, mm, g, BcVariant.NEUMANN, opts)
-    assert counts["starts"] == 3
-    assert counts["solves"] == counts["trials"] + counts["starts"]
+    co.compute_cell_energy(j, mm, g, BcVariant.NEUMANN,
+                           OptimizerOptions(max_iter=60, n_random=2))
+    assert len(runs) == 3
+    for run in runs:
+        assert run["trials"] >= run["iterations"] > 1
+        assert run["solves"] == run["trials"] + 1
+    assert counts["solves"] == counts["trials"] + len(runs)
 
 
 @pytest.mark.parametrize("case, n_normal", [("cell", 11), ("shock", 13),
@@ -396,9 +407,7 @@ def test_normal_tridiagonal_inverse_matches_dense_and_sine_solves(case,
     rng = np.random.default_rng(4)
     fourth_order = case == "shock"
     if fourth_order:
-        jump = SpaceTimeJumpData(u_plus=[-1.0], u_minus=[1.0], nu_y=[1.0],
-                                 nu_s=0.0)
-        grid = build_shock_grid(jump, n_normal, n_time=3)
+        grid = build_shock_grid(STANDING, n_normal, n_time=3)
         g = rng.standard_normal(grid.shape + (1, 1))
         p, margin = _normal_inverse(grid, g, L), _MARGIN
     else:

@@ -124,6 +124,32 @@ def test_empty_bc_list_exit_2_no_outputs(tmp_path):
     assert not out.exists()
 
 
+def _without(config, key):
+    return {k: v for k, v in config.items() if k != key}
+
+
+@pytest.mark.parametrize("sub, config", [
+    ("gamma", _without(GAMMA_CONFIG, "gamma")),
+    ("duality", {"subcommand": "duality", "duality": {"n_fluxes": 2.0}}),
+    ("cell", dict(CELL_CONFIG, optimizer={"max_iter": 100.0})),
+    ("cell", dict(CELL_CONFIG, optimizer={"seed": 1.0})),
+    ("cell", dict(CELL_CONFIG, grid={"n_normal": 48.0})),
+], ids=["gamma_block_missing", "float_n_fluxes", "float_max_iter",
+        "float_optimizer_seed", "float_n_normal"])
+def test_rejected_config_exit_2_one_line(tmp_path, capsys, sub, config):
+    # a block the runner reads, and a count written as a float, are
+    # config errors found before any work, not compute failures
+    with pytest.raises(ConfigInvalid):
+        validate_config(config)
+    out = tmp_path / "out"
+    assert main([sub, "--config", _write(tmp_path, config),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cellgamma: config error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_unknown_keys_rejected(tmp_path):
     cfg = dict(CELL_CONFIG)
     cfg["bogus_knob"] = 1
@@ -202,8 +228,10 @@ def test_gamma_run_writes_sweep_csv(tmp_path):
     cfg = GAMMA_CONFIG
     out = tmp_path / "g"
     run_config(cfg, str(out))
-    assert (out / "gamma_sweep.csv").exists()
-    lines = (out / "gamma_sweep.csv").read_text().strip().splitlines()
+    # the two CSVs of a run share one dialect: LF line endings
+    data = (out / "gamma_sweep.csv").read_bytes()
+    assert b"\r" not in data and b"\r" not in (out / "report.csv").read_bytes()
+    lines = data.decode().strip().split("\n")
     assert lines[0] == "epsilon,full_energy,predicted,ratio"
     assert len(lines) == 3
 

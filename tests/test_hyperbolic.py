@@ -360,16 +360,36 @@ def test_solver_not_below_oracle():
     assert sol.energy.total >= oracle * 0.99
 
 
+def test_starts_follow_strategies():
+    # the shock reads OptimizerOptions.strategies as the cell does: the
+    # tanh name is the unperturbed start w = 0, and each random start is
+    # drawn from (seed, index) whatever the other strategies are
+    g = build_shock_grid(STANDING, 16, n_time=2)
+
+    def starts(**kwargs):
+        opts = OptimizerOptions(max_iter=5, n_random=1, **kwargs)
+        return compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g,
+                                         opts).starts
+
+    both = starts()
+    assert len(both) == 2
+    assert starts(strategies=("one_dimensional_tanh",)) == both[:1]
+    assert starts(strategies=("random_perturbed",)) == both[1:]
+    assert starts(strategies=("random_perturbed", "one_dimensional_tanh")) == (
+        both[::-1])
+
+
 def test_one_forward_pass_per_line_search_trial(monkeypatch):
     # the accepted trial's forward pass gives the scale, the energy and
     # the gradient, so a start runs it once per trial plus once at the
     # start; time_derivative is called once per forward pass, and the
     # result is built from the accepted pass, with none after the
     # multistart
+    import cellgamma.cellopt as co
     import cellgamma.hyperbolic as hy
     counts = {"forward": 0, "trials": 0}
     runs = []
-    real_td, real_driver = hy.time_derivative, hy.minimize_cg
+    real_td, real_driver = hy.time_derivative, co.minimize_cg
 
     def time_derivative(*args):
         counts["forward"] += 1
@@ -387,7 +407,7 @@ def test_one_forward_pass_per_line_search_trial(monkeypatch):
         return out
 
     monkeypatch.setattr(hy, "time_derivative", time_derivative)
-    monkeypatch.setattr(hy, "minimize_cg", driver)
+    monkeypatch.setattr(co, "minimize_cg", driver)
     g = build_shock_grid(STANDING, 64, n_time=4)
     hy.compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g,
                                  OptimizerOptions(n_random=0, max_iter=40))

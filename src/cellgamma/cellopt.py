@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (BadParams, BadStrategy, DegenerateScale, InadmissibleProfile,
                      NotConverged)
-from .grid import StateField, TensorField, smooth_noise
+from .grid import StateField, TensorField, check_normal, smooth_noise
 from .model import check_count
 from .poisson import BcVariant, nonlocal_energy
 
@@ -94,6 +94,9 @@ class OptimizerOptions:
     require_converged: bool = False
 
     def __post_init__(self):
+        if isinstance(self.strategies, str):
+            raise BadParams("optimizer strategies must be a sequence of names, "
+                            f"got the string {self.strategies!r}")
         for name in ("etol", "gtol_scale", "amplitude"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
@@ -610,6 +613,7 @@ def compute_cell_energy(jump, specs, grid, bc=BcVariant.NEUMANN, opts=None):
     by :func:`_normal_h1_inverse` and, under the sphere constraint,
     projected on the tangent space."""
     jump.check_state_length(specs.m)
+    check_normal(grid, jump.nu)
     opts = opts or OptimizerOptions()
     starts = [p.values for s in opts.strategies
               for p in init_profiles(jump, specs, grid, s, opts)]

@@ -21,7 +21,8 @@ import numpy as np
 from .cellopt import (CellEvaluation, EnergyBreakdown, OptimizerOptions,
                       compute_cell_energy)
 from .errors import CellGammaError, EpsilonTooLarge, ShapeMismatch
-from .grid import CellGrid, StateField, build_cell_grid, build_frame
+from .grid import (CellGrid, StateField, build_cell_grid, build_frame,
+                   check_normal)
 from .poisson import BcVariant
 from .report import format_float
 
@@ -40,6 +41,10 @@ class DomainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "nu", np.asarray(self.nu, dtype=np.float64))
+        if (isinstance(self.resolution, bool)
+                or not isinstance(self.resolution, (int, np.integer))):
+            raise ShapeMismatch(
+                f"domain resolution must be an integer, got {self.resolution!r}")
         if self.resolution < 32:
             raise ShapeMismatch("domain resolution must be at least 32 per axis")
         if not abs(self.offset) < 0.5:
@@ -95,8 +100,7 @@ def build_recovery_field(domain, cell, epsilon):
         raise EpsilonTooLarge(
             f"epsilon {epsilon} too large for box thickness {2 * avail}")
     grid, cgrid = domain.build_grid(), cell.profile.grid
-    if cgrid.dim != grid.dim:
-        raise ShapeMismatch("cell and domain differ in dimension")
+    check_normal(cgrid, domain.nu)
     delta, n = epsilon / cell.L_star, cgrid.n_axes[0]
     u = np.clip((grid.axis_coords(0) - domain.offset) / delta, -0.5, 0.5)
     values = _lerp_axis(cell.profile.values, 0, (u + 0.5) * (n - 1))

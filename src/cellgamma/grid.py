@@ -5,12 +5,17 @@ vector is the jump normal.  The normal axis spans [-1/2, 1/2] with both
 end slabs included (they carry the pinned states), lateral axes span the
 half-open periodic interval [-1/2, 1/2).
 
-Discrete calculus convention: per-axis derivatives are second-order
-central stencils (one-sided second-order rows at the normal ends), and
-the divergence is defined as the exact negative weighted adjoint of the
-gradient.  This makes summation by parts, the Leray projection, and the
-composition laplacian = div(grad) hold to round-off, not just to
-truncation order.
+Discrete calculus convention: the grid's one derivative is a set of
+sparse matrices, built once per node counts and frame
+(:func:`derivatives`).  Along each axis it has second-order central
+rows, one-sided second-order rows at the normal ends and wrapped rows on
+periodic axes; the physical derivatives d_j combine the axis matrices
+through the frame.  The gradient applies the d_j, and the divergence,
+the exact negative weighted adjoint of the gradient, applies their
+transposes.  This makes summation by parts, the Leray projection, and
+the composition laplacian = div(grad) hold to round-off, not just to
+truncation order.  The potential solve and the shock layer use the same
+matrices.
 """
 
 from dataclasses import dataclass
@@ -93,6 +98,9 @@ class CellGrid:
     n_axes: tuple
 
     def __post_init__(self):
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer))
+               for n in self.n_axes):
+            raise ShapeMismatch(f"node counts must be integers, got {self.n_axes!r}")
         n_axes = tuple(int(n) for n in self.n_axes)
         if len(n_axes) != self.frame.dim:
             raise ShapeMismatch("one node count per frame axis required")
@@ -162,6 +170,16 @@ def build_cell_grid(frame, n_normal, n_lateral=None):
     return CellGrid(frame=frame, n_axes=(n_normal,))
 
 
+def check_normal(grid, nu):
+    """Raise ShapeMismatch unless the grid's frame was built for the
+    normal nu (to 1e-10, the tolerance of a unit normal)."""
+    nu = np.asarray(nu, dtype=np.float64)
+    own = grid.frame.nu
+    if nu.shape != own.shape or not np.max(np.abs(nu - own)) <= 1e-10:
+        raise ShapeMismatch(
+            f"grid built for the normal {own.tolist()}, not {nu.tolist()}")
+
+
 # --- fields ---------------------------------------------------------------
 
 @dataclass
@@ -206,73 +224,76 @@ class TensorField:
         return self.values.shape[-2]
 
 
-# --- per-axis derivatives -------------------------------------------------
+# --- derivative matrices --------------------------------------------------
 
-def _periodic_central(values, axis, sign, out):
-    """out[i] = values[i + sign] - values[i - sign] along a periodic axis
-    (sign = +1 or -1), by slices.  On an axis under 3 nodes both
-    neighbours are the same node, so the difference is zero."""
-    if values.shape[axis] < 3:
-        out[...] = 0.0
-        return
-    ahead = (slice(2, None), slice(1, 2), slice(0, 1))
-    behind = (slice(None, -2), slice(-1, None), slice(-2, -1))
-    if sign < 0:
-        ahead, behind = behind, ahead
-    lead = (slice(None),) * axis
-    for o, a, b in zip((slice(1, -1), slice(0, 1), slice(-1, None)), ahead, behind):
-        np.subtract(values[lead + (a,)], values[lead + (b,)], out=out[lead + (o,)])
-
-
-def diff_axis(grid, values, axis, out=None):
-    """Second-order derivative of nodal values along one grid axis.
-
-    Central stencils everywhere; the pinned normal axis closes with
-    one-sided second-order rows, periodic axes wrap.  ``values`` may
-    carry trailing component axes.  The result is written to ``out``
-    (shaped like ``values`` and not overlapping it) when given.
-    """
-    h = grid.spacing(axis)
+def _axis_matrix(grid, axis):
+    """The derivative along one grid axis as a dense matrix: central
+    rows, one-sided second-order end rows on the pinned normal axis,
+    wrapped rows on periodic axes (zero under 3 nodes, where both
+    neighbours are one node)."""
     n = grid.n_axes[axis]
-    if values.shape[axis] != n:
-        raise ShapeMismatch("field does not match grid along axis")
-    if out is None:
-        out = np.empty_like(values)
-    if axis > 0:
-        _periodic_central(values, axis, 1, out)
-    else:
-        np.subtract(values[2:], values[:-2], out=out[1:-1])
-        out[0] = -3.0 * values[0] + 4.0 * values[1] - values[2]
-        out[-1] = 3.0 * values[-1] - 4.0 * values[-2] + values[-3]
-    out /= 2.0 * h
-    return out
+    d = np.zeros((n, n))
+    i = np.arange(n)
+    if axis == 0:
+        d[i[1:-1], i[2:]] = 1.0
+        d[i[1:-1], i[:-2]] = -1.0
+        d[0, :3] = -3.0, 4.0, -1.0
+        d[-1, -3:] = 1.0, -4.0, 3.0
+    elif n >= 3:
+        d[i, (i + 1) % n] = 1.0
+        d[i, (i - 1) % n] = -1.0
+    return d / (2.0 * grid.spacing(axis))
 
 
-def diff_axis_transpose(grid, values, axis, out=None):
-    """Exact transpose of :func:`diff_axis` as a linear map on nodal
-    values, written to ``out`` (as in :func:`diff_axis`) when given."""
-    h = grid.spacing(axis)
-    n = grid.n_axes[axis]
-    if values.shape[axis] != n:
-        raise ShapeMismatch("field does not match grid along axis")
-    if out is None:
-        out = np.empty_like(values)
-    if axis > 0:
-        # transpose of the circulant central stencil is its negative
-        _periodic_central(values, axis, -1, out)
-    else:
-        # each row gathers the central rows of its two neighbours; the
-        # first and last three rows also collect the one-sided end rows
-        # (the normal axis has at least 8 nodes, so these rows differ)
-        np.subtract(values[1:-3], values[3:-1], out=out[2:-2])
-        out[0] = -3.0 * values[0] - values[1]
-        out[1] = 4.0 * values[0] - values[2]
-        out[2] -= values[0]
-        out[-1] = 3.0 * values[-1] + values[-2]
-        out[-2] = values[-3] - 4.0 * values[-1]
-        out[-3] += values[-1]
-    out /= 2.0 * h
-    return out
+class Derivatives:
+    """The derivative matrices of a grid, all CSR: ``axes[ax]`` along one
+    axis, on its nodes; the physical ``d[j]`` = sum_ax basis[ax, j] D_ax
+    on the flat nodes, where D_ax is ``axes[ax]`` kron'ed with the
+    identities of the other axes; and their transposes ``dt[j]``.  Holds
+    no reference to the grid."""
+
+    def __init__(self, grid):
+        # imported here: scipy.sparse loads scipy.linalg, which every
+        # import of the package would otherwise pay
+        import scipy.sparse as sp
+        self.axes, axis_ops = [], []
+        for ax, n in enumerate(grid.n_axes):
+            d1 = _axis_matrix(grid, ax)
+            self.axes.append(sp.csr_array(d1))
+            before = sp.eye_array(int(np.prod(grid.n_axes[:ax])))
+            after = sp.eye_array(int(np.prod(grid.n_axes[ax + 1:])))
+            axis_ops.append(sp.kron(sp.kron(before, d1), after, format="csr"))
+        self.d = [sum(c * op for c, op in zip(grid.frame.basis[:, j], axis_ops)
+                      if c != 0.0) for j in range(grid.dim)]
+        self.dt = [d.T.tocsr() for d in self.d]
+
+
+CACHE_SIZE = 8
+_cache = {}
+
+
+def cached(cache, key, build):
+    """``cache[key]``, from ``build()`` on a miss; above CACHE_SIZE
+    entries the oldest is evicted."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build()
+        if len(cache) > CACHE_SIZE:
+            cache.pop(next(iter(cache)), None)
+    return value
+
+
+def derivatives(grid):
+    """The :class:`Derivatives` of a grid, cached by its node counts and
+    its frame, so grids of one shape and frame share them."""
+    return cached(_cache, (grid.n_axes, grid.frame.basis.tobytes()),
+                  lambda: Derivatives(grid))
+
+
+def apply_nodal(mat, values):
+    """A node matrix applied to a nodal array with trailing component
+    axes."""
+    return (mat @ values.reshape(mat.shape[1], -1)).reshape(values.shape)
 
 
 # --- gradient / divergence / laplacian ------------------------------------
@@ -290,25 +311,20 @@ def frame_components(grid, values, out=None):
 
 
 def gradient(f):
-    """Gradient of a StateField, in physical components.
-
-    Returns a TensorField with values[..., a, p] = sum_ax (D_ax f_a) b_ax[p]
-    where b_ax are the frame vectors: the stacked axis derivatives times
-    the basis, in one product.
-    """
-    grid = f.grid
-    d = np.empty(f.values.shape + (grid.dim,))
-    for ax in range(grid.dim):
-        diff_axis(grid, f.values, ax, out=d[..., ax])
-    out = np.empty_like(d)
-    np.matmul(d.reshape(-1, grid.dim), grid.frame.basis,
-              out=out.reshape(-1, grid.dim))
-    return TensorField(grid, out)
+    """Gradient of a StateField, in physical components:
+    values[..., a, j] = d_j f_a."""
+    # stacked from fresh products: writing them into a preallocated
+    # array instead put the potential solve's large temporaries on fresh
+    # pages (glibc heap trimming), about 30% slower at 256x256
+    ops = derivatives(f.grid).d
+    return TensorField(f.grid, np.stack([apply_nodal(d, f.values) for d in ops],
+                                        axis=-1))
 
 
 def divergence(v):
     """Divergence of a TensorField, defined as the exact negative weighted
-    adjoint of :func:`gradient` under the quadrature inner product.
+    adjoint of :func:`gradient` under the quadrature inner product:
+    -W^-1 sum_j d_j^T W v[..., j].
 
     With this definition <grad u, V>_w = -<u, div V>_w holds to round-off
     for all fields, which is what makes the Poisson solve variational and
@@ -316,11 +332,9 @@ def divergence(v):
     """
     grid = v.grid
     w = grid.node_weights()[..., None]
-    comps = frame_components(grid, v.values)
-    out = np.zeros(grid.shape + (v.rows,))
-    for ax in range(grid.dim):
-        out -= diff_axis_transpose(grid, w * comps[ax], ax)
-    return StateField(grid, out / w)
+    ops = derivatives(grid).dt
+    out = sum(apply_nodal(ops[j], w * v.values[..., j]) for j in range(grid.dim))
+    return StateField(grid, -out / w)
 
 
 def laplacian(f):

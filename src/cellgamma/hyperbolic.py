@@ -9,9 +9,9 @@ multipliers, candidates are parametrized by a potential perturbation w:
     zeta = zeta0 + div_y w,    gamma = gamma0 - d_s w,
 
 whose induced pair satisfies the constraint identically because the
-discrete physical derivatives commute: each is a sparse matrix, built
-once per grid, that combines per-axis stencils (periodic rolls and the
-one-sided normal stencil) acting along different axes.  The base pair
+discrete physical derivatives commute: they are the grid's derivative
+matrices (:func:`grid.derivatives`), each a frame combination of
+per-axis derivatives acting along different axes.  The base pair
 (zeta0, gamma0) is a smoothed sweep between the two shock states whose
 constraint residual vanishes by the Rankine-Hugoniot relation, up to
 round-off; only w is ever stored, the unbounded primitive it
@@ -38,7 +38,8 @@ from .cellopt import (CellSolution, EnergyBreakdown, OptimizerOptions,
                       strategy_starts)
 from .errors import (DegenerateNormal, NonScalar, RankineHugoniotViolated,
                      ShapeMismatch)
-from .grid import CellGrid, StateField, TensorField, build_frame, diff_axis
+from .grid import (CellGrid, StateField, TensorField, apply_nodal,
+                   build_frame, check_normal, derivatives)
 from .model import FluxFunction, validate_rankine_hugoniot
 
 
@@ -104,54 +105,10 @@ class StaticReduction:
 
 # --- physical-coordinate derivatives on the space-time cell ---------------
 
-_CACHE_SIZE = 8
-_cache = {}
-
-
-def _build_derivatives(grid):
-    """The physical derivatives d_j (j < N spatial, j = N time) of a
-    grid as CSR matrices on flat (nodes, components) arrays, and their
-    transposes: d_j = sum_ax basis[ax, j] D_ax, where D_ax is
-    :func:`grid.diff_axis` applied to the identity of its axis, kron'ed
-    with the identities of the other axes."""
-    # imported here: scipy.sparse loads scipy.linalg, which every import
-    # of the package would otherwise pay
-    import scipy.sparse as sp
-    axis_ops = []
-    for ax, n in enumerate(grid.n_axes):
-        d1 = diff_axis(grid, np.eye(n).reshape((1,) * ax + (n, n)), ax)
-        before = sp.eye_array(int(np.prod(grid.n_axes[:ax])))
-        after = sp.eye_array(int(np.prod(grid.n_axes[ax + 1:])))
-        axis_ops.append(sp.kron(sp.kron(before, d1.reshape(n, n)), after,
-                                format="csr"))
-    ops = [sum(c * op for c, op in zip(grid.frame.basis[:, j], axis_ops)
-               if c != 0.0) for j in range(grid.dim)]
-    return ops, [d.T.tocsr() for d in ops]
-
-
-def _derivatives(grid):
-    """The cached (d_j, d_j^T) matrices of a grid, keyed by its node
-    counts and its frame; above _CACHE_SIZE entries the oldest is
-    evicted."""
-    key = (grid.n_axes, grid.frame.basis.tobytes())
-    ops = _cache.get(key)
-    if ops is None:
-        ops = _cache[key] = _build_derivatives(grid)
-        if len(_cache) > _CACHE_SIZE:
-            _cache.pop(next(iter(_cache)))
-    return ops
-
-
-def _apply(mat, values):
-    """A node matrix applied to a nodal array with trailing component
-    axes."""
-    return (mat @ values.reshape(mat.shape[1], -1)).reshape(values.shape)
-
-
 def _phys_diff(grid, values, j):
     """Derivative along physical coordinate j (j < N spatial, j = N
     time) of a nodal array."""
-    return _apply(_derivatives(grid)[0][j], values)
+    return apply_nodal(derivatives(grid).d[j], values)
 
 
 def space_divergence(grid, w_values):
@@ -258,12 +215,12 @@ class _ShockEvaluation:
     def gradient(self, L):
         """d(L A + B / L)/dw, with the margin slabs pinned to zero."""
         grid, n_space = self.grid, self.flux.N
-        ops_t = _derivatives(grid)[1]
+        ops_t = derivatives(grid).dt
         wt = grid.node_weights()[..., None]
         # chain rule: through eta'' for the A term, through the flux
         # jacobian for the B term, then through the linear maps div_y
         # (columns of w) and -d_s via their transposes
-        de_dp = sum(_apply(ops_t[j], (2.0 * L) * wt * self.grads[j])
+        de_dp = sum(apply_nodal(ops_t[j], (2.0 * L) * wt * self.grads[j])
                     for j in range(n_space))
         de_dzeta = np.einsum("...b,...ba->...a", de_dp,
                              self.entropy.hess_eta(self.zeta))
@@ -272,8 +229,8 @@ class _ShockEvaluation:
                               self.flux.jacobian(self.zeta))
         gw = np.empty_like(self.w_values)
         for j in range(n_space):
-            gw[..., j] = _apply(ops_t[j], de_dzeta)
-        gw -= _apply(ops_t[grid.dim - 1], de_dgamma)
+            gw[..., j] = apply_nodal(ops_t[j], de_dzeta)
+        gw -= apply_nodal(ops_t[grid.dim - 1], de_dgamma)
         gw[:_MARGIN] = 0.0
         gw[-_MARGIN:] = 0.0
         return gw
@@ -340,6 +297,7 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
     with full diagnostics.
     """
     st_jump.check_state_length(flux.k)
+    check_normal(grid, st_jump.nu)
     opts = opts or OptimizerOptions()
     base = build_base_fields(st_jump, flux, grid, center=center)
     shape = (flux.k, flux.N)

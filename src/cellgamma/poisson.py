@@ -9,17 +9,18 @@ energy identity, Dirichlet <= Neumann) hold to round-off rather than to
 truncation order.
 
 Method: real FFT along the lateral periodic axes; per lateral mode k the
-normal operator is A0 + mu_k W, with A0 = D^T W D, D the one-sided-closed
-normal derivative stencil and W the normal quadrature weights.  All modes
-are solved at once by fast diagonalization (Lynch, Rice & Thomas, Numer.
-Math. 6 (1964) 185-199): the generalized eigenbasis A0 V = W V diag(lam),
+normal operator is A0 + mu_k W, with A0 = D^T W D, D the grid's normal
+derivative matrix (one-sided-closed, :func:`grid.derivatives`) and W the
+normal quadrature weights.  All modes are solved at once by fast
+diagonalization (Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199):
+the generalized eigenbasis A0 V = W V diag(lam),
 V^T W V = I, on the solved rows (all nodes for Neumann, the interior for
 Dirichlet) is computed once per (node counts, bc) and cached, and each
 solve is H = V diag(1/(lam + mu_k)) V^T b.  V is real, so its two
 products act on the float64 view of the complex mode array, (n0, 2 modes
-l): two real matrix products for all modes and rows.  D and A0 are never
-formed for a solve: D^T (the right-hand side) and D^T W D (the residual
-check) are applied by the normal-axis stencils of the grid module.
+l): two real matrix products for all modes and rows.  The sparse D^T (the
+right-hand side) and A0, one CSR matrix (the residual check), act on the
+same view.
 D annihilates exactly the constants, so the Neumann operator is singular
 in the lateral modes with mu = 0 (the zero mode and, on even axes, pure
 Nyquist modes).  There the constant eigenvector gets 1/(lam + mu) := 0:
@@ -28,11 +29,12 @@ to the constants in every kernel mode (to round-off times the condition
 of A0, about 1e-11 relative at 256 normal nodes).  The right-hand sides of those
 modes are compatible by construction: 1^T D^T(w m) = 0 identically.
 
-Memory: the intermediates of a solve (frame components, right-hand side,
-eigenbasis coefficients, H-hat and the residual stages) are written into
-one work area per thread, kept while the node counts and flux rows stay
-the same and shared by both bcs; only the returned H and grad H are
-fresh arrays, so a caller may keep them across later solves.
+Memory: the frame components, the eigenbasis coefficients and H-hat of a
+solve are written into one work area per thread, kept while the node
+counts and flux rows stay the same and shared by both bcs.  The
+right-hand side and the residual are fresh mode arrays, dropped before
+the gradient; the returned H and grad H are fresh arrays too, so a
+caller may keep them across later solves.
 """
 
 import threading
@@ -42,7 +44,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import NeumannIncompatible, ShapeMismatch, SolverDiverged
-from .grid import (StateField, TensorField, diff_axis, diff_axis_transpose,
+from .grid import (StateField, TensorField, apply_nodal, cached, derivatives,
                    frame_components, gradient, inner)
 
 
@@ -107,8 +109,14 @@ class _CellSolverData:
         for i in range(1, grid.dim):
             c_lat *= grid.spacing(i)
         self.w_nu = grid.axis_weights(0) * c_lat
-        D = diff_axis(grid, np.eye(n0), 0)
+        # the normal derivative: its transpose assembles the rhs, and
+        # A0 = D^T W D applies the normal operator in the residual check
+        import scipy.sparse as sp  # loaded already by derivatives()
+        d1 = derivatives(grid).axes[0]
+        self.DT = d1.T.tocsr()
+        D = d1.toarray()
         A0 = D.T @ (self.w_nu[:, None] * D)
+        self.A0 = sp.csr_array(A0)
 
         # V = W^-1/2 U from eigh(W^-1/2 A0 W^-1/2) on the solved rows
         # (Dirichlet pins the end slabs): A0 V = W V diag(lam), V^T W V = I
@@ -127,49 +135,37 @@ class _CellSolverData:
 
         # residual scales: the norm of the full operator, and the largest
         # column sum of |D| with the largest lateral symbol (the rhs is one
-        # application of the stencils to the flux)
+        # application of the derivatives to the flux)
         self.a_norm = (np.max(np.sum(np.abs(A0), axis=1))
                        + float(np.max(self.mu)) * float(np.max(self.w_nu)))
         self.d_norm = np.max(np.sum(np.abs(D), axis=0))
         self.sig_max = max(float(np.max(np.abs(s))) for s in self.sigma)
 
 
-_CACHE_SIZE = 8
 _cache = {}
 
 
 def _solver_data(grid, bc):
-    """The solver data of a grid's node counts and bc, built on a miss.
+    """The solver data of a grid's node counts and bc, built on a miss
+    and kept in a bounded cache (:func:`grid.cached`).
 
     The data depend on the grid only through its node counts, so
-    straight and tilted grids of one shape share an entry.  Above
-    _CACHE_SIZE entries the oldest is evicted.
+    straight and tilted grids of one shape share an entry.
     """
-    key = (grid.n_axes, bc)
-    data = _cache.get(key)
-    if data is None:
-        data = _cache[key] = _CellSolverData(grid, bc)
-        if len(_cache) > _CACHE_SIZE:
-            _cache.pop(next(iter(_cache)))
-    return data
+    return cached(_cache, (grid.n_axes, bc), lambda: _CellSolverData(grid, bc))
 
 
 class _WorkArea:
     """The intermediates of one solve for given node counts and flux
-    rows, shared by both boundary conditions: the frame components, and
-    mode arrays for the right-hand side, the eigenbasis coefficients,
-    H-hat and the two residual stages."""
+    rows, shared by both boundary conditions: the frame components, the
+    eigenbasis coefficients and H-hat."""
 
     def __init__(self, n_axes, rows, n_modes):
         n0 = n_axes[0]
         self.key = (n_axes, rows)
         self.comps = np.empty((len(n_axes),) + n_axes + (rows,))
-        modes = (n0, n_modes, rows)
-        self.rhs = np.empty(modes, dtype=np.complex128)
         self.coef = np.empty((n0, n_modes * 2 * rows))
-        self.Hhat = np.empty(modes, dtype=np.complex128)
-        self.wDH = np.empty(modes, dtype=np.complex128)
-        self.op = np.empty(modes, dtype=np.complex128)
+        self.Hhat = np.empty((n0, n_modes, rows), dtype=np.complex128)
 
 
 _local = threading.local()
@@ -182,6 +178,12 @@ def _work_area(grid, rows, n_modes):
     if work is None or work.key != key:
         work = _local.work = _WorkArea(grid.n_axes, rows, n_modes)
     return work
+
+
+def _normal_product(mat, modes):
+    """A normal-axis matrix applied to a complex mode array, as real
+    products on its float64 view; a fresh mode array."""
+    return apply_nodal(mat, modes.view(np.float64)).view(np.complex128)
 
 
 def _end_fluxes(grid, values):
@@ -253,9 +255,8 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
     flux_norm = sum(np.linalg.norm(h) for h in hats)  # for the residual scale
 
     # variational rhs per mode: D^T(w m_nu) - w sum_ax (i sigma_ax) m_ax
-    wn = data.w_nu[:, None, None]
-    hats *= wn
-    rhs = diff_axis_transpose(grid, hats[0], 0, out=work.rhs)
+    hats *= data.w_nu[:, None, None]
+    rhs = _normal_product(data.DT, hats[0])
     for i, s in enumerate(data.sigma):
         np.multiply((1j * s)[:, None], hats[i + 1], out=hats[i + 1])
         rhs -= hats[i + 1]
@@ -276,14 +277,12 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
 
     # relative residual of the normal equations over the solved rows
     # (Dirichlet pins the end slabs, so the end rows are not equations)
-    wDH = diff_axis(grid, Hhat, 0, out=work.wDH)
-    wDH *= wn
-    op = diff_axis_transpose(grid, wDH, 0, out=work.op)
-    op += np.multiply(data.w_mu, Hhat, out=wDH)
+    op = _normal_product(data.A0, Hhat)
+    op += data.w_mu * Hhat
     op -= rhs
     num = np.linalg.norm(op[rows])
     # backward-error scale: the rhs is assembled from the flux by one
-    # application of the stencils, so its own round-off floor is set by
+    # application of the derivatives, so its own round-off floor is set by
     # the flux magnitude, not by |rhs| (which may cancel to zero for
     # divergence-free inputs)
     b_scale = (data.d_norm + data.sig_max) * float(np.max(data.w_nu)) * flux_norm
@@ -292,6 +291,7 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
     residual = float(num / den)
     if not residual <= RESIDUAL_TOL:  # also catches NaN
         raise SolverDiverged(f"relative residual {residual:.3e} above target")
+    del rhs, op  # fresh mode arrays, not needed past the check
 
     H = scipy.fft.irfftn(Hhat.reshape((n0,) + data.freq_shape + (l,)),
                          s=data.lat_shape, axes=lat_axes)

@@ -15,7 +15,7 @@ from cellgamma.cellopt import (CellEvaluation, OptimizerOptions, _from_gauss,
                                optimize_scale, resolved_scale_floor,
                                smoothstep)
 from cellgamma.errors import (BadParams, BadStrategy, DegenerateScale,
-                              InadmissibleProfile, NotConverged)
+                              InadmissibleProfile, NotConverged, ShapeMismatch)
 from cellgamma.grid import CellGrid, StateField, build_cell_grid, build_frame
 from cellgamma.hyperbolic import (_MARGIN, _normal_inverse, build_shock_grid,
                                   compute_shock_cell_energy)
@@ -137,7 +137,8 @@ def test_optimize_scale_closed_form():
     {"amplitude": float("nan")}, {"amplitude": -0.1},
     {"max_iter": 0}, {"n_random": -1}, {"seed": -1},
     {"n_random": 2.5}, {"max_iter": 100.0}, {"seed": 1.0},
-    {"n_random": True}, {"max_iter": True}, {"seed": False}])
+    {"n_random": True}, {"max_iter": True}, {"seed": False},
+    {"strategies": "random_perturbed"}])
 def test_optimizer_options_rejected(bad):
     # a NaN or negative tolerance would run every start to max_iter
     # with converged=False; a NaN amplitude would give NaN start energies;
@@ -328,6 +329,32 @@ def test_determinism_same_seed():
     b = compute_cell_energy(DW_JUMP, DW, g, opts=opts)
     assert a.energy.total == b.energy.total
     assert np.array_equal(a.profile.values, b.profile.values)
+
+
+def test_grid_built_for_another_normal_rejected():
+    # a grid built for another normal used to pass silently: the double
+    # well ignored the jump's normal, the micromagnetic cell raised a
+    # misleading NeumannIncompatible, and the standing Burgers jump on a
+    # tilted shock grid returned E = 0.828 instead of about 4/3
+    opts = OptimizerOptions(n_random=0, max_iter=50)
+    dw2 = catalog_lookup("double_well", {"space_dim": 2})
+    tilted = build_cell_grid(build_frame([0.6, 0.8]), 16, n_lateral=4)
+    jump = JumpData(phi_plus=[1.0], phi_minus=[-1.0], nu=[1.0, 0.0])
+    with pytest.raises(ShapeMismatch):
+        compute_cell_energy(jump, dw2, tilted, opts=opts)
+    mm = catalog_lookup("micromagnetics_2d")
+    jump = JumpData(phi_plus=[0.0, 1.0, 0.0], phi_minus=[0.0, -1.0, 0.0],
+                    nu=[1.0, 0.0])
+    with pytest.raises(ShapeMismatch):
+        compute_cell_energy(jump, mm, tilted, opts=opts)
+    burgers = catalog_lookup("burgers")
+    tilted_jump = SpaceTimeJumpData(u_plus=[0.0], u_minus=[2.0],
+                                    nu_y=[1.0 / np.sqrt(2)],
+                                    nu_s=-1.0 / np.sqrt(2))
+    g = build_shock_grid(tilted_jump, 16, n_time=2)
+    with pytest.raises(ShapeMismatch):
+        compute_shock_cell_energy(STANDING, burgers.flux, burgers.entropy, g,
+                                  opts)
 
 
 def test_state_length_must_match_model():

@@ -146,6 +146,12 @@ def test_domain_validation():
         DomainSpec(nu=[1.0, 0.0], resolution=64, offset=0.5)
     with pytest.raises(ShapeMismatch):
         build_recovery_field(DomainSpec(nu=[1.0], resolution=64), CELL, 0.1)
+    # a non-integer resolution was truncated; a domain of another normal
+    # than the cell's was swept with the cell's profile
+    with pytest.raises(ShapeMismatch):
+        DomainSpec(nu=[1.0, 0.0], resolution=40.5)
+    with pytest.raises(ShapeMismatch):
+        build_recovery_field(DomainSpec(nu=[0.6, 0.8], resolution=64), CELL, 0.1)
 
 
 def test_epsilons_must_decrease():

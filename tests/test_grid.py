@@ -6,10 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellgamma.errors import NonUnitNormal, ShapeMismatch
-from cellgamma.grid import (CellGrid, StateField, TensorField,
-                            build_cell_grid, build_frame, diff_axis,
-                            diff_axis_transpose, divergence, gradient, inner,
-                            laplacian)
+from cellgamma.grid import (CellGrid, StateField, TensorField, apply_nodal,
+                            build_cell_grid, build_frame, derivatives,
+                            divergence, gradient, inner, laplacian)
+
+
+def _axis_reference(grid, values, ax):
+    # independent of the grid's matrices: np.gradient with second-order
+    # ends along the normal, the circulant central difference laterally
+    h = grid.spacing(ax)
+    if ax == 0:
+        return np.gradient(values, h, axis=0, edge_order=2)
+    return (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2.0 * h)
 
 
 @settings(max_examples=40, deadline=None)
@@ -62,6 +70,13 @@ def test_grid_validation():
         CellGrid(frame=f, n_axes=(4, 8))
     with pytest.raises(ShapeMismatch):
         build_cell_grid(f, 16, n_lateral=2)
+    # node counts that are not integers, bool included, were truncated
+    for n_axes in ((16.0, 8), (16.9, 4.5), (16, True)):
+        with pytest.raises(ShapeMismatch):
+            CellGrid(frame=f, n_axes=n_axes)
+    with pytest.raises(ShapeMismatch):
+        build_cell_grid(f, 24.7, n_lateral=8)
+    assert CellGrid(frame=f, n_axes=(np.int64(16), 8)).shape == (16, 8)
 
 
 def test_build_cell_grid_takes_only_normal_and_lateral_counts():
@@ -75,33 +90,26 @@ def test_build_cell_grid_takes_only_normal_and_lateral_counts():
 
 
 def test_transpose_is_exact_adjoint():
-    # lateral axes of 1 and 2 nodes wrap by rolls, longer ones by slices;
-    # writing to out, strided or not, gives the allocating result bit
-    # for bit, and the lateral stencil is the circulant difference
+    # on straight frames d_j is the derivative along axis j: np.gradient
+    # along the normal, the circulant difference on lateral axes of 1 to
+    # 8 nodes (zero under 3); every d_j^T is the exact transpose, and
+    # <d_j u, v> = <u, d_j^T v>
     rng = np.random.default_rng(3)
     for n_axes in ((11, 6), (11, 1), (11, 2), (11, 3), (11, 8), (9, 3, 1)):
-        g = CellGrid(frame=build_frame([0.0, 1.0, 0.0][:len(n_axes)]),
+        g = CellGrid(frame=build_frame([1.0, 0.0, 0.0][:len(n_axes)]),
                      n_axes=n_axes)
+        ops = derivatives(g)
         for ax in range(g.dim):
             u = rng.standard_normal(g.shape + (2,))
             v = rng.standard_normal(g.shape + (2,))
-            du = diff_axis(g, u, ax)
-            dtv = diff_axis_transpose(g, v, ax)
+            du = apply_nodal(ops.d[ax], u)
+            ref = _axis_reference(g, u, ax)
+            assert np.max(np.abs(du - ref)) <= 1e-13 * (1.0 + np.max(np.abs(ref)))
+            assert np.array_equal(ops.dt[ax].toarray(), ops.d[ax].toarray().T)
+            dtv = apply_nodal(ops.dt[ax], v)
             lhs = np.sum(du * v)
             rhs = np.sum(u * dtv)
             assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(lhs))
-            for op, x, ref in ((diff_axis, u, du), (diff_axis_transpose, v, dtv)):
-                out = np.empty_like(x)
-                assert op(g, x, ax, out=out) is out
-                assert np.array_equal(out, ref)
-                strided = np.full(x.shape + (2,), np.nan)
-                op(g, x, ax, out=strided[..., 1])
-                assert np.array_equal(strided[..., 1], ref)
-                assert np.all(np.isnan(strided[..., 0]))
-            if ax > 0:
-                h2 = 2.0 * g.spacing(ax)
-                circ = (np.roll(u, -1, axis=ax) - np.roll(u, 1, axis=ax)) / h2
-                assert np.array_equal(du, circ)
 
 
 def test_divergence_is_negative_weighted_adjoint():
@@ -115,14 +123,14 @@ def test_divergence_is_negative_weighted_adjoint():
 
 
 def test_gradient_matches_per_axis_sum():
-    # the one basis product against the per-axis sum of derivative
-    # times frame vector, on tilted 3-D frames with m = 2 and lateral
-    # axes that wrap by rolls and by slices
+    # the physical derivative matrices against the per-axis sum of
+    # independent derivatives times frame vector, on tilted 3-D frames
+    # with m = 2 and lateral axes of 1 to 8 nodes
     rng = np.random.default_rng(6)
     for n_axes in ((10, 6, 5), (10, 1, 2), (10, 3, 8)):
         g = CellGrid(frame=build_frame([0.48, 0.6, 0.64]), n_axes=n_axes)
         f = StateField(g, rng.standard_normal(g.shape + (2,)))
-        ref = sum(diff_axis(g, f.values, ax)[..., None] * g.frame.basis[ax]
+        ref = sum(_axis_reference(g, f.values, ax)[..., None] * g.frame.basis[ax]
                   for ax in range(g.dim))
         err = np.max(np.abs(gradient(f).values - ref))
         assert err <= 1e-14 * np.max(np.abs(ref))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellgamma import grid as cgrid
 from cellgamma import poisson
 from cellgamma.errors import NeumannIncompatible, ShapeMismatch, SolverDiverged
 from cellgamma.grid import (CellGrid, StateField, TensorField, build_cell_grid,
@@ -256,22 +257,31 @@ def test_end_fluxes_once_per_neumann_solve(monkeypatch):
 
 def test_per_grid_caches_bounded():
     # one new grid per step, as in the gamma sweep: the solver cache is
-    # keyed by node counts, stays bounded and holds no grid
+    # keyed by node counts, the derivative cache by node counts and
+    # frame; both stay bounded and hold no grid
     frame = build_frame([1.0, 0.0])
     grids = [build_cell_grid(frame, 9 + i, 4)
-             for i in range(poisson._CACHE_SIZE + 3)]
+             for i in range(cgrid.CACHE_SIZE + 3)]
     first = weakref.ref(grids[0])
     for g in grids:
         for bc in BcVariant.CELL_KINDS:
             solve_cell_poisson(TensorField(g, np.zeros(g.shape + (1, 2))), bc)
-    assert len(poisson._cache) == poisson._CACHE_SIZE
-    keys = list(poisson._cache)
-    # a new grid of a cached shape, tilted, reuses its entries
+    assert len(poisson._cache) == cgrid.CACHE_SIZE
+    assert len(cgrid._cache) == cgrid.CACHE_SIZE
+    keys, dkeys = list(poisson._cache), list(cgrid._cache)
+    # a straight grid of a cached shape shares its derivatives
+    again = build_cell_grid(frame, grids[-1].n_axes[0], 4)
+    assert cgrid.derivatives(again) is cgrid.derivatives(grids[-1])
+    assert list(cgrid._cache) == dkeys
+    # a tilted one reuses its solver entries but not its derivatives
     tilted = build_cell_grid(build_frame([0.6, 0.8]), grids[-1].n_axes[0], 4)
     solve_cell_poisson(TensorField(tilted, np.zeros(tilted.shape + (1, 2))),
                        BcVariant.NEUMANN)
     assert list(poisson._cache) == keys
     assert (tilted.n_axes, BcVariant.NEUMANN) in poisson._cache
+    assert cgrid.derivatives(tilted) is not cgrid.derivatives(grids[-1])
+    assert list(cgrid._cache) == dkeys[1:] + [
+        (tilted.n_axes, tilted.frame.basis.tobytes())]
     del grids, g
     gc.collect()
     assert first() is None

@@ -437,28 +437,6 @@ def resolved_scale_floor(grid):
     return 4.0 * grid.spacing(0)
 
 
-def normal_tridiagonal_inverse(g, matrices, margin):
-    """Apply the inverses of symmetric positive definite tridiagonal
-    matrices, one (diagonal, off-diagonal) pair of constants each,
-    in turn along the normal axis of a nodal array g.  They act on the
-    nodes between the ``margin`` pinned slabs at each end; those slabs
-    stay zero.  Every lateral node column and state component is one
-    right-hand side of the same solve (ptsv: factor, then solve).
-    """
-    # imported here: importing scipy.linalg takes 80 to 100 ms, which
-    # every import of the package would pay, and only the optimizers
-    # need it
-    from scipy.linalg.lapack import dptsv
-    inner = g[margin:-margin]
-    x = inner.reshape(inner.shape[0], -1)
-    n = x.shape[0]
-    for diag, off in matrices:
-        x = dptsv(np.full(n, diag), np.full(n - 1, off), x)[2]
-    p = np.zeros_like(g)
-    p[margin:-margin] = x.reshape(inner.shape)
-    return p
-
-
 def _normal_h1_inverse(grid, g, L):
     """Apply the inverse of the H1 inner product at scale L along the
     normal axis, 2 (L K + M / L) with the normal stiffness K and the
@@ -468,15 +446,25 @@ def _normal_h1_inverse(grid, g, L):
     The conditioning of the Euclidean nodal gradient grows like
     (L / h)^2 across the layer, so on fine cells its steps crawl; in
     this metric it does not depend on the normal resolution.  Lateral
-    axes keep the nodal metric: each lateral node column is one
-    right-hand side of one tridiagonal solve on the interior nodes, by
-    :func:`normal_tridiagonal_inverse`.
+    axes keep the nodal metric: every lateral node column and state
+    component is one right-hand side of one tridiagonal solve on the
+    interior nodes (ptsv: factor, then solve).
     """
+    # imported here: importing scipy.linalg takes 80 to 100 ms, which
+    # every import of the package would pay, and only the optimizers
+    # need it
+    from scipy.linalg.lapack import dptsv
     h = grid.spacing(0)
     cross = float(np.prod([grid.spacing(ax) for ax in range(1, grid.dim)]))
     scale = 2.0 * cross
-    return normal_tridiagonal_inverse(
-        g, [(scale * (2.0 * L / h + h / L), -scale * L / h)], 1)
+    inner = g[1:-1]
+    n = inner.shape[0]
+    x = dptsv(np.full(n, scale * (2.0 * L / h + h / L)),
+              np.full(n - 1, -scale * L / h),
+              inner.reshape(n, -1))[2]
+    p = np.zeros_like(g)
+    p[1:-1] = x.reshape(inner.shape)
+    return p
 
 
 def _parabola_step(a, E0, slope, Ea):
@@ -495,8 +483,10 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
 
     - ``evaluate(x)`` returns an object with the parts ``A`` and ``B``
       and a method ``gradient(L)``, the partial gradient of E in x at
-      scale L.  ``precondition(g, x, L)`` returns the preconditioned
-      gradient, whose negative is the steepest-descent direction, and
+      scale L.  ``precondition(g, ev, L)`` returns the preconditioned
+      gradient g at the evaluation ``ev`` of the current x and scale L,
+      so it can read the parts of x that ``evaluate`` already computed;
+      its negative is the steepest-descent direction.
       ``retract(x, step)`` maps x + step back to the admissible set.
     - Each line-search trial is one evaluation.  Its parts give the
       trial's optimal scale in closed form, so the Armijo test is on the
@@ -530,7 +520,7 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
     ev = evaluate(x)
     L, E = scaled(ev)
     g = ev.gradient(L)
-    pg = precondition(g, x, L)
+    pg = precondition(g, ev, L)
     d = -pg
     alpha = 1.0
     # the plateau test reads the energies of the last 10 iterations
@@ -571,7 +561,7 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
         x, ev, L, E = x_try, trial, L_try, E_try
         alpha = min(a * 2.0, 1e4)
         g_new = ev.gradient(L) if g_try is None else g_try
-        pg_new = precondition(g_new, x, L)
+        pg_new = precondition(g_new, ev, L)
         denom = float(np.vdot(g, pg))
         beta = 0.0
         if denom > 0.0:
@@ -623,9 +613,10 @@ def compute_cell_energy(jump, specs, grid, bc=BcVariant.NEUMANN, opts=None):
         _check_admissible(StateField(grid, v), jump, specs)
         return CellEvaluation(grid, v, specs, bc)
 
-    def precondition(g, v, L):
+    def precondition(g, ev, L):
         p = _normal_h1_inverse(grid, g, L)
         if sphere:
+            v = ev.values
             p = p - np.sum(p * v, axis=-1, keepdims=True) * v
         return p
 

@@ -24,18 +24,23 @@ nodal second-order quadrature suffices.
 
 The energy is minimized over (w, L) by the conjugate-gradient driver of
 the cell problems, with directions preconditioned across the layer by
-the normal operator 2 cross h (L K_h^2 + K_h / L), which matches the
-L d^4 + d^2 / L behaviour of the Hessian in w, by two tridiagonal
-solves.
+the layer's own discrete normal operator.  The normal derivative is
+central wherever it touches w, so the even and the odd normal nodes
+form two decoupled chains of spacing 2h; on each the operator is
+a T^2 + b K_c, the fourth difference of the entropy-gradient term plus
+the second difference of the flux mismatch weighted by the squared
+relative characteristic speed c, which vanishes inside the layer.  Both
+chains are one banded solve.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cellopt import (CellSolution, EnergyBreakdown, OptimizerOptions,
-                      multistart, normal_tridiagonal_inverse, smoothstep,
-                      strategy_starts)
+                      multistart, smoothstep, strategy_starts)
 from .errors import (DegenerateNormal, NonScalar, RankineHugoniotViolated,
                      ShapeMismatch)
 from .grid import (CellGrid, StateField, TensorField, apply_nodal,
@@ -212,6 +217,12 @@ class _ShockEvaluation:
         self.r = gamma - flux.value(self.zeta)
         self.B = float(np.vdot(self.r, wt[..., None] * self.r))
 
+    @cached_property
+    def jac(self):
+        """dF_ij/du_a at zeta, (..., k, N, k): the gradient and the
+        preconditioner's weight share it."""
+        return self.flux.jacobian(self.zeta)
+
     def gradient(self, L):
         """d(L A + B / L)/dw, with the margin slabs pinned to zero."""
         grid, n_space = self.grid, self.flux.N
@@ -225,8 +236,7 @@ class _ShockEvaluation:
         de_dzeta = np.einsum("...b,...ba->...a", de_dp,
                              self.entropy.hess_eta(self.zeta))
         de_dgamma = (2.0 / L) * wt[..., None] * self.r
-        de_dzeta -= np.einsum("...ij,...ija->...a", de_dgamma,
-                              self.flux.jacobian(self.zeta))
+        de_dzeta -= np.einsum("...ij,...ija->...a", de_dgamma, self.jac)
         gw = np.empty_like(self.w_values)
         for j in range(n_space):
             gw[..., j] = apply_nodal(ops_t[j], de_dzeta)
@@ -261,26 +271,72 @@ def st_energy_gradient(pert, L, st_jump, flux, entropy, grid, base=None):
 
 # --- minimization ----------------------------------------------------------
 
-def _normal_inverse(grid, g, L):
-    """Apply the inverse of 2 cross h (L K_h^2 + K_h / L) along the
-    normal axis to a gradient in w; the margin slabs stay zero.
+def _relative_speed_weight(grid, ev):
+    """The weight c of the flux-mismatch term per normal node: the
+    lateral mean of |nu_s I + sum_j nu_y,j dF_.j/du(zeta)|_F^2 / k, from
+    the evaluation's flux jacobian.  For a scalar law it is the squared
+    characteristic speed relative to the shock, which vanishes inside
+    the layer."""
+    flux, nu = ev.flux, grid.frame.nu
+    speed = np.einsum("...ija,j->...ia", ev.jac, nu[:flux.N])
+    speed += nu[flux.N] * np.eye(flux.k)
+    speed = speed.reshape(grid.n_axes[0], -1)
+    return np.einsum("ij,ij->i", speed, speed) / (speed.shape[1] / flux.k)
 
-    K_h = T / h^2 with T = tridiag(-1, 2, -1) is the Dirichlet second
-    difference on the nodes between the margin slabs, and cross the
-    product of the lateral spacings.  w enters the entropy-gradient
-    term through two normal derivatives and the flux mismatch through
-    one, so across the layer the Hessian in w behaves like L d^4 + d^2
-    / L; in the sine basis this matrix has the eigenvalues 2 cross h
-    lambda (L lambda + 1 / L) of that operator, with lambda those of
-    K_h.  It equals T (a T + b I) with a = 2 cross L / h^3 and b =
-    2 cross / (L h), so it is applied as two tridiagonal solves.
-    Lateral axes keep the nodal metric.
+
+def _parity_chain_inverse(grid, g, c, L):
+    """Apply the inverse of the layer's normal operator to a gradient in
+    w, with the weight c per normal node; the margin slabs stay zero.
+
+    Every row of the normal derivative that touches the interior w is
+    central, so the Gauss-Newton Hessian in w splits across the layer
+    into the even and the odd interior nodes, two chains of spacing 2h
+    that are zero at the margin slabs.  On each chain it is
+    a T^2 + b K_c with T = tridiag(-1, 2, -1), a = cross L |nu_y|^4 /
+    (8 h^3), b = cross / (2 L h) and the chain stiffness K_c whose edge
+    between chain nodes i and i + 2 carries c at node i + 1: exact for
+    the flux mismatch, and up to the end rows for the entropy gradient
+    of a quadratic entropy.  Both chains form one block-diagonal band
+    (kd = 2), and every lateral node column and state component is one
+    right-hand side of one pbsv solve.  Lateral axes keep the nodal
+    metric.
     """
+    # imported here: importing scipy.linalg takes 80 to 100 ms, which
+    # every import of the package would pay
+    from scipy.linalg.lapack import dpbsv
     h = grid.spacing(0)
-    cross = float(np.prod([grid.spacing(ax) for ax in range(1, grid.dim)]))
-    a, b = 2.0 * cross * L / h ** 3, 2.0 * cross / (L * h)
-    return normal_tridiagonal_inverse(g, [(2.0, -1.0), (2.0 * a + b, -a)],
-                                      _MARGIN)
+    cross = math.prod(grid.spacing(ax) for ax in range(1, grid.dim))
+    nu_y = grid.frame.nu[:-1]
+    a = cross * L * float(nu_y @ nu_y) ** 2 / (8.0 * h ** 3)
+    b = cross / (2.0 * L * h)
+    inner = g[_MARGIN:-_MARGIN]
+    n = inner.shape[0]
+    m = (n + 1) // 2  # nodes of the even chain; the odd one has n - m
+    # interior node i has its two chain edges at the nodes next to it;
+    # T^2 has 4 plus the number of chain neighbours on its diagonal
+    before = c[_MARGIN - 1:_MARGIN - 1 + n]
+    after = c[_MARGIN + 1:_MARGIN + 1 + n]
+    diag = b * (before + after) + 6.0 * a
+    diag[:2] -= a
+    diag[-2:] -= a
+    off = -4.0 * a - b * after[:-2]  # between interior nodes i and i + 2
+    # LAPACK upper band form in chain order, the even chain first; the
+    # entries that would couple the two chains are zero
+    band = np.empty((3, n))
+    band[0] = a
+    band[0, :2] = band[0, m:m + 2] = 0.0
+    band[1, 0] = band[1, m] = 0.0
+    band[1, 1:m], band[1, m + 1:] = off[0::2], off[1::2]
+    band[2, :m], band[2, m:] = diag[0::2], diag[1::2]
+    rhs = np.empty((n, inner[0].size), order="F")
+    rhs[:m] = inner[0::2].reshape(m, -1)
+    rhs[m:] = inner[1::2].reshape(n - m, -1)
+    x = dpbsv(band, rhs, overwrite_b=True)[1]
+    p = np.zeros_like(g)
+    out = p[_MARGIN:-_MARGIN]
+    out[0::2] = x[:m].reshape(out[0::2].shape)
+    out[1::2] = x[m:].reshape(out[1::2].shape)
+    return p
 
 
 def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
@@ -291,10 +347,11 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
     :func:`cellopt.strategy_starts`: the unperturbed base fields (w = 0)
     and smoothed random perturbation potentials.  They run through the
     shared :func:`cellopt.multistart`, with directions preconditioned
-    across the layer by :func:`_normal_inverse`, the inverse of the
-    normal fourth- plus second-difference operator at the current
-    scale.  Returns the induced state profile zeta of the best start
-    with full diagnostics.
+    across the layer by :func:`_parity_chain_inverse`, the inverse of
+    the normal operator on the two parity chains at the current scale,
+    weighted by :func:`_relative_speed_weight` of the current iterate.
+    Returns the induced state profile zeta of the best start with full
+    diagnostics.
     """
     st_jump.check_state_length(flux.k)
     check_normal(grid, st_jump.nu)
@@ -318,8 +375,9 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
     def evaluate(w):
         return _ShockEvaluation(grid, base, w, flux, entropy)
 
-    def precondition(g, w, L):
-        return _normal_inverse(grid, g, L)
+    def precondition(g, ev, L):
+        return _parity_chain_inverse(grid, g, _relative_speed_weight(grid, ev),
+                                     L)
 
     (_, L, _, it, converged, ev), energies = multistart(
         starts, evaluate, precondition, np.add, grid, du, opts)

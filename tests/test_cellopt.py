@@ -1,6 +1,8 @@
 """Cell energy assembly, analytic gradients, scale optimization, and
 the multistart minimizer."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,10 @@ from cellgamma.cellopt import (CellEvaluation, OptimizerOptions, _from_gauss,
 from cellgamma.errors import (BadParams, BadStrategy, DegenerateScale,
                               InadmissibleProfile, NotConverged, ShapeMismatch)
 from cellgamma.grid import CellGrid, StateField, build_cell_grid, build_frame
-from cellgamma.hyperbolic import (_MARGIN, _normal_inverse, build_shock_grid,
-                                  compute_shock_cell_energy)
+from cellgamma.hyperbolic import (_MARGIN, _ShockEvaluation,
+                                  _parity_chain_inverse,
+                                  _relative_speed_weight, build_base_fields,
+                                  build_shock_grid, compute_shock_cell_energy)
 from cellgamma.model import (ConstraintSet, FluxMap, JumpData, ModelSpecs,
                              ScalarPotential, SpaceTimeJumpData,
                              catalog_lookup)
@@ -29,6 +33,8 @@ DW = catalog_lookup("double_well")
 DW_JUMP = JumpData(phi_plus=[1.0], phi_minus=[-1.0], nu=[1.0])
 STANDING = SpaceTimeJumpData(u_plus=[-1.0], u_minus=[1.0], nu_y=[1.0],
                              nu_s=0.0)
+TILTED = SpaceTimeJumpData(u_plus=[0.0], u_minus=[2.0],
+                           nu_y=[1.0 / np.sqrt(2)], nu_s=-1.0 / np.sqrt(2))
 
 
 def _lateral_flux_specs():
@@ -419,57 +425,94 @@ def test_one_potential_solve_per_line_search_trial(monkeypatch):
     assert counts["solves"] == counts["trials"] + len(runs)
 
 
+def _chain_operator(grid, c, L):
+    """The shock's normal operator on the interior nodes, assembled
+    densely node by node: chain neighbours are two nodes apart, each
+    chain edge carries c at its middle node (the outer edges reach the
+    margin slabs), and T is the chain's tridiag(-1, 2, -1)."""
+    n, h = grid.n_axes[0] - 2 * _MARGIN, grid.spacing(0)
+    cross = grid.spacing(1)
+    nu_y2 = float(np.sum(np.square(grid.frame.nu[:-1])))
+    a = cross * L * nu_y2 ** 2 / (8.0 * h ** 3)
+    b = cross / (2.0 * L * h)
+    T, K = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n):
+        T[i, i] = 2.0
+        for j in (i - 2, i + 2):
+            weight = c[_MARGIN + (i + j) // 2]
+            K[i, i] += weight
+            if 0 <= j < n:
+                T[i, j] = -1.0
+                K[i, j] = -weight
+    return a * T @ T + b * K
+
+
 @pytest.mark.parametrize("case, n_normal", [("cell", 11), ("shock", 13),
                                              ("shock", 256)],
                          ids=["cell", "shock", "shock_256"])
 def test_normal_tridiagonal_inverse_matches_dense_and_sine_solves(case,
                                                                   n_normal):
-    # the cell's tridiagonal 2 cross h (L K_h + I / L) with margin 1 and
-    # the shock's pentadiagonal 2 cross h (L K_h^2 + K_h / L) inside the
-    # margin slabs, K_h = tridiag(-1, 2, -1) / h^2, the latter applied
-    # as two tridiagonal solves: the solves agree with a dense solve
-    # and with the DST-I diagonalization by the symbols L lam + 1/L and
-    # lam (L lam + 1/L)
+    # the cell's tridiagonal 2 cross h (L K_h + I / L) with margin 1,
+    # K_h = tridiag(-1, 2, -1) / h^2, agrees with a dense solve and with
+    # the DST-I diagonalization by the symbol L lam + 1/L; the shock's
+    # parity-chain operator a T^2 + b K_c inside the margin slabs (chains
+    # of 4 and 3 nodes at n_normal 13), on a standing and a tilted
+    # frame, agrees with a dense solve of the operator assembled node by
+    # node, and its weight is the squared relative characteristic speed
     L = 0.3
     rng = np.random.default_rng(4)
-    fourth_order = case == "shock"
-    if fourth_order:
-        grid = build_shock_grid(STANDING, n_normal, n_time=3)
-        g = rng.standard_normal(grid.shape + (1, 1))
-        p, margin = _normal_inverse(grid, g, L), _MARGIN
-    else:
+    if case == "cell":
         grid = build_cell_grid(build_frame([1.0, 0.0]), n_normal, n_lateral=4)
         g = rng.standard_normal(grid.shape + (2,))
-        p, margin = _normal_h1_inverse(grid, g, L), 1
-    assert np.all(p[:margin] == 0.0) and np.all(p[-margin:] == 0.0)
-
-    inner = g[margin:-margin]
-    n, h = inner.shape[0], grid.spacing(0)
-    scale = 2.0 * h * grid.spacing(1)
-    K = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h ** 2
-    lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / h ** 2
-    rhs = inner.reshape(n, -1)
-    if fourth_order:
-        dense = scale * (L * K @ K + K / L)
-        symbol = scale * lam * (L * lam + 1.0 / L)
-    else:
-        dense = scale * (L * K + np.eye(n) / L)
-        symbol = scale * (L * lam + 1.0 / L)
-    if n_normal < 256:
-        ref = np.linalg.solve(dense, rhs)
-    else:
-        # the pentadiagonal has condition number 3e8 here, so its own
-        # dense solve is off by ~5e-9; solve with the two well
-        # conditioned dense factors K and scale (L K + I / L) in turn
+        p = _normal_h1_inverse(grid, g, L)
+        assert np.all(p[:1] == 0.0) and np.all(p[-1:] == 0.0)
+        inner = g[1:-1]
+        n, h = inner.shape[0], grid.spacing(0)
+        scale = 2.0 * h * grid.spacing(1)
+        K = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h ** 2
+        lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / h ** 2
+        rhs = inner.reshape(n, -1)
         ref = np.linalg.solve(scale * (L * K + np.eye(n) / L),
-                              np.linalg.solve(K, rhs))
-    ref = ref.reshape(inner.shape)
-    sine = idst(dst(inner, type=1, axis=0)
-                / symbol.reshape((n,) + (1,) * (inner.ndim - 1)),
-                type=1, axis=0)
-    size = np.max(np.abs(ref))
-    assert np.max(np.abs(p[margin:-margin] - ref)) <= 1e-10 * size
-    assert np.max(np.abs(p[margin:-margin] - sine)) <= 1e-10 * size
+                              rhs).reshape(inner.shape)
+        symbol = scale * (L * lam + 1.0 / L)
+        sine = idst(dst(inner, type=1, axis=0)
+                    / symbol.reshape((n,) + (1,) * (inner.ndim - 1)),
+                    type=1, axis=0)
+        size = np.max(np.abs(ref))
+        assert np.max(np.abs(p[1:-1] - ref)) <= 1e-10 * size
+        assert np.max(np.abs(p[1:-1] - sine)) <= 1e-10 * size
+        return
+
+    burgers = catalog_lookup("burgers")
+    for jump in (STANDING, TILTED):
+        grid = build_shock_grid(jump, n_normal, n_time=3)
+        w = 1e-3 * rng.standard_normal(grid.shape + (1, 1))
+        w[:_MARGIN] = 0.0
+        w[-_MARGIN:] = 0.0
+        ev = _ShockEvaluation(grid, build_base_fields(jump, burgers.flux, grid),
+                              w, burgers.flux, burgers.entropy)
+        c = _relative_speed_weight(grid, ev)
+        speed = jump.nu_s + jump.nu_y[0] * ev.zeta[..., 0]
+        assert np.allclose(c, np.mean(np.square(speed), axis=1),
+                           rtol=1e-14, atol=0.0)
+        # a linear system with k = 2: |nu_s I + nu_y A|_F^2 / k everywhere
+        A = np.array([[1.0, 2.0], [0.5, -1.0]])
+        system = SimpleNamespace(
+            flux=SimpleNamespace(k=2, N=1),
+            jac=np.broadcast_to(A[:, None, :], grid.shape + (2, 1, 2)))
+        speed = jump.nu_s * np.eye(2) + jump.nu_y[0] * A
+        assert np.allclose(_relative_speed_weight(grid, system),
+                           np.sum(np.square(speed)) / 2.0, rtol=1e-14, atol=0.0)
+
+        g = rng.standard_normal(grid.shape + (1, 1))
+        p = _parity_chain_inverse(grid, g, c, L)
+        assert np.all(p[:_MARGIN] == 0.0) and np.all(p[-_MARGIN:] == 0.0)
+        inner = g[_MARGIN:-_MARGIN]
+        n = inner.shape[0]
+        ref = np.linalg.solve(_chain_operator(grid, c, L),
+                              inner.reshape(n, -1)).reshape(inner.shape)
+        size = np.max(np.abs(ref))
+        assert np.max(np.abs(p[_MARGIN:-_MARGIN] - ref)) <= 1e-10 * size
 
 
 def test_roundoff_trials_judged_by_directional_derivative():

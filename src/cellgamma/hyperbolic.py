@@ -23,14 +23,13 @@ periodic axes); target tolerances here are in the percent range, so
 nodal second-order quadrature suffices.
 
 The energy is minimized over (w, L) by the conjugate-gradient driver of
-the cell problems, with directions preconditioned across the layer by
-the layer's own discrete normal operator.  The normal derivative is
-central wherever it touches w, so the even and the odd normal nodes
-form two decoupled chains of spacing 2h; on each the operator is
-a T^2 + b K_c, the fourth difference of the entropy-gradient term plus
-the second difference of the flux mismatch weighted by the squared
-relative characteristic speed c, which vanishes inside the layer.  Both
-chains are one banded solve.
+the cell problems, with directions preconditioned by the inverse of the
+energy's Gauss-Newton operator in w, the flux jacobian replaced by its
+lateral mean at each normal node.  That operator commutes with lateral
+translations, so it is diagonal in the lateral Fourier modes; in each
+mode it is a band of half-width 4 on the interior normal nodes, real
+symmetric after the similarity diag(i^t), and one banded solve takes
+the bands of all modes.
 """
 
 import math
@@ -38,13 +37,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from .cellopt import (CellSolution, EnergyBreakdown, OptimizerOptions,
                       multistart, smoothstep, strategy_starts)
 from .errors import (DegenerateNormal, NonScalar, RankineHugoniotViolated,
                      ShapeMismatch)
 from .grid import (CellGrid, StateField, TensorField, apply_nodal,
-                   build_frame, check_normal, derivatives)
+                   build_frame, cached, check_normal, derivatives)
 from .model import FluxFunction, validate_rankine_hugoniot
 
 
@@ -220,7 +220,7 @@ class _ShockEvaluation:
     @cached_property
     def jac(self):
         """dF_ij/du_a at zeta, (..., k, N, k): the gradient and the
-        preconditioner's weight share it."""
+        preconditioner share it."""
         return self.flux.jacobian(self.zeta)
 
     def gradient(self, L):
@@ -271,71 +271,183 @@ def st_energy_gradient(pert, L, st_jump, flux, entropy, grid, base=None):
 
 # --- minimization ----------------------------------------------------------
 
-def _relative_speed_weight(grid, ev):
-    """The weight c of the flux-mismatch term per normal node: the
-    lateral mean of |nu_s I + sum_j nu_y,j dF_.j/du(zeta)|_F^2 / k, from
-    the evaluation's flux jacobian.  For a scalar law it is the squared
-    characteristic speed relative to the shock, which vanishes inside
-    the layer."""
-    flux, nu = ev.flux, grid.frame.nu
-    speed = np.einsum("...ija,j->...ia", ev.jac, nu[:flux.N])
-    speed += nu[flux.N] * np.eye(flux.k)
-    speed = speed.reshape(grid.n_axes[0], -1)
-    return np.einsum("ij,ij->i", speed, speed) / (speed.shape[1] / flux.k)
+def _phase_gather(phase):
+    """Per normal node t and real part c of phase[t] z, the part of z it
+    reads and its sign (phase[t] is a power of i)."""
+    rot = np.stack([np.stack([phase.real, -phase.imag], axis=-1),
+                    np.stack([phase.imag, phase.real], axis=-1)], axis=1)
+    src = np.argmax(np.abs(rot), axis=-1)
+    return src, np.take_along_axis(rot, src[..., None], axis=-1)[..., 0]
 
 
-def _parity_chain_inverse(grid, g, c, L):
-    """Apply the inverse of the layer's normal operator to a gradient in
-    w, with the weight c per normal node; the margin slabs stay zero.
+class _LateralModes:
+    """What :func:`_lateral_mode_inverse` keeps per node counts, frame
+    and state count k: the lateral Fourier modes grouped by their
+    central-difference symbols, every group's entropy band, the
+    coefficients of its flux band, and the gathers between the modes
+    and the band's right-hand sides.
 
-    Every row of the normal derivative that touches the interior w is
-    central, so the Gauss-Newton Hessian in w splits across the layer
-    into the even and the odd interior nodes, two chains of spacing 2h
-    that are zero at the margin slabs.  On each chain it is
-    a T^2 + b K_c with T = tridiag(-1, 2, -1), a = cross L |nu_y|^4 /
-    (8 h^3), b = cross / (2 L h) and the chain stiffness K_c whose edge
-    between chain nodes i and i + 2 carries c at node i + 1: exact for
-    the flux mismatch, and up to the end rows for the entropy gradient
-    of a quadratic entropy.  Both chains form one block-diagonal band
-    (kd = 2), and every lateral node column and state component is one
-    right-hand side of one pbsv solve.  Lateral axes keep the nodal
-    metric.
+    - A mode's symbol is sigma, sigma_x = sin(2 pi m_x / n_x) / h_x on
+      lateral axis x (the wrapped central derivative is i sigma_x there,
+      and zero under 3 nodes).  Modes m and n/2 - m of an axis with even
+      n have the same symbol, so they share a group.  A group's modes
+      are the right-hand-side slots of its band; slots past the group's
+      size repeat one of its modes, and their solutions are not read.
+    - ``entropy`` holds the Gauss-Newton operator of the entropy term,
+      2 cross sum_j (d_j d_l)^H W (d_j d_l) for column l of w and the
+      quadratic entropy of every catalog model (eta'' = I), in each
+      group's mode on the interior normal nodes, after the similarity
+      S = diag(i^t) that makes it real symmetric: LAPACK lower band rows,
+      row o holding the entries (t, t + o), shape (5, 1, N, groups,
+      interior nodes).
+    - ``flux`` maps the per-node quantities (sum_ij Fbar_ija^2, Fbar_ala,
+      1) at the normal nodes t - 1, t, t + 1 of band column t to L times
+      band rows 0, 1 and 2 of the flux term: shape (N, 3 groups, 9).
+    - The right-hand sides are (slot, real part) columns of (a, l, group,
+      node) rows, with shape ``shape``: ``forward`` gathers them from
+      the float view of the modes (node, mode, a, l, real part) and
+      ``forward_sign`` turns that into S^H times the modes; ``back`` and
+      ``back_sign`` map the solutions to S times them.
+    """
+
+    def __init__(self, grid, k):
+        # imported here: scipy.sparse loads scipy.linalg, which every
+        # import of the package would otherwise pay
+        import scipy.sparse as sp
+        lat_shape = grid.n_axes[1:]
+        freq = np.meshgrid(*[np.arange(n) for n in lat_shape[:-1]],
+                           np.arange(lat_shape[-1] // 2 + 1), indexing="ij")
+        canon = [np.minimum(m, (n // 2 - m) % n) if n % 2 == 0 else m
+                 for m, n in zip(freq, lat_shape)]
+        keys, group = np.unique(np.stack(canon, axis=-1).reshape(
+            -1, len(lat_shape)), axis=0, return_inverse=True)
+        group = group.ravel()
+        n_modes, n_groups = group.size, len(keys)
+        counts = np.bincount(group)
+        first = np.cumsum(counts) - counts
+        order = np.argsort(group, kind="stable")
+        slot = np.empty(n_modes, dtype=np.intp)
+        slot[order] = np.arange(n_modes) - np.repeat(first, counts)
+        take = np.repeat(order[first][:, None], counts.max(), axis=1)
+        take[group, slot] = np.arange(n_modes)
+        sigma = np.sin(2.0 * np.pi * keys / lat_shape) / [
+            grid.spacing(ax) for ax in range(1, grid.dim)]
+
+        n, h = grid.n_axes[0], grid.spacing(0)
+        n_int, n_space = n - 2 * _MARGIN, grid.dim - 1
+        self.shape = (counts.max(), 2, k, n_space, n_groups, n_int)
+        idx = np.ix_(*[np.arange(c) for c in self.shape])
+        t = idx[-1]
+        src, sign = _phase_gather((-1j) ** (np.arange(n_int) % 4))
+        self.forward = np.ravel_multi_index(
+            (t, take[idx[4], idx[0]], idx[2], idx[3], src[t, idx[1]]),
+            (n_int, n_modes, k, n_space, 2)).reshape(2 * counts.max(), -1)
+        self.forward_sign = np.broadcast_to(
+            sign[t, idx[1]], self.shape).reshape(self.forward.shape)
+        t, f, a, l, c = np.ix_(np.arange(n_int), np.arange(n_modes),
+                               np.arange(k), np.arange(n_space), np.arange(2))
+        src, sign = _phase_gather(1j ** (np.arange(n_int) % 4))
+        self.back = np.ravel_multi_index(
+            (slot[f], src[t, c], a, l, group[f], t), self.shape)
+        self.back_sign = np.broadcast_to(sign[t, c], self.back.shape).copy()
+
+        cross = math.prod(grid.spacing(ax) for ax in range(1, grid.dim))
+        wn = grid.axis_weights(0)
+        # each physical derivative in a group's mode: beta_j D + i lam_j
+        beta = grid.frame.basis[0]
+        lam = sigma @ grid.frame.basis[1:]
+        d0 = derivatives(grid).axes[0]
+        eye = sp.eye_array(n)
+        weight = sp.diags_array(2.0 * cross * wn)
+        self.entropy = np.zeros((5, 1, n_space, n_groups, n_int))
+        for g in range(n_groups):
+            dj = [beta[j] * d0 + 1j * lam[g, j] * eye for j in range(n_space)]
+            for l in range(n_space):
+                dl = dj[l][:, _MARGIN:n - _MARGIN]
+                band = sum((d @ dl).conj().T @ weight @ (d @ dl) for d in dj)
+                for o in range(5):
+                    self.entropy[o, 0, l, g, :n_int - o] = (
+                        1j ** o * band.diagonal(o)).real
+        # q0, q1 and q2 of each column l as forms in (P2, P1, 1), (N,
+        # groups, 3); the band reaches the nodes 2 to n - 3, whose
+        # trapezoid weight is h
+        bl, ll, ls = np.broadcast_arrays(beta[:n_space, None],
+                                         lam[:, :n_space].T, lam[:, n_space])
+        bs = np.full_like(bl, beta[n_space])
+        q0 = np.stack([bl * bl, 2.0 * bl * bs, bs * bs], axis=-1) / (4 * h * h)
+        q1 = np.stack([bl * ll, bl * ls + bs * ll, bs * ls], axis=-1) / (2 * h)
+        q2 = np.stack([ll * ll, 2.0 * ll * ls, ls * ls], axis=-1)
+        self.flux = np.zeros((n_space, 3, n_groups, 3, 3))
+        self.flux[:, 0, :, :, 0] = self.flux[:, 0, :, :, 2] = q0
+        self.flux[:, 0, :, :, 1] = q2
+        self.flux[:, 1, :, :, 1] = self.flux[:, 1, :, :, 2] = q1
+        self.flux[:, 2, :, :, 2] = q0
+        self.flux = (2.0 * cross * h * self.flux).reshape(n_space, -1, 9)
+
+
+_mode_cache = {}
+
+
+def _lateral_mode_inverse(grid, g, ev, L):
+    """Apply the inverse of the shock energy's Gauss-Newton operator in
+    w at scale L to a gradient in w, with the flux jacobian replaced by
+    its lateral mean Fbar_ija = dF_ij/du_a at each normal node; the
+    margin slabs stay zero.
+
+    That operator does not change under a lateral translation, so it is
+    diagonal in the lateral Fourier modes.  In a mode with symbol sigma
+    each physical derivative d_x is beta_x D + i lam_x, with the normal
+    derivative D.  Column l of component a of w drives the mismatch r_ij
+    through c_ij D + i s_ij, where c and s are the coefficients of
+    delta_ia delta_jl d_s + Fbar_ija d_l; its flux term is
+    (2 cross / L) (D^T q0 D + i (D^T q1 - q1 D) + q2), with q0 =
+    sum_ij c^2 w, q1 = sum_ij c s w and q2 = sum_ij s^2 w for the normal
+    weights w, so it needs only sum_ij Fbar_ija^2 and Fbar_ala per node.
+    With L times the entropy band (:class:`_LateralModes`), that is a
+    band of half-width 4 on the interior normal nodes, real symmetric
+    after S = diag(i^t).  The components of w keep only their diagonal
+    blocks (k > 1 states, N > 1 space dimensions).  Every (component,
+    symbol group) is one block of one band, the real and imaginary parts
+    of the group's modes are its right-hand sides, and one pbsv call
+    solves them all.
     """
     # imported here: importing scipy.linalg takes 80 to 100 ms, which
     # every import of the package would pay
     from scipy.linalg.lapack import dpbsv
-    h = grid.spacing(0)
-    cross = math.prod(grid.spacing(ax) for ax in range(1, grid.dim))
-    nu_y = grid.frame.nu[:-1]
-    a = cross * L * float(nu_y @ nu_y) ** 2 / (8.0 * h ** 3)
-    b = cross / (2.0 * L * h)
-    inner = g[_MARGIN:-_MARGIN]
-    n = inner.shape[0]
-    m = (n + 1) // 2  # nodes of the even chain; the odd one has n - m
-    # interior node i has its two chain edges at the nodes next to it;
-    # T^2 has 4 plus the number of chain neighbours on its diagonal
-    before = c[_MARGIN - 1:_MARGIN - 1 + n]
-    after = c[_MARGIN + 1:_MARGIN + 1 + n]
-    diag = b * (before + after) + 6.0 * a
-    diag[:2] -= a
-    diag[-2:] -= a
-    off = -4.0 * a - b * after[:-2]  # between interior nodes i and i + 2
-    # LAPACK upper band form in chain order, the even chain first; the
-    # entries that would couple the two chains are zero
-    band = np.empty((3, n))
-    band[0] = a
-    band[0, :2] = band[0, m:m + 2] = 0.0
-    band[1, 0] = band[1, m] = 0.0
-    band[1, 1:m], band[1, m + 1:] = off[0::2], off[1::2]
-    band[2, :m], band[2, m:] = diag[0::2], diag[1::2]
-    rhs = np.empty((n, inner[0].size), order="F")
-    rhs[:m] = inner[0::2].reshape(m, -1)
-    rhs[m:] = inner[1::2].reshape(n - m, -1)
-    x = dpbsv(band, rhs, overwrite_b=True)[1]
+    k, n_space = ev.flux.k, ev.flux.N
+    modes = cached(_mode_cache, (grid.n_axes, grid.frame.basis.tobytes(), k),
+                   lambda: _LateralModes(grid, k))
+    n, m = grid.n_axes[0], _MARGIN
+    n_int, n_groups = n - 2 * m, modes.shape[4]
+    lat_axes = tuple(range(1, grid.dim))
+
+    # the band, its lower LAPACK rows fastest: (5, k, N, groups, nodes)
+    band = np.empty(modes.shape[2:] + (5,)).transpose(4, 0, 1, 2, 3)
+    np.multiply(modes.entropy, L, out=band)
+    fbar = ev.jac.sum(axis=lat_axes) / math.prod(grid.n_axes[1:])
+    v = np.empty((k, n_space, 3, n))
+    v[:, :, 0] = np.einsum("nija,nija->an", fbar, fbar)[:, None]
+    v[:, :, 1] = np.einsum("nala->aln", fbar)
+    v[:, :, 2] = 1.0
+    near = np.stack([v[..., m - 1 + i:n - m - 1 + i] for i in range(3)],
+                    axis=-2).reshape(k, n_space, 9, n_int)
+    flux = (modes.flux / L) @ near
+    band[:3] += flux.reshape(k, n_space, 3, n_groups, n_int).transpose(
+        2, 0, 1, 3, 4)
+    # the entries that would reach into the next block
+    band[1, ..., -1] = 0.0
+    band[2, ..., -2:] = 0.0
+
+    ghat = scipy.fft.rfftn(g[m:n - m], axes=lat_axes)
+    rhs = ghat.view(np.float64).ravel()[modes.forward]
+    rhs *= modes.forward_sign
+    x = dpbsv(band.reshape(5, -1), rhs.T, lower=1, overwrite_ab=True,
+              overwrite_b=True)[1]
+    xhat = x.T.ravel()[modes.back]
+    xhat *= modes.back_sign
     p = np.zeros_like(g)
-    out = p[_MARGIN:-_MARGIN]
-    out[0::2] = x[:m].reshape(out[0::2].shape)
-    out[1::2] = x[m:].reshape(out[1::2].shape)
+    p[m:n - m] = scipy.fft.irfftn(xhat.view(np.complex128).reshape(ghat.shape),
+                                  s=grid.n_axes[1:], axes=lat_axes)
     return p
 
 
@@ -346,10 +458,10 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
     Starts come from ``opts.strategies`` by
     :func:`cellopt.strategy_starts`: the unperturbed base fields (w = 0)
     and smoothed random perturbation potentials.  They run through the
-    shared :func:`cellopt.multistart`, with directions preconditioned
-    across the layer by :func:`_parity_chain_inverse`, the inverse of
-    the normal operator on the two parity chains at the current scale,
-    weighted by :func:`_relative_speed_weight` of the current iterate.
+    shared :func:`cellopt.multistart`, with directions preconditioned by
+    :func:`_lateral_mode_inverse`, the inverse of the Gauss-Newton
+    operator in w at the current scale, with the lateral mean of the
+    current iterate's flux jacobian, one band per lateral Fourier mode.
     Returns the induced state profile zeta of the best start with full
     diagnostics.
     """
@@ -376,8 +488,7 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
         return _ShockEvaluation(grid, base, w, flux, entropy)
 
     def precondition(g, ev, L):
-        return _parity_chain_inverse(grid, g, _relative_speed_weight(grid, ev),
-                                     L)
+        return _lateral_mode_inverse(grid, g, ev, L)
 
     (_, L, _, it, converged, ev), energies = multistart(
         starts, evaluate, precondition, np.add, grid, du, opts)

@@ -102,7 +102,7 @@ def test_05_standing_burgers_shock():
 
 
 def test_06_tilted_shock_scaling_identity():
-    with _Timer("tilted shock vs static reduction, 256x16") as t:
+    with _Timer("tilted shock vs static reduction, 256x16", limit=5.0) as t:
         tilted = SpaceTimeJumpData(u_plus=[0.0], u_minus=[2.0],
                                    nu_y=[1.0 / np.sqrt(2)],
                                    nu_s=-1.0 / np.sqrt(2))
@@ -116,6 +116,7 @@ def test_06_tilted_shock_scaling_identity():
         reduced = compute_shock_cell_energy(standing, red.reduced_flux,
                                             BURGERS.entropy, gs).energy.total
         assert abs(full - red.factor * reduced) <= 0.02 * abs(full)
+    t.check_budget()
 
 
 def test_07_gradients_match_finite_differences():

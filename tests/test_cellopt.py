@@ -18,10 +18,10 @@ from cellgamma.cellopt import (CellEvaluation, OptimizerOptions, _from_gauss,
                                smoothstep)
 from cellgamma.errors import (BadParams, BadStrategy, DegenerateScale,
                               InadmissibleProfile, NotConverged, ShapeMismatch)
-from cellgamma.grid import CellGrid, StateField, build_cell_grid, build_frame
+from cellgamma.grid import (CellGrid, StateField, build_cell_grid, build_frame,
+                            derivatives)
 from cellgamma.hyperbolic import (_MARGIN, _ShockEvaluation,
-                                  _parity_chain_inverse,
-                                  _relative_speed_weight, build_base_fields,
+                                  _lateral_mode_inverse, build_base_fields,
                                   build_shock_grid, compute_shock_cell_energy)
 from cellgamma.model import (ConstraintSet, FluxMap, JumpData, ModelSpecs,
                              ScalarPotential, SpaceTimeJumpData,
@@ -425,40 +425,65 @@ def test_one_potential_solve_per_line_search_trial(monkeypatch):
     assert counts["solves"] == counts["trials"] + len(runs)
 
 
-def _chain_operator(grid, c, L):
-    """The shock's normal operator on the interior nodes, assembled
-    densely node by node: chain neighbours are two nodes apart, each
-    chain edge carries c at its middle node (the outer edges reach the
-    margin slabs), and T is the chain's tridiag(-1, 2, -1)."""
-    n, h = grid.n_axes[0] - 2 * _MARGIN, grid.spacing(0)
-    cross = grid.spacing(1)
-    nu_y2 = float(np.sum(np.square(grid.frame.nu[:-1])))
-    a = cross * L * nu_y2 ** 2 / (8.0 * h ** 3)
-    b = cross / (2.0 * L * h)
-    T, K = np.zeros((n, n)), np.zeros((n, n))
-    for i in range(n):
-        T[i, i] = 2.0
-        for j in (i - 2, i + 2):
-            weight = c[_MARGIN + (i + j) // 2]
-            K[i, i] += weight
-            if 0 <= j < n:
-                T[i, j] = -1.0
-                K[i, j] = -weight
-    return a * T @ T + b * K
+def _mean_gauss_newton(grid, ev, L):
+    """The Gauss-Newton operator of the shock energy L A + B / L in w,
+    with dF/du(zeta) replaced by its lateral mean at each normal node,
+    assembled from the grid's derivative matrices on the flat interior
+    nodes: the dense block of each component (a, l) of w, for the
+    quadratic entropy.  Column l drives zeta_a through d_l, so the
+    entropy term is sum_j |d_j d_l w|^2 and the flux mismatch r_ij is
+    -(delta_ia delta_jl d_s + dF_ij/du_a d_l) w."""
+    import scipy.sparse as sp
+    d = derivatives(grid).d
+    k, n_space = ev.flux.k, ev.flux.N
+    n_lat = int(np.prod(grid.n_axes[1:]))
+    W = sp.diags_array(grid.node_weights().ravel())
+    fbar = ev.jac.mean(axis=tuple(range(1, grid.dim)))
+    inner = slice(_MARGIN * n_lat, (grid.n_axes[0] - _MARGIN) * n_lat)
+    blocks = {}
+    for a in range(k):
+        for l in range(n_space):
+            op = sum(2.0 * L * (dj @ d[l]).T @ W @ (dj @ d[l])
+                     for dj in d[:n_space])
+            for i in range(k):
+                for j in range(n_space):
+                    r = sp.diags_array(np.repeat(fbar[:, i, j, a], n_lat)) @ d[l]
+                    if (i, j) == (a, l):
+                        r = r + d[n_space]
+                    op = op + (2.0 / L) * r.T @ W @ r
+            blocks[a, l] = op.toarray()[inner, inner]
+    return blocks
+
+
+def _check_lateral_mode_inverse(grid, ev, rng):
+    # at the scale floor 4h, the scale of the optimizer on these cells:
+    # at L = 0.3 on 256 normal nodes the operator's condition number is
+    # about 6e6, and the band and the dense solve, with equal residuals,
+    # differ by up to 3e-10
+    L = resolved_scale_floor(grid)
+    k, n_space = ev.flux.k, ev.flux.N
+    g = rng.standard_normal(grid.shape + (k, n_space))
+    p = _lateral_mode_inverse(grid, g, ev, L)
+    assert np.all(p[:_MARGIN] == 0.0) and np.all(p[-_MARGIN:] == 0.0)
+    for (a, l), op in _mean_gauss_newton(grid, ev, L).items():
+        ref = np.linalg.solve(op, g[_MARGIN:-_MARGIN, ..., a, l].ravel())
+        got = p[_MARGIN:-_MARGIN, ..., a, l].ravel()
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("case, n_normal", [("cell", 11), ("shock", 13),
-                                             ("shock", 256)],
-                         ids=["cell", "shock", "shock_256"])
+                                             ("shock", 256), ("shock_3d", 14)],
+                         ids=["cell", "shock", "shock_256", "shock_3d"])
 def test_normal_tridiagonal_inverse_matches_dense_and_sine_solves(case,
                                                                   n_normal):
     # the cell's tridiagonal 2 cross h (L K_h + I / L) with margin 1,
     # K_h = tridiag(-1, 2, -1) / h^2, agrees with a dense solve and with
-    # the DST-I diagonalization by the symbol L lam + 1/L; the shock's
-    # parity-chain operator a T^2 + b K_c inside the margin slabs (chains
-    # of 4 and 3 nodes at n_normal 13), on a standing and a tilted
-    # frame, agrees with a dense solve of the operator assembled node by
-    # node, and its weight is the squared relative characteristic speed
+    # the DST-I diagonalization by the symbol L lam + 1/L (L = 0.3); the
+    # shock's lateral-mode inverse agrees with a dense solve of the
+    # lateral-mean Gauss-Newton operator assembled from the derivative
+    # matrices, on standing and tilted 1+1 frames with 1, 2, 3 and 8
+    # lateral nodes, on a 2+1 linear-advection cell, and with k = 2
+    # states and a random jacobian
     L = 0.3
     rng = np.random.default_rng(4)
     if case == "cell":
@@ -483,36 +508,33 @@ def test_normal_tridiagonal_inverse_matches_dense_and_sine_solves(case,
         assert np.max(np.abs(p[1:-1] - sine)) <= 1e-10 * size
         return
 
-    burgers = catalog_lookup("burgers")
-    for jump in (STANDING, TILTED):
-        grid = build_shock_grid(jump, n_normal, n_time=3)
-        w = 1e-3 * rng.standard_normal(grid.shape + (1, 1))
+    if case == "shock_3d":
+        model = catalog_lookup("linear_advection", {"speed": [1.0, 0.0]})
+        jumps = [SpaceTimeJumpData(u_plus=[0.0], u_minus=[1.0],
+                                   nu_y=[1.0 / np.sqrt(2), 0.0],
+                                   nu_s=-1.0 / np.sqrt(2))]
+        grids = [build_shock_grid(jumps[0], n_normal, n_lateral=4, n_time=3)]
+    else:
+        model = catalog_lookup("burgers")
+        jumps = [STANDING, TILTED]
+        n_times = (1, 2, 3, 8)
+        grids = [build_shock_grid(jump, n_normal, n_time=n_time)
+                 for jump in jumps for n_time in n_times]
+        jumps = [jump for jump in jumps for _ in n_times]
+    flux = model.flux
+    for jump, grid in zip(jumps, grids):
+        w = 1e-2 * rng.standard_normal(grid.shape + (flux.k, flux.N))
         w[:_MARGIN] = 0.0
         w[-_MARGIN:] = 0.0
-        ev = _ShockEvaluation(grid, build_base_fields(jump, burgers.flux, grid),
-                              w, burgers.flux, burgers.entropy)
-        c = _relative_speed_weight(grid, ev)
-        speed = jump.nu_s + jump.nu_y[0] * ev.zeta[..., 0]
-        assert np.allclose(c, np.mean(np.square(speed), axis=1),
-                           rtol=1e-14, atol=0.0)
-        # a linear system with k = 2: |nu_s I + nu_y A|_F^2 / k everywhere
-        A = np.array([[1.0, 2.0], [0.5, -1.0]])
-        system = SimpleNamespace(
-            flux=SimpleNamespace(k=2, N=1),
-            jac=np.broadcast_to(A[:, None, :], grid.shape + (2, 1, 2)))
-        speed = jump.nu_s * np.eye(2) + jump.nu_y[0] * A
-        assert np.allclose(_relative_speed_weight(grid, system),
-                           np.sum(np.square(speed)) / 2.0, rtol=1e-14, atol=0.0)
-
-        g = rng.standard_normal(grid.shape + (1, 1))
-        p = _parity_chain_inverse(grid, g, c, L)
-        assert np.all(p[:_MARGIN] == 0.0) and np.all(p[-_MARGIN:] == 0.0)
-        inner = g[_MARGIN:-_MARGIN]
-        n = inner.shape[0]
-        ref = np.linalg.solve(_chain_operator(grid, c, L),
-                              inner.reshape(n, -1)).reshape(inner.shape)
-        size = np.max(np.abs(ref))
-        assert np.max(np.abs(p[_MARGIN:-_MARGIN] - ref)) <= 1e-10 * size
+        ev = _ShockEvaluation(grid, build_base_fields(jump, flux, grid), w,
+                              flux, model.entropy)
+        _check_lateral_mode_inverse(grid, ev, rng)
+    # k = 2 states: each component keeps its own diagonal block
+    grid = grids[-1]
+    system = SimpleNamespace(
+        flux=SimpleNamespace(k=2, N=flux.N),
+        jac=rng.standard_normal(grid.shape + (2, flux.N, 2)))
+    _check_lateral_mode_inverse(grid, system, rng)
 
 
 def test_roundoff_trials_judged_by_directional_derivative():

@@ -455,8 +455,7 @@ def _normal_h1_inverse(grid, g, L):
     # need it
     from scipy.linalg.lapack import dptsv
     h = grid.spacing(0)
-    cross = float(np.prod([grid.spacing(ax) for ax in range(1, grid.dim)]))
-    scale = 2.0 * cross
+    scale = 2.0 * grid.lateral_measure
     inner = g[1:-1]
     n = inner.shape[0]
     x = dptsv(np.full(n, scale * (2.0 * L / h + h / L)),

@@ -15,9 +15,11 @@ the exact negative weighted adjoint of the gradient, applies their
 transposes.  This makes summation by parts, the Leray projection, and
 the composition laplacian = div(grad) hold to round-off, not just to
 truncation order.  The potential solve and the shock layer use the same
-matrices.
+matrices, and one table of the lateral Fourier modes
+(:func:`lateral_modes`).
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,6 +127,12 @@ class CellGrid:
             return 1.0 / (n - 1)
         return 1.0 / n
 
+    @property
+    def lateral_measure(self):
+        """Product of the lateral spacings: the measure of one node
+        column's cross-section."""
+        return math.prod(self.spacing(ax) for ax in range(1, self.dim))
+
     def axis_coords(self, axis):
         n = self.n_axes[axis]
         if axis == 0:
@@ -178,6 +186,22 @@ def check_normal(grid, nu):
     if nu.shape != own.shape or not np.max(np.abs(nu - own)) <= 1e-10:
         raise ShapeMismatch(
             f"grid built for the normal {own.tolist()}, not {nu.tolist()}")
+
+
+def lateral_modes(grid):
+    """The lateral Fourier modes, flat in the order of ``scipy.fft.rfftn``
+    over the lateral axes: their shape, and per lateral axis (rows) the
+    frequency m of every mode (signed, but halved on the last axis) and
+    its central-difference symbol sigma = sin(2 pi m / n) / h, for which
+    the wrapped central derivative is i sigma."""
+    lat = grid.n_axes[1:]
+    ks = [np.fft.fftfreq(n) * n for n in lat[:-1]]
+    ks.append(np.arange(lat[-1] // 2 + 1, dtype=np.float64))
+    syms = [np.sin(2.0 * np.pi * k / n) / grid.spacing(ax)
+            for ax, (k, n) in enumerate(zip(ks, lat), start=1)]
+    freq, sigma = (np.stack([a.ravel() for a in np.meshgrid(*v, indexing="ij")])
+                   for v in (ks, syms))
+    return tuple(k.size for k in ks), freq, sigma
 
 
 # --- fields ---------------------------------------------------------------

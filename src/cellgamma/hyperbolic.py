@@ -44,7 +44,8 @@ from .cellopt import (CellSolution, EnergyBreakdown, OptimizerOptions,
 from .errors import (DegenerateNormal, NonScalar, RankineHugoniotViolated,
                      ShapeMismatch)
 from .grid import (CellGrid, StateField, TensorField, apply_nodal,
-                   build_frame, cached, check_normal, derivatives)
+                   build_frame, cached, check_normal, derivatives,
+                   lateral_modes)
 from .model import FluxFunction, validate_rankine_hugoniot
 
 
@@ -271,15 +272,6 @@ def st_energy_gradient(pert, L, st_jump, flux, entropy, grid, base=None):
 
 # --- minimization ----------------------------------------------------------
 
-def _phase_gather(phase):
-    """Per normal node t and real part c of phase[t] z, the part of z it
-    reads and its sign (phase[t] is a power of i)."""
-    rot = np.stack([np.stack([phase.real, -phase.imag], axis=-1),
-                    np.stack([phase.imag, phase.real], axis=-1)], axis=1)
-    src = np.argmax(np.abs(rot), axis=-1)
-    return src, np.take_along_axis(rot, src[..., None], axis=-1)[..., 0]
-
-
 class _LateralModes:
     """What :func:`_lateral_mode_inverse` keeps per node counts, frame
     and state count k: the lateral Fourier modes grouped by their
@@ -287,10 +279,10 @@ class _LateralModes:
     coefficients of its flux band, and the gathers between the modes
     and the band's right-hand sides.
 
-    - A mode's symbol is sigma, sigma_x = sin(2 pi m_x / n_x) / h_x on
-      lateral axis x (the wrapped central derivative is i sigma_x there,
-      and zero under 3 nodes).  Modes m and n/2 - m of an axis with even
-      n have the same symbol, so they share a group.  A group's modes
+    - A mode's symbol is sigma from :func:`grid.lateral_modes`, sigma_x
+      = sin(2 pi m_x / n_x) / h_x on lateral axis x.  Modes m and n/2 - m
+      (mod n) of an axis with even n have the same symbol, so they share
+      a group, which takes the symbol of its first mode.  A group's modes
       are the right-hand-side slots of its band; slots past the group's
       size repeat one of its modes, and their solutions are not read.
     - ``entropy`` holds the Gauss-Newton operator of the entropy term,
@@ -306,23 +298,23 @@ class _LateralModes:
     - The right-hand sides are (slot, real part) columns of (a, l, group,
       node) rows, with shape ``shape``: ``forward`` gathers them from
       the float view of the modes (node, mode, a, l, real part) and
-      ``forward_sign`` turns that into S^H times the modes; ``back`` and
-      ``back_sign`` map the solutions to S times them.
+      ``forward_sign`` turns that into S^H times the modes.  Both are
+      traced once: S^H, the grouping and the layout applied to the
+      float labels 1, 2, ... leave each entry its signed source label.
+      ``back`` and ``back_sign``, their transpose taken at each mode's
+      own slot, map the solutions to S times them.
     """
 
     def __init__(self, grid, k):
         # imported here: scipy.sparse loads scipy.linalg, which every
         # import of the package would otherwise pay
         import scipy.sparse as sp
-        lat_shape = grid.n_axes[1:]
-        freq = np.meshgrid(*[np.arange(n) for n in lat_shape[:-1]],
-                           np.arange(lat_shape[-1] // 2 + 1), indexing="ij")
-        canon = [np.minimum(m, (n // 2 - m) % n) if n % 2 == 0 else m
-                 for m, n in zip(freq, lat_shape)]
-        keys, group = np.unique(np.stack(canon, axis=-1).reshape(
-            -1, len(lat_shape)), axis=0, return_inverse=True)
-        group = group.ravel()
-        n_modes, n_groups = group.size, len(keys)
+        _, freq, sigma = lateral_modes(grid)
+        lat = np.array(grid.n_axes[1:])[:, None]
+        m = freq % lat
+        canon = np.where(lat % 2 == 0, np.minimum(m, (lat // 2 - m) % lat), m)
+        group = np.unique(canon.T, axis=0, return_inverse=True)[1].ravel()
+        n_modes = group.size
         counts = np.bincount(group)
         first = np.cumsum(counts) - counts
         order = np.argsort(group, kind="stable")
@@ -330,28 +322,31 @@ class _LateralModes:
         slot[order] = np.arange(n_modes) - np.repeat(first, counts)
         take = np.repeat(order[first][:, None], counts.max(), axis=1)
         take[group, slot] = np.arange(n_modes)
-        sigma = np.sin(2.0 * np.pi * keys / lat_shape) / [
-            grid.spacing(ax) for ax in range(1, grid.dim)]
+        sigma = sigma[:, order[first]].T
 
         n, h = grid.n_axes[0], grid.spacing(0)
-        n_int, n_space = n - 2 * _MARGIN, grid.dim - 1
+        n_int, n_space, n_groups = n - 2 * _MARGIN, grid.dim - 1, counts.size
         self.shape = (counts.max(), 2, k, n_space, n_groups, n_int)
-        idx = np.ix_(*[np.arange(c) for c in self.shape])
-        t = idx[-1]
-        src, sign = _phase_gather((-1j) ** (np.arange(n_int) % 4))
-        self.forward = np.ravel_multi_index(
-            (t, take[idx[4], idx[0]], idx[2], idx[3], src[t, idx[1]]),
-            (n_int, n_modes, k, n_space, 2)).reshape(2 * counts.max(), -1)
-        self.forward_sign = np.broadcast_to(
-            sign[t, idx[1]], self.shape).reshape(self.forward.shape)
-        t, f, a, l, c = np.ix_(np.arange(n_int), np.arange(n_modes),
-                               np.arange(k), np.arange(n_space), np.arange(2))
-        src, sign = _phase_gather(1j ** (np.arange(n_int) % 4))
-        self.back = np.ravel_multi_index(
-            (slot[f], src[t, c], a, l, group[f], t), self.shape)
-        self.back_sign = np.broadcast_to(sign[t, c], self.back.shape).copy()
+        # trace the gathers: the float view of the modes labelled 1, 2,
+        # ..., then the phase S^H = diag((-i)^t), the grouping and the
+        # band layout; each entry then holds its source label, signed
+        view = (n_int, n_modes, k, n_space, 2)
+        size = math.prod(view)
+        z = np.arange(1.0, size + 1).view(np.complex128).reshape(view[:-1])
+        z *= np.array([1, -1j, -1, 1j])[np.arange(n_int) % 4, None, None, None]
+        z = z[:, take].transpose(2, 3, 4, 1, 0)
+        z = np.stack([z.real, z.imag], axis=1).reshape(2 * counts.max(), -1)
+        self.forward = np.abs(z).astype(np.intp) - 1
+        self.forward_sign = np.sign(z)
+        # the transpose, read at each mode's own slot, not at a repeat
+        own = np.broadcast_to((np.arange(counts.max())[:, None] < counts)[
+            :, None, None, None, :, None], self.shape).reshape(z.shape)
+        back, back_sign = np.empty(size, dtype=np.intp), np.empty(size)
+        back[self.forward[own]] = np.flatnonzero(own)
+        back_sign[self.forward[own]] = self.forward_sign[own]
+        self.back, self.back_sign = back.reshape(view), back_sign.reshape(view)
 
-        cross = math.prod(grid.spacing(ax) for ax in range(1, grid.dim))
+        cross = grid.lateral_measure
         wn = grid.axis_weights(0)
         # each physical derivative in a group's mode: beta_j D + i lam_j
         beta = grid.frame.basis[0]

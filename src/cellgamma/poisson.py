@@ -8,19 +8,20 @@ module.  That makes the duality identities (projection orthogonality,
 energy identity, Dirichlet <= Neumann) hold to round-off rather than to
 truncation order.
 
-Method: real FFT along the lateral periodic axes; per lateral mode k the
-normal operator is A0 + mu_k W, with A0 = D^T W D, D the grid's normal
-derivative matrix (one-sided-closed, :func:`grid.derivatives`) and W the
-normal quadrature weights.  All modes are solved at once by fast
-diagonalization (Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199):
-the generalized eigenbasis A0 V = W V diag(lam),
-V^T W V = I, on the solved rows (all nodes for Neumann, the interior for
-Dirichlet) is computed once per (node counts, bc) and cached, and each
-solve is H = V diag(1/(lam + mu_k)) V^T b.  V is real, so its two
-products act on the float64 view of the complex mode array, (n0, 2 modes
-l): two real matrix products for all modes and rows.  The sparse D^T (the
-right-hand side) and A0, one CSR matrix (the residual check), act on the
-same view.
+Method: real FFT along the lateral periodic axes; per lateral mode k of
+:func:`grid.lateral_modes` the normal operator is A0 + mu_k W, with mu_k
+= |sigma_k|^2 for the mode's central-difference symbols, A0 = D^T W D, D
+the grid's normal derivative matrix (one-sided-closed,
+:func:`grid.derivatives`) and W the normal quadrature weights (times the
+lateral measure).  All modes are solved at once by fast diagonalization
+(Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199): the generalized
+eigenbasis A0 V = W V diag(lam), V^T W V = I, on the solved rows (all
+nodes for Neumann, the interior for Dirichlet) is computed once per
+(node counts, bc) and cached, and each solve is H = V diag(1/(lam +
+mu_k)) V^T b.  V is real, so its two products act on the float64 view
+of the complex mode array, (n0, 2 modes l): two real matrix products
+for all modes and rows.  The sparse D^T (the right-hand side) and A0,
+one CSR matrix (the residual check), act on the same view.
 D annihilates exactly the constants, so the Neumann operator is singular
 in the lateral modes with mu = 0 (the zero mode and, on even axes, pure
 Nyquist modes).  There the constant eigenvector gets 1/(lam + mu) := 0:
@@ -45,7 +46,7 @@ import scipy.fft
 
 from .errors import NeumannIncompatible, ShapeMismatch, SolverDiverged
 from .grid import (StateField, TensorField, apply_nodal, cached, derivatives,
-                   frame_components, gradient, inner)
+                   frame_components, gradient, inner, lateral_modes)
 
 
 class BcVariant:
@@ -81,34 +82,14 @@ class _CellSolverData:
 
     def __init__(self, grid, bc):
         n0 = grid.n_axes[0]
-        lat_shape = grid.n_axes[1:]
-        freq_shape = tuple(lat_shape[:-1]) + (lat_shape[-1] // 2 + 1,)
-        self.lat_shape = lat_shape
-        self.freq_shape = freq_shape
-        self.n_modes = int(np.prod(freq_shape))
-
-        # central-difference symbol per lateral axis: D_lat <-> i sigma
-        self.sigma = []
-        mu = np.zeros(freq_shape)
-        for i, n in enumerate(lat_shape):
-            h = grid.spacing(i + 1)
-            if i == len(lat_shape) - 1:
-                k = np.arange(n // 2 + 1, dtype=np.float64)
-            else:
-                k = np.fft.fftfreq(n) * n
-            s = np.sin(2.0 * np.pi * k / n) / h
-            shape = [1] * len(freq_shape)
-            shape[i] = -1
-            sb = (s.reshape(shape) * np.ones(freq_shape)).reshape(self.n_modes)
-            self.sigma.append(sb)
-            mu = mu + sb.reshape(mu.shape) ** 2
-        self.mu = mu.reshape(self.n_modes)
-
+        self.lat_shape = grid.n_axes[1:]
+        self.freq_shape, _, sigma = lateral_modes(grid)
+        self.n_modes = sigma.shape[1]
+        # D_lat <-> i sigma per lateral axis; mu = |sigma|^2
+        self.sigma = sigma
+        self.mu = sum(s ** 2 for s in sigma)
         # the lateral cell measure folds into the normal weight vector
-        c_lat = 1.0
-        for i in range(1, grid.dim):
-            c_lat *= grid.spacing(i)
-        self.w_nu = grid.axis_weights(0) * c_lat
+        self.w_nu = grid.axis_weights(0) * grid.lateral_measure
         # the normal derivative: its transpose assembles the rhs, and
         # A0 = D^T W D applies the normal operator in the residual check
         import scipy.sparse as sp  # loaded already by derivatives()

@@ -11,7 +11,7 @@ from scipy.fft import dst, idst
 
 from cellgamma import oracle
 from cellgamma.cellopt import (CellEvaluation, OptimizerOptions, _from_gauss,
-                               _normal_h1_inverse, _to_gauss,
+                               _normal_h1_inverse, _stiffness, _to_gauss,
                                assemble_energy, compute_cell_energy,
                                energy_gradient, init_profiles, minimize_cg,
                                optimize_scale, resolved_scale_floor,
@@ -113,6 +113,25 @@ def test_constant_no_jump_profile_zero_energy():
     j = JumpData(phi_plus=[1.0], phi_minus=[1.0], nu=[1.0])
     prof = StateField(g, np.ones((16, 1)))
     assert assemble_energy(prof, 1.0, DW, j).total == 0.0
+
+
+@pytest.mark.parametrize("nu, n_axes", [([1.0, 0.0], (16, 8)),
+                                         ([2 / 3, 2 / 3, 1 / 3], (9, 7, 4))])
+def test_stiffness_exact_on_constants_and_lateral_columns(nu, n_axes):
+    # the stiffness product sums each node's entries in one fixed order,
+    # the wrapped nodes included: a constant no-jump field gives exact
+    # zeros, so A is exactly 0 and never below it, and a profile of the
+    # normal index alone gives the same output in every lateral column
+    g = CellGrid(frame=build_frame(nu), n_axes=n_axes)
+    const = np.full(g.shape + (1,), 0.7)
+    assert np.all(_stiffness(g, const) == 0.0)
+    assert CellEvaluation(g, const, DW, BcVariant.NEUMANN).A == 0.0
+    v = np.tanh(6.0 * g.coords_normal())[..., None]
+    v[0], v[-1] = -1.0, 1.0
+    column = (slice(None),) + (slice(0, 1),) * (g.dim - 1)
+    ev = CellEvaluation(g, v, DW, BcVariant.NEUMANN)
+    for out in (_stiffness(g, v), ev.gradient(0.3)):
+        assert np.array_equal(out, np.broadcast_to(out[column], out.shape))
 
 
 def test_admissibility_checks():

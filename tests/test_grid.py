@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellgamma.errors import NonUnitNormal, ShapeMismatch
 from cellgamma.grid import (CellGrid, StateField, TensorField, apply_nodal,
                             build_cell_grid, build_frame, derivatives,
-                            divergence, gradient, inner, laplacian)
+                            divergence, gradient, inner, laplacian,
+                            lateral_modes)
 
 
 def _axis_reference(grid, values, ax):
@@ -145,6 +147,31 @@ def test_laplacian_of_lateral_mode():
     h = g.spacing(1)
     sym = -np.square(np.sin(2 * np.pi * h) / h)
     assert np.max(np.abs(lap - sym * np.sin(2 * np.pi * y))) < 1e-10
+
+
+@pytest.mark.parametrize("nu, n_axes", [([1.0, 0.0], (9, 7)),
+                                         ([1.0, 0.0], (9, 8)),
+                                         ([2 / 3, 2 / 3, 1 / 3], (9, 7, 4))])
+def test_lateral_modes_are_the_derivative_and_fft_modes(nu, n_axes):
+    # each symbol is the eigenvalue i sigma of the grid's own wrapped
+    # derivative on the mode (the Nyquist mode of 8 nodes included), and
+    # the flat order is that of scipy.fft.rfftn over the lateral axes
+    g = CellGrid(frame=build_frame(nu), n_axes=n_axes)
+    shape, freq, sigma = lateral_modes(g)
+    lat = n_axes[1:]
+    for ax, n in enumerate(lat, start=1):
+        d, h = derivatives(g).axes[ax], g.spacing(ax)
+        for m, s in zip(freq[ax - 1], sigma[ax - 1]):
+            e = np.exp(2j * np.pi * m * np.arange(n) / n)
+            assert np.max(np.abs(d @ e - 1j * s * e)) <= 1e-13 / h
+    nodes = np.meshgrid(*[np.arange(n) for n in lat], indexing="ij")
+    for f, m in enumerate(freq.T):
+        phase = sum(2.0 * np.pi * mx * j / n for mx, j, n in zip(m, nodes, lat))
+        peak = np.abs(scipy.fft.rfftn(np.cos(phase))).ravel()
+        assert peak.size == np.prod(shape)
+        # a real mode also fills its mirror -m where that is stored
+        assert peak[f] == pytest.approx(peak.max(), rel=1e-12)
+        assert np.sum(peak > 1e-9 * peak.max()) <= 2
 
 
 def test_gradient_exact_for_linear():

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from cellgamma.cellopt import OptimizerOptions
 from cellgamma.errors import (BadParams, DegenerateNormal, NonScalar,
                               RankineHugoniotViolated, ShapeMismatch)
-from cellgamma.grid import TensorField, apply_nodal, derivatives
-from cellgamma.hyperbolic import (PotentialPerturbation, _phys_diff,
+from cellgamma.grid import (CellGrid, TensorField, apply_nodal, build_frame,
+                            derivatives)
+from cellgamma.hyperbolic import (PotentialPerturbation, _LateralModes,
+                                  _phys_diff,
                                   assemble_st_energy,
                                   build_base_fields, build_shock_grid,
                                   compute_shock_cell_energy,
@@ -219,6 +221,22 @@ def test_derivative_cache_keyed_by_frame():
             assert np.max(np.abs(_phys_diff(g, u, j) - ref)) <= (
                 1e-13 * np.max(np.abs(ref)))
     assert derivatives(a) is not derivatives(b)
+
+
+@pytest.mark.parametrize("nu, n_axes", [([1.0, 0.0], (256, 16)),
+                                         ([0.6, 0.8], (13, 1)),
+                                         ([0.6, 0.0, -0.8], (14, 4, 3))])
+@pytest.mark.parametrize("k", [1, 2])
+def test_lateral_mode_gathers_are_a_signed_permutation_and_its_transpose(
+        nu, n_axes, k):
+    # the band's right-hand sides gathered from the float view of the
+    # modes, then gathered back with the signs, are the input exactly
+    modes = _LateralModes(CellGrid(frame=build_frame(nu), n_axes=n_axes), k)
+    assert np.all(np.abs(modes.forward_sign) == 1.0)
+    x = np.random.default_rng(7).standard_normal(modes.back.shape)
+    rhs = x.ravel()[modes.forward] * modes.forward_sign
+    assert rhs.shape == (2 * modes.shape[0], np.prod(modes.shape[2:]))
+    assert np.array_equal(rhs.ravel()[modes.back] * modes.back_sign, x)
 
 
 def test_linear_advection_3d_space_time_cell():

@@ -344,9 +344,9 @@ def _antipodal_axes(a, specs, jump):
     return [s[3] for s in scored]
 
 
-def _tanh_profile(jump, specs, grid, width=0.15, plane_rank=0):
+def _tanh_profile(jump, specs, grid, plane_rank=0):
     t = grid.coords_normal()
-    sig = smoothstep(t / width)
+    sig = smoothstep(t / 0.15)
     if specs.constraint.kind == "unit_sphere":
         # rotate along a great circle; straight-line interpolation
         # followed by normalization degenerates to a step for

@@ -219,10 +219,6 @@ class StateField:
             raise ShapeMismatch(
                 f"state values {self.values.shape} do not fit grid {self.grid.shape}")
 
-    @property
-    def m(self):
-        return self.values.shape[-1]
-
 
 @dataclass
 class TensorField:
@@ -321,18 +317,6 @@ def apply_nodal(mat, values):
 
 
 # --- gradient / divergence / laplacian ------------------------------------
-
-def frame_components(grid, values, out=None):
-    """Components of tensor values along the frame vectors, in one
-    product: out[ax] = values . basis[ax], of shape (dim,) +
-    values.shape[:-1], written to ``out`` (C-contiguous) when given."""
-    n = values.shape[-1]
-    if out is None:
-        out = np.empty((grid.dim,) + values.shape[:-1])
-    np.matmul(grid.frame.basis, values.reshape(-1, n).T,
-              out=out.reshape(grid.dim, -1))
-    return out
-
 
 def gradient(f):
     """Gradient of a StateField, in physical components:

@@ -157,20 +157,12 @@ def build_shock_grid(st_jump, n_normal, n_lateral=None, n_time=None):
     return CellGrid(frame=frame, n_axes=n_axes)
 
 
-def _ramp(t, center, width, kind):
-    if kind == "smooth":
-        return smoothstep((t - center) / width)
-    if kind == "linear":
-        return np.clip(0.5 + (t - center) / (2.0 * width), 0.0, 1.0)
-    raise ShapeMismatch(f"unknown ramp kind {kind!r}")
-
-
-def build_base_fields(st_jump, flux, grid, width=0.25, center=0.0,
-                      ramp="smooth"):
+def build_base_fields(st_jump, flux, grid, center=0.0):
     """Base pair (zeta0, gamma0) for a Rankine-Hugoniot shock.
 
-    zeta0 sweeps u- to u+ with a clamped cubic step theta in the normal
-    cell coordinate (exactly 0/1 outside +-width around ``center``);
+    zeta0 sweeps u- to u+ with the clamped cubic step theta =
+    smoothstep((t - center) / 0.25) in the normal cell coordinate t
+    (exactly 0/1 outside +-0.25 around ``center``);
     gamma0 = F(u-) + theta T - (nu_s/|nu_y|^2)(zeta0 - u-) (x) nu_y
     with the tangential flux discrepancy T = F(u+) - F(u-) +
     (nu_s/|nu_y|^2)(u+ - u-) (x) nu_y.  T . nu_y = 0 by RH, so
@@ -189,7 +181,7 @@ def build_base_fields(st_jump, flux, grid, width=0.25, center=0.0,
     du = up - um
     fm = flux.value(um)
     t_disc = flux.value(up) - fm + coef * np.multiply.outer(du, ny)
-    theta = _ramp(grid.coords_normal(), center, width, ramp)
+    theta = smoothstep((grid.coords_normal() - center) / 0.25)
     zeta0 = um + theta[..., None] * du
     gamma0 = (fm + theta[..., None, None] * t_disc
               - coef * (zeta0 - um)[..., None] * ny)
@@ -530,14 +522,14 @@ def reduce_to_static_frame(st_jump, flux):
 
 # --- scalar 1D oracle -------------------------------------------------------
 
-def viscous_profile_oracle_1d(u_minus, u_plus, flux, entropy, samples=10000):
+def viscous_profile_oracle_1d(u_minus, u_plus, flux, entropy):
     """Scale-relaxed lower envelope of the scalar 1D shock cell energy.
 
     For a stationary scalar shock the optimal pair has gamma pinned at
     F(u-), and minimizing over L turns the energy into the path
     integral of 2 eta''(s) |F(s) - F(u-)| along the monotone sweep from
     u- to u+ (the monotone path is the unique candidate in one state
-    dimension).  Dense trapezoid quadrature.
+    dimension).  Dense trapezoid quadrature on 10000 samples.
     """
     if flux.k != 1 or flux.N != 1:
         raise NonScalar("the 1D oracle requires a scalar flux (k = N = 1)")
@@ -545,7 +537,7 @@ def viscous_profile_oracle_1d(u_minus, u_plus, flux, entropy, samples=10000):
     up = float(np.asarray(u_plus).reshape(()))
     if um == up:
         return 0.0
-    s = np.linspace(um, up, samples)
+    s = np.linspace(um, up, 10000)
     states = s[:, None]
     f_vals = flux.value(states)[..., 0, 0]
     f0 = float(flux.value(np.array([um]))[0, 0])

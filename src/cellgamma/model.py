@@ -172,13 +172,13 @@ def _zero_potential(m):
                            gradient=lambda s: np.zeros_like(s))
 
 
-def _zero_flux(m, N, l=1):
-    z = np.zeros((l, N))
-    zj = np.zeros((l, N, m))
+def _zero_flux(m, N):
+    z = np.zeros((1, N))
+    zj = np.zeros((1, N, m))
     return FluxMap(
-        m=m, l=l, N=N,
-        value=lambda x: np.broadcast_to(z, x.shape[:-1] + (l, N)),
-        jacobian=lambda x: np.broadcast_to(zj, x.shape[:-1] + (l, N, m)),
+        m=m, l=1, N=N,
+        value=lambda x: np.broadcast_to(z, x.shape[:-1] + (1, N)),
+        jacobian=lambda x: np.broadcast_to(zj, x.shape[:-1] + (1, N, m)),
         is_zero=True,
     )
 
@@ -331,9 +331,9 @@ def validate_rankine_hugoniot(jump, flux, tol):
 
 # --- finite-difference consistency helper ---------------------------------
 
-def fd_relative_error(value, derivative, x, step=None):
+def fd_relative_error(value, derivative, x):
     """Max relative error between an analytic derivative and central
-    finite differences of ``value`` at the point ``x``.
+    finite differences of ``value`` at ``x``, step 1e-5 (1 + |x_i|).
 
     ``derivative(x)`` must have shape value-shape + x-shape appended,
     which matches the jacobian layouts used throughout this module.
@@ -341,9 +341,8 @@ def fd_relative_error(value, derivative, x, step=None):
     x = np.asarray(x, dtype=np.float64)
     d = np.asarray(derivative(x), dtype=np.float64)
     fd = np.zeros_like(d)
-    it = np.ndindex(x.shape)
-    for idx in it:
-        h = (step if step is not None else 1e-5 * (1.0 + abs(x[idx])))
+    for idx in np.ndindex(x.shape):
+        h = 1e-5 * (1.0 + abs(x[idx]))
         xp = x.copy(); xp[idx] += h
         xm = x.copy(); xm[idx] -= h
         fd[(Ellipsis,) + idx] = (np.asarray(value(xp)) - np.asarray(value(xm))) / (2.0 * h)

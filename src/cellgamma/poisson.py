@@ -30,12 +30,12 @@ to the constants in every kernel mode (to round-off times the condition
 of A0, about 1e-11 relative at 256 normal nodes).  The right-hand sides of those
 modes are compatible by construction: 1^T D^T(w m) = 0 identically.
 
-Memory: the frame components, the eigenbasis coefficients and H-hat of a
-solve are written into one work area per thread, kept while the node
-counts and flux rows stay the same and shared by both bcs.  The
-right-hand side and the residual are fresh mode arrays, dropped before
-the gradient; the returned H and grad H are fresh arrays too, so a
-caller may keep them across later solves.
+Memory: the frame components of the flux, one inline product with the
+frame basis, the eigenbasis coefficients and H-hat of a solve go to one
+work area per thread, kept while the node counts and flux rows stay the
+same and shared by both bcs.  The right-hand side and the residual are
+fresh mode arrays, dropped before the gradient; the returned H and grad
+H are fresh arrays too, so a caller may keep them across later solves.
 """
 
 import threading
@@ -46,7 +46,7 @@ import scipy.fft
 
 from .errors import NeumannIncompatible, ShapeMismatch, SolverDiverged
 from .grid import (StateField, TensorField, apply_nodal, cached, derivatives,
-                   frame_components, gradient, inner, lateral_modes)
+                   gradient, inner, lateral_modes)
 
 
 class BcVariant:
@@ -61,7 +61,6 @@ class PotentialField:
     H: StateField
     gradH: TensorField
     residual_norm: float
-    bc: str
 
 
 @dataclass
@@ -224,7 +223,9 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
     lat_axes = tuple(range(1, grid.dim))
     work = _work_area(grid, l, data.n_modes)
 
-    comps = frame_components(grid, M.values, out=work.comps)
+    comps = work.comps  # the frame components, comps[ax] = M . basis[ax]
+    np.matmul(grid.frame.basis, M.values.reshape(-1, grid.dim).T,
+              out=comps.reshape(grid.dim, -1))
     if shift_mean_flux:
         # M - c x nu, c = (bot + top) / 2, has the frame components
         # comps[ax] - c (nu . b_ax)
@@ -277,7 +278,7 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
     H = scipy.fft.irfftn(Hhat.reshape((n0,) + data.freq_shape + (l,)),
                          s=data.lat_shape, axes=lat_axes)
     Hf = StateField(grid, H)
-    return PotentialField(H=Hf, gradH=gradient(Hf), residual_norm=residual, bc=bc)
+    return PotentialField(H=Hf, gradH=gradient(Hf), residual_norm=residual)
 
 
 def nonlocal_energy(M, bc, check_compat=True):

@@ -600,6 +600,25 @@ def test_roundoff_trials_judged_by_directional_derivative():
     assert max(ev.gradient_calls for ev in evaluations) == 1
 
 
+def test_line_search_stall_stops_unconverged():
+    # every evaluation after the start lies 100 above it (A = B = 51
+    # against 1, at L = 1): the line search rejects all 50 trials of the
+    # first iteration, so the run stops there, unconverged, at the start
+    calls = []
+
+    def evaluate(x):
+        calls.append(x)
+        part = 1.0 if len(calls) == 1 else 51.0
+        return SimpleNamespace(A=part, B=part, gradient=lambda L: np.ones(4))
+
+    x0 = np.zeros(4)
+    x, L, E, it, converged, _ = minimize_cg(
+        x0, evaluate, lambda g, ev, L: g, lambda x, step: x + step,
+        1e-3, 1e-6, OptimizerOptions(max_iter=50))
+    assert (it, converged, len(calls)) == (1, False, 51)
+    assert np.array_equal(x, x0) and (L, E) == (1.0, 2.0)
+
+
 def test_package_import_leaves_scipy_linalg_and_interpolate_unloaded():
     # cellopt, hyperbolic and oracle import scipy.linalg and scipy.sparse
     # lazily: each costs tens of ms that every import of the package

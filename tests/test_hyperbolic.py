@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from cellgamma.cellopt import OptimizerOptions
 from cellgamma.errors import (BadParams, DegenerateNormal, NonScalar,
                               RankineHugoniotViolated, ShapeMismatch)
-from cellgamma.grid import (CellGrid, TensorField, apply_nodal, build_frame,
-                            derivatives)
-from cellgamma.hyperbolic import (PotentialPerturbation, _LateralModes,
-                                  _phys_diff,
+from cellgamma.grid import (CellGrid, StateField, TensorField, apply_nodal,
+                            build_frame, derivatives)
+from cellgamma.hyperbolic import (BaseFields, PotentialPerturbation,
+                                  _LateralModes, _phys_diff,
                                   assemble_st_energy,
                                   build_base_fields, build_shock_grid,
                                   compute_shock_cell_energy,
@@ -59,9 +59,12 @@ def test_rh_violation_raises():
 
 
 def test_linear_ramp_energy_example():
-    # zeta0 = -2t, L = 1: grad term 4, mismatch (1/4)(8/15) = 2/15
+    # the linear base pair zeta0 = -2t, gamma0 = F(u-) = 1/2 of the
+    # standing shock, L = 1: grad term 4, mismatch (1/4)(8/15) = 2/15
     g = build_shock_grid(STANDING, 128, n_time=4)
-    base = build_base_fields(STANDING, FLUX, g, width=0.5, ramp="linear")
+    t = g.coords_normal()
+    base = BaseFields(zeta0=StateField(g, (-2.0 * t)[..., None]),
+                      gamma0=TensorField(g, np.full(g.shape + (1, 1), 0.5)))
     e = assemble_st_energy(_zero_pert(g), 1.0, STANDING, FLUX, ENTROPY, g,
                            base=base)
     assert abs(e.grad_term - 4.0) < 1e-12

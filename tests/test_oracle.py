@@ -8,7 +8,7 @@ import pytest
 from cellgamma.cellopt import OptimizerOptions, compute_cell_energy
 from cellgamma.errors import BadParams, DimensionTooLarge
 from cellgamma.grid import StateField, build_cell_grid, build_frame
-from cellgamma.model import JumpData, catalog_lookup
+from cellgamma.model import JumpData, catalog_lookup, validate_jump_data
 from cellgamma.oracle import (finite_difference_gradient,
                               geodesic_energy_1d, geodesic_path_1d)
 
@@ -37,10 +37,25 @@ def test_finite_difference_step_must_be_positive():
 
 def test_micromagnetics_wall_oracle():
     mm = catalog_lookup("micromagnetics_2d")
-    j = JumpData(phi_plus=[0.0, 1.0, 0.0], phi_minus=[0.0, -1.0, 0.0],
-                 nu=[1.0, 0.0])
-    e = geodesic_energy_1d(j, mm, sampling=120)
-    assert abs(e - 4.0) <= 0.02 * 4.0
+    cases = [
+        # antipodal states: the 180-degree wall
+        (0.0, 4.0, 0.02),
+        # phi+- = (0.6, +-0.8, 0) are not antipodal, so the polar lattice
+        # is built about the great circle through both; the equator path
+        # through (1, 0, 0) costs 2 (cos a - 0.6) da for |a| <= arccos 0.6
+        (0.6, 4.0 * (0.8 - 0.6 * np.arccos(0.6)), 0.005),
+    ]
+    for m_x, exact, rel_tol in cases:
+        m_y = np.sqrt(1.0 - m_x ** 2)
+        j = JumpData(phi_plus=[m_x, m_y, 0.0], phi_minus=[m_x, -m_y, 0.0],
+                     nu=[1.0, 0.0])
+        assert validate_jump_data(j, mm, 1e-12).passed
+        e = geodesic_energy_1d(j, mm, sampling=120)
+        assert abs(e - exact) <= rel_tol * exact
+    # the lattice holds the great circle through both states, so the path
+    # stays on the equator even when the azimuths miss the other axes
+    # (122 is not a multiple of 4)
+    assert np.max(np.abs(geodesic_path_1d(j, mm, sampling=122)[:, 2])) <= 1e-12
 
 
 def test_sphere_path_one_node_per_pole():

@@ -373,45 +373,31 @@ def _tanh_profile(jump, specs, grid, plane_rank=0):
     return jump.phi_minus + sig[..., None] * (jump.phi_plus - jump.phi_minus)
 
 
-def strategy_starts(strategy, grid, shape, opts, unperturbed, perturb):
-    """The starts of one strategy name, for the cell and the shock alike:
-    "one_dimensional_tanh" gives the deterministic ``unperturbed()``,
-    and "random_perturbed" gives ``perturb(noise)`` for ``opts.n_random``
-    smoothed standard normal noise arrays of shape ``grid.shape +
-    shape``, array i drawn from the Philox stream (``opts.seed``, i).
-    Any other name raises BadStrategy."""
-    if strategy == "one_dimensional_tanh":
-        return [unperturbed()]
-    if strategy == "random_perturbed":
-        starts = []
-        for i in range(opts.n_random):
-            rng = np.random.Generator(np.random.Philox(key=(opts.seed, i)))
-            noise = smooth_noise(grid, rng.standard_normal(grid.shape + shape))
-            starts.append(perturb(noise))
-        return starts
-    raise BadStrategy(f"unknown init strategy {strategy!r}")
-
-
 def init_profiles(jump, specs, grid, strategy, opts=None):
-    """Starting profiles for one strategy of :func:`strategy_starts`:
-    the tanh profile, or perturbations of relative amplitude
-    ``opts.amplitude`` inside the layer."""
+    """Starting profiles for one strategy name: "one_dimensional_tanh"
+    gives the tanh profile, and "random_perturbed" gives ``opts.n_random``
+    perturbations of relative amplitude ``opts.amplitude`` inside the
+    layer by smoothed standard normal noise, noise i drawn from the
+    Philox stream (``opts.seed``, i).  Any other name raises BadStrategy."""
     opts = opts or OptimizerOptions()
-
-    def perturb(noise):
-        # diversify: perturb around a different member of the geodesic
-        # family than the deterministic start when one exists (antipodal
-        # sphere data), instead of re-probing the same basin
-        base = _tanh_profile(jump, specs, grid, plane_rank=1)
-        t = grid.coords_normal()
-        bump = np.square(np.sin(np.pi * (t + 0.5)))[..., None]
-        jump_size = np.linalg.norm(jump.phi_plus - jump.phi_minus)
-        return _retract(base, opts.amplitude * jump_size * bump * noise,
-                        specs, jump)
-
-    values = strategy_starts(strategy, grid, (specs.m,), opts,
-                             lambda: _tanh_profile(jump, specs, grid), perturb)
-    return [StateField(grid, v) for v in values]
+    if strategy == "one_dimensional_tanh":
+        return [StateField(grid, _tanh_profile(jump, specs, grid))]
+    if strategy != "random_perturbed":
+        raise BadStrategy(f"unknown init strategy {strategy!r}")
+    # diversify: perturb around a different member of the geodesic
+    # family than the deterministic start when one exists (antipodal
+    # sphere data), instead of re-probing the same basin
+    base = _tanh_profile(jump, specs, grid, plane_rank=1)
+    t = grid.coords_normal()
+    bump = np.square(np.sin(np.pi * (t + 0.5)))[..., None]
+    scale = opts.amplitude * np.linalg.norm(jump.phi_plus - jump.phi_minus)
+    starts = []
+    for i in range(opts.n_random):
+        rng = np.random.Generator(np.random.Philox(key=(opts.seed, i)))
+        noise = smooth_noise(grid, rng.standard_normal(grid.shape + (specs.m,)))
+        starts.append(StateField(grid, _retract(base, scale * bump * noise,
+                                                specs, jump)))
+    return starts
 
 
 # --- minimizer ------------------------------------------------------------
@@ -602,6 +588,9 @@ def compute_cell_energy(jump, specs, grid, bc=BcVariant.NEUMANN, opts=None):
     by :func:`_normal_h1_inverse` and, under the sphere constraint,
     projected on the tangent space."""
     jump.check_state_length(specs.m)
+    if jump.nu.shape != (specs.Psi.N,):
+        raise BadParams(f"normal nu of length {jump.nu.size} does not fit a "
+                        f"model with N = {specs.Psi.N}")
     check_normal(grid, jump.nu)
     opts = opts or OptimizerOptions()
     starts = [p.values for s in opts.strategies

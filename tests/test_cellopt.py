@@ -178,15 +178,9 @@ def test_optimizer_options_rejected(bad):
     OptimizerOptions(strategies=("random_perturbed",), n_random=0),
     OptimizerOptions(strategies=("bogus",))])
 def test_no_starts_raises_bad_strategy(opts):
-    # the cell and the shock read their starts from the same names
     g = build_cell_grid(build_frame([1.0]), 16)
     with pytest.raises(BadStrategy):
         compute_cell_energy(DW_JUMP, DW, g, opts=opts)
-    burgers = catalog_lookup("burgers")
-    g = build_shock_grid(STANDING, 16, n_time=2)
-    with pytest.raises(BadStrategy):
-        compute_shock_cell_energy(STANDING, burgers.flux, burgers.entropy, g,
-                                  opts)
 
 
 def test_gradient_matches_fd_double_well():
@@ -387,6 +381,36 @@ def test_state_length_must_match_model():
     j = JumpData(phi_plus=[1.0, 0.0], phi_minus=[-1.0, 0.0], nu=[1.0])
     with pytest.raises(BadParams):
         compute_cell_energy(j, DW, g)
+
+
+def _shock_with_planar_normal():
+    burgers = catalog_lookup("burgers")
+    j = SpaceTimeJumpData(u_plus=[-1.0], u_minus=[1.0], nu_y=[1.0, 0.0],
+                          nu_s=0.0)
+    g = build_shock_grid(j, 16, n_lateral=4)
+    compute_shock_cell_energy(j, burgers.flux, burgers.entropy, g)
+
+
+def _micromagnetic_cell(nu):
+    j = JumpData(phi_plus=[0.0, 1.0, 0.0], phi_minus=[0.0, -1.0, 0.0], nu=nu)
+    g = build_cell_grid(build_frame(nu), 16,
+                        n_lateral=4 if len(nu) > 1 else None)
+    compute_cell_energy(j, catalog_lookup("micromagnetics_2d"), g)
+
+
+@pytest.mark.parametrize("run, message", [
+    (_shock_with_planar_normal,
+     "nu_y of length 2 does not fit a flux with N = 1"),
+    (lambda: _micromagnetic_cell([1.0, 0.0, 0.0]),
+     "normal nu of length 3 does not fit a model with N = 2"),
+    (lambda: _micromagnetic_cell([1.0]),
+     "normal nu of length 1 does not fit a model with N = 2")],
+    ids=["shock_nu_y_2", "cell_nu_3", "cell_nu_1"])
+def test_normal_length_must_match_model(run, message):
+    # a normal of another length than the model's space dimension used
+    # to fail inside a numpy matmul, with a message naming no input
+    with pytest.raises(BadParams, match=message):
+        run()
 
 
 def test_require_converged_raises():

@@ -305,6 +305,15 @@ def test_bad_jump_states_exit_1_one_line(tmp_path, capsys, phi_plus):
     assert err.count("\n") == 1
 
 
+def test_shock_normal_of_wrong_length_exit_1_one_line(tmp_path, capsys):
+    cfg = dict(SHOCK_CONFIG, jump=dict(SHOCK_CONFIG["jump"], nu_y=[1.0, 0.0]))
+    assert main(["shock", "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "cellgamma: compute failed: BadParams: nu_y of length 2 does not fit "
+        "a flux with N = 1\n")
+
+
 def test_non_integer_model_dimension_exit_1_one_line(tmp_path, capsys):
     cfg = dict(ORACLE_CONFIG, model={"name": "double_well",
                                      "params": {"space_dim": 2.7}})

@@ -275,7 +275,7 @@ def test_linear_advection_3d_space_time_cell():
         assert abs(fd - ga[idx]) <= 1e-6 * (1.0 + abs(fd))
 
     sol = compute_shock_cell_energy(j, la.flux, la.entropy, g,
-                                    OptimizerOptions(n_random=1, max_iter=50))
+                                    OptimizerOptions(max_iter=50))
     assert np.isfinite(sol.energy.total) and sol.energy.total >= 0.0
     assert sol.rh_residuals == {"rh_residual_0": 0.0}
     assert np.all(sol.profile.values[0] == 1.0)
@@ -288,13 +288,12 @@ def test_shock_state_length_must_match_flux():
     g = build_shock_grid(j, 32, n_time=4)
     with pytest.raises(BadParams):
         compute_shock_cell_energy(j, FLUX, ENTROPY, g,
-                                  OptimizerOptions(n_random=0, max_iter=5))
+                                  OptimizerOptions(max_iter=5))
 
 
 def test_standing_shock_energy_desk_scale():
     g = build_shock_grid(STANDING, 128, n_time=8)
-    sol = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g,
-                                    OptimizerOptions(n_random=1))
+    sol = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g)
     assert 4.0 / 3.0 * 0.98 <= sol.energy.total <= 4.0 / 3.0 * 1.02
     assert sol.rh_residuals["rh_residual_0"] == 0.0
 
@@ -305,8 +304,7 @@ def test_unperturbed_standing_shock_converges(n_normal, n_time):
     # iterations, which needs the preconditioner, and ends at the discrete
     # minimum 1.3305323 on every cell, the finest catalog cell included
     g = build_shock_grid(STANDING, n_normal, n_time=n_time)
-    sol = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g,
-                                    OptimizerOptions(n_random=0))
+    sol = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g)
     assert sol.converged
     assert sol.iterations <= 300
     assert abs(sol.energy.total - 1.3305323) <= 1e-7
@@ -316,16 +314,14 @@ def test_s_collapse_variant():
     # RH-stationary data: collapsing the time axis to one node changes
     # the minimum only marginally
     g1 = build_shock_grid(STANDING, 128, n_time=1)
-    sol = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g1,
-                                    OptimizerOptions(n_random=1))
+    sol = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g1)
     assert 4.0 / 3.0 * 0.98 <= sol.energy.total <= 4.0 / 3.0 * 1.02
 
 
 def test_translation_invariance():
     g = build_shock_grid(STANDING, 96, n_time=4)
-    opts = OptimizerOptions(n_random=0)
-    a = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g, opts).energy.total
-    b = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g, opts,
+    a = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g).energy.total
+    b = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g,
                                   center=g.spacing(0)).energy.total
     assert abs(a - b) <= 1e-3 * abs(a)
 
@@ -385,29 +381,25 @@ def test_oracle_examples():
 
 def test_solver_not_below_oracle():
     g = build_shock_grid(STANDING, 128, n_time=8)
-    sol = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g,
-                                    OptimizerOptions(n_random=1))
+    sol = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g)
     oracle = viscous_profile_oracle_1d(1.0, -1.0, FLUX, ENTROPY)
     assert sol.energy.total >= oracle * 0.99
 
 
-def test_starts_follow_strategies():
-    # the shock reads OptimizerOptions.strategies as the cell does: the
-    # tanh name is the unperturbed start w = 0, and each random start is
-    # drawn from (seed, index) whatever the other strategies are
+@pytest.mark.parametrize("kwargs", [
+    {"n_random": 1, "seed": 3}, {"strategies": ("random_perturbed",)},
+    {"strategies": ()}, {"strategies": ("bogus",)}])
+def test_shock_runs_one_start_whatever_the_options(kwargs):
+    # the start names, counts and seeds concern the cell: the shock runs
+    # w = 0 alone and returns the same numbers as under the defaults
     g = build_shock_grid(STANDING, 16, n_time=2)
-
-    def starts(**kwargs):
-        opts = OptimizerOptions(max_iter=5, n_random=1, **kwargs)
-        return compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g,
-                                         opts).starts
-
-    both = starts()
-    assert len(both) == 2
-    assert starts(strategies=("one_dimensional_tanh",)) == both[:1]
-    assert starts(strategies=("random_perturbed",)) == both[1:]
-    assert starts(strategies=("random_perturbed", "one_dimensional_tanh")) == (
-        both[::-1])
+    ref = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g)
+    sol = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g,
+                                    OptimizerOptions(**kwargs))
+    assert len(ref.starts) == len(sol.starts) == 1
+    assert sol.starts == ref.starts
+    assert sol.energy == ref.energy and sol.L_star == ref.L_star
+    assert sol.iterations == ref.iterations
 
 
 def test_one_forward_pass_per_line_search_trial(monkeypatch):
@@ -441,7 +433,7 @@ def test_one_forward_pass_per_line_search_trial(monkeypatch):
     monkeypatch.setattr(co, "minimize_cg", driver)
     g = build_shock_grid(STANDING, 64, n_time=4)
     hy.compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g,
-                                 OptimizerOptions(n_random=0, max_iter=40))
+                                 OptimizerOptions(max_iter=40))
     (run,) = runs
     assert run["trials"] >= run["iterations"] > 1
     assert run["forward"] == run["trials"] + 1
@@ -464,25 +456,11 @@ def _record_runs(monkeypatch):
     return runs
 
 
-def test_every_standing_start_converges(monkeypatch):
-    # the lateral-mode preconditioner is the Gauss-Newton operator in w
-    # up to the lateral variation of the flux jacobian, so on the 128x8
-    # standing shock the unperturbed start and both random starts meet
-    # the convergence contract well inside the iteration cap
-    runs = _record_runs(monkeypatch)
-    g = build_shock_grid(STANDING, 128, n_time=8)
-    compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g,
-                              OptimizerOptions(n_random=2))
-    assert len(runs) == 3
-    for run in runs:
-        assert run["converged"] and run["iterations"] <= 500
-
-
 def test_every_tilted_linear_advection_start_converges_in_15_iterations(
         monkeypatch):
     # a linear flux makes the energy quadratic in w with a laterally
     # constant jacobian, so the lateral-mode preconditioner is its exact
-    # Hessian in w and only the scale is left to find: every start of
+    # Hessian in w and only the scale is left to find: the one start of
     # the tilted 128x8 shock converges in at most 15 iterations (the
     # parity chains, blind to the lateral derivatives of the tilted
     # frame, took 573 to 966)
@@ -492,6 +470,6 @@ def test_every_tilted_linear_advection_start_converges_in_15_iterations(
     runs = _record_runs(monkeypatch)
     g = build_shock_grid(jump, 128, n_time=8)
     compute_shock_cell_energy(jump, la.flux, la.entropy, g)
-    assert len(runs) == 1 + OptimizerOptions().n_random
+    assert len(runs) == 1
     for run in runs:
         assert run["converged"] and run["iterations"] <= 15

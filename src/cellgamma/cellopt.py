@@ -459,7 +459,8 @@ def _parabola_step(a, E0, slope, Ea):
     return -slope * a * a / (2.0 * curv) if curv > 0.0 else np.inf
 
 
-def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
+def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts,
+                start_on_floor=False):
     """Minimize E(x, L) = L A(x) + B(x) / L over x and the scale L >= lmin
     by preconditioned Polak-Ribiere (PR+) conjugate gradient with
     restarts and Armijo backtracking.  Returns (x, L, E, iterations,
@@ -495,36 +496,50 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
       last 10 iterations, or when no descent direction is left.  It
       stops unconverged when the line search fails or after
       ``opts.max_iter`` iterations.
+    - With ``start_on_floor`` L stays at lmin until the run would
+      converge, and is released there if the closed-form scale lies
+      above lmin: the run goes on from the same x at the free scale,
+      with a fresh direction and plateau history, in the same iteration
+      and under the same ``opts.max_iter``.
     - Every dot product (slope, restart, PR+) is one flat ``np.vdot``.
     """
+    pinned = start_on_floor
+
     def scaled(ev):
-        L = max(optimize_scale(ev.A, ev.B)[0], lmin)
+        L = lmin if pinned else max(optimize_scale(ev.A, ev.B)[0], lmin)
         return L, L * ev.A + ev.B / L
 
-    x = x0.copy()
-    ev = evaluate(x)
-    L, E = scaled(ev)
-    g = ev.gradient(L)
-    pg = precondition(g, ev, L)
-    d = -pg
-    alpha = 1.0
-    # the plateau test reads the energies of the last 10 iterations
-    history = deque([E], maxlen=11)
-    converged = False
-    for it in range(1, opts.max_iter + 1):
-        gmax = float(np.max(np.abs(g)))
+    def restart(ev):
+        # the plateau test reads the energies of the last 10 iterations
+        L, E = scaled(ev)
+        g = ev.gradient(L)
+        pg = precondition(g, ev, L)
+        return L, E, g, pg, -pg, deque([E], maxlen=11)
+
+    def descent(g, pg, d, history):
+        """The direction, its slope and whether the run is stationary."""
         flat = (len(history) == 11
                 and (history[0] - history[-1]) <= opts.etol * (1.0 + abs(history[-1])))
-        if gmax <= gtol and flat:
-            converged = True
-            break
         slope = float(np.vdot(g, d))
         if slope >= 0.0:
             d = -pg
             slope = -float(np.vdot(g, pg))
-            if slope == 0.0:
-                converged = True
-                break
+        return d, slope, slope == 0.0 or (np.max(np.abs(g)) <= gtol and flat)
+
+    x = x0.copy()
+    ev = evaluate(x)
+    L, E, g, pg, d, history = restart(ev)
+    alpha = 1.0
+    converged = False
+    for it in range(1, opts.max_iter + 1):
+        d, slope, stop = descent(g, pg, d, history)
+        if stop and pinned and optimize_scale(ev.A, ev.B)[0] > lmin:
+            pinned = False
+            L, E, g, pg, d, history = restart(ev)
+            d, slope, stop = descent(g, pg, d, history)
+        if stop:
+            converged = True
+            break
         a = alpha
         for _ in range(50):
             x_try = retract(x, a * d)
@@ -558,20 +573,20 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts):
 
 
 def multistart(starts, evaluate, precondition, retract, grid, jump_size,
-               opts):
+               opts, start_on_floor=False):
     """Run :func:`minimize_cg` from every start, with the gradient
-    tolerance ``opts.gtol_scale (1 + jump_size)`` and the grid's
-    :func:`resolved_scale_floor`, and pick the first start whose energy
-    is within a relative 1e-6 of the lowest.  Returns that start's (x,
-    L, E, iterations, converged, evaluation) and the start energies;
-    raises BadStrategy when there is no start and NotConverged under
-    ``opts.require_converged`` when the picked start did not converge."""
+    tolerance ``opts.gtol_scale (1 + jump_size)``, the grid's
+    :func:`resolved_scale_floor` and ``start_on_floor``, and pick the first
+    start whose energy is within a relative 1e-6 of the lowest.  Returns
+    that start's (x, L, E, iterations, converged, evaluation) and the start
+    energies; raises BadStrategy when there is no start and NotConverged
+    under ``opts.require_converged`` when the picked start did not converge."""
     if not starts:
         raise BadStrategy("no optimizer starts: the strategies give none")
     gtol = opts.gtol_scale * (1.0 + jump_size)
     lmin = resolved_scale_floor(grid)
     results = [minimize_cg(x0, evaluate, precondition, retract, lmin, gtol,
-                           opts) for x0 in starts]
+                           opts, start_on_floor) for x0 in starts]
     energies = [r[2] for r in results]
     best_e = min(energies)
     tie = _TIE_REL * (1.0 + abs(best_e))

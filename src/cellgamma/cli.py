@@ -236,6 +236,10 @@ def validate_config(config):
         block, _, key = path.partition(".")
         if block not in config or (key and key not in config[block]):
             raise ConfigInvalid(f"subcommand {sub!r} requires {path}")
+    for key in ("n_random", "amplitude") if sub == "shock" else ():
+        if key in config.get("optimizer", {}):
+            raise ConfigInvalid("subcommand 'shock' runs one start and takes "
+                                f"no optimizer.{key}")
     return config
 
 

@@ -443,12 +443,13 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
     """Minimization over (w, L) from the unperturbed base fields, w = 0.
 
     The start runs through :func:`cellopt.multistart`, which sets the
-    tolerances, with directions preconditioned by
-    :func:`_lateral_mode_inverse`, the inverse of the Gauss-Newton
-    operator in w at the current scale, with the lateral mean of the
-    current iterate's flux jacobian, one band per lateral Fourier mode.
-    ``opts.strategies``, ``n_random`` and ``amplitude`` concern the cell
-    only.  Returns the induced state profile zeta with full diagnostics.
+    tolerances, with L pinned at the resolved-scale floor, where every
+    tested shock ends, until the run would converge (``start_on_floor``),
+    and directions preconditioned by :func:`_lateral_mode_inverse`: the
+    inverse Gauss-Newton operator in w at the current scale, with the
+    lateral mean of the iterate's flux jacobian, one band per lateral
+    Fourier mode.  ``opts.strategies``, ``n_random`` and ``amplitude``
+    concern the cell only.  Returns the profile zeta with diagnostics.
     """
     st_jump.check_state_length(flux.k)
     if st_jump.nu_y.shape != (flux.N,):
@@ -469,7 +470,7 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
     # relative of w = 0, and a linear flux makes E convex in w
     (_, L, _, it, converged, ev), energies = multistart(
         [np.zeros(grid.shape + (flux.k, flux.N))], evaluate, precondition,
-        np.add, grid, du, opts)
+        np.add, grid, du, opts, start_on_floor=True)
     rh = validate_rankine_hugoniot(st_jump, flux, 1e-8)
     return ShockSolution(
         profile=StateField(grid, ev.zeta), L_star=L,

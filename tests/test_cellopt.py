@@ -643,6 +643,37 @@ def test_line_search_stall_stops_unconverged():
     assert np.array_equal(x, x0) and (L, E) == (1.0, 2.0)
 
 
+def test_pinned_scale_released_where_the_free_scale_lies_above_the_floor():
+    # E(x, L) = L (1 + |x - a|^2) + 4 / L has its minimum 4 at x = a and
+    # L = 2, far above the floor 0.01: a run started on the floor reaches
+    # x = a there, is released at its stationary point and converges to
+    # the free run's minimum
+    a = np.array([0.3, -1.2, 2.0])
+
+    class Evaluation:
+        def __init__(self, x):
+            self.r = x - a
+            self.A, self.B = 1.0 + float(self.r @ self.r), 4.0
+
+        def gradient(self, L):
+            return 2.0 * L * self.r
+
+    for start_on_floor in (False, True):
+        scales = []
+
+        def precondition(g, ev, L):
+            scales.append(L)
+            return g
+
+        _, L, E, _, converged, _ = minimize_cg(
+            np.zeros(3), Evaluation, precondition, lambda x, step: x + step,
+            0.01, 1e-6, OptimizerOptions(max_iter=500),
+            start_on_floor=start_on_floor)
+        assert converged
+        assert abs(L - 2.0) <= 1e-10 and abs(E - 4.0) <= 1e-10
+        assert (scales[0] == 0.01) == start_on_floor
+
+
 def test_package_import_leaves_scipy_linalg_and_interpolate_unloaded():
     # cellopt, hyperbolic and oracle import scipy.linalg and scipy.sparse
     # lazily: each costs tens of ms that every import of the package

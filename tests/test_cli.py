@@ -35,7 +35,7 @@ SHOCK_CONFIG = {"subcommand": "shock", "model": {"name": "burgers"},
                 "jump": {"u_plus": [-1.0], "u_minus": [1.0], "nu_y": [1.0],
                          "nu_s": 0.0},
                 "grid": {"n_normal": 64, "n_lateral": 4},
-                "optimizer": {"n_random": 0, "max_iter": 200}}
+                "optimizer": {"max_iter": 200}}
 
 # one config per subcommand and the report.csv header it must write:
 # the stamped columns, then the runner's, in this order
@@ -352,6 +352,23 @@ def test_shock_run_deterministic_bytes(tmp_path):
     assert row["space_time.nu.1"] == format_float(0.0)
     assert row["space_time.nu_y_norm"] == format_float(1.0)
     assert row["space_time.rh_residuals.rh_residual_0"] == format_float(0.0)
+
+
+@pytest.mark.parametrize("key, value", [("n_random", 0), ("amplitude", 0.2)])
+def test_shock_cell_only_optimizer_key_exit_2_one_line(tmp_path, capsys, key,
+                                                       value):
+    # the shock runs w = 0 alone, so the random starts' count and size
+    # would be ignored: naming either is a config error; the seed stays,
+    # because the shock row reports it
+    cfg = dict(SHOCK_CONFIG, optimizer={"seed": 2, key: value})
+    out = tmp_path / "o"
+    assert main(["shock", "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "cellgamma: config error: subcommand 'shock' runs one start and "
+        f"takes no optimizer.{key}\n")
+    assert not out.exists()
+    validate_config(dict(SHOCK_CONFIG, optimizer={"seed": 2}))
 
 
 def test_shock_model_without_flux_exit_2(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellgamma.cellopt import OptimizerOptions
+from cellgamma.cellopt import OptimizerOptions, resolved_scale_floor
 from cellgamma.errors import (BadParams, DegenerateNormal, NonScalar,
                               RankineHugoniotViolated, ShapeMismatch)
 from cellgamma.grid import (CellGrid, StateField, TensorField, apply_nodal,
@@ -79,6 +79,9 @@ def test_no_jump_energy_zero():
     sol = compute_shock_cell_energy(j, FLUX, ENTROPY, g)
     assert sol.energy.total <= 1e-10
     assert sol.converged
+    # A = B = 0: the closed-form scale is 1, above the floor 4h, so the
+    # pinned start is released at its no-descent exit in iteration 1
+    assert sol.L_star == 1.0 and sol.iterations == 1
 
 
 def test_constraint_exact_for_random_w():
@@ -300,14 +303,25 @@ def test_standing_shock_energy_desk_scale():
 
 @pytest.mark.parametrize("n_normal, n_time", [(96, 4), (128, 8), (512, 16)])
 def test_unperturbed_standing_shock_converges(n_normal, n_time):
-    # the shock meets the convergence contract of minimize_cg within 300
-    # iterations, which needs the preconditioner, and ends at the discrete
+    # the shock meets the convergence contract of minimize_cg within 30
+    # iterations, which needs the preconditioner and the start on the
+    # scale floor (a free scale took up to 194), and ends at the discrete
     # minimum 1.3305323 on every cell, the finest catalog cell included
     g = build_shock_grid(STANDING, n_normal, n_time=n_time)
     sol = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g)
     assert sol.converged
-    assert sol.iterations <= 300
+    assert sol.iterations <= 30
     assert abs(sol.energy.total - 1.3305323) <= 1e-7
+
+
+def test_tilted_shock_converges_on_the_scale_floor():
+    # the tilted shock ends with L on the resolved-scale floor, where its
+    # pinned start begins, so it converges within 30 iterations (80 at a
+    # free scale)
+    g = build_shock_grid(TILTED, 128, n_time=8)
+    sol = compute_shock_cell_energy(TILTED, FLUX, ENTROPY, g)
+    assert sol.converged and sol.iterations <= 30
+    assert sol.L_star == resolved_scale_floor(g)
 
 
 def test_s_collapse_variant():

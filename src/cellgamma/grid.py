@@ -269,8 +269,9 @@ class Derivatives:
     """The derivative matrices of a grid, all CSR: ``axes[ax]`` along one
     axis, on its nodes; the physical ``d[j]`` = sum_ax basis[ax, j] D_ax
     on the flat nodes, where D_ax is ``axes[ax]`` kron'ed with the
-    identities of the other axes; and their transposes ``dt[j]``.  Holds
-    no reference to the grid."""
+    identities of the other axes; their transposes ``dt[j]``; and, built
+    on first use, ``grad``, the rows of the d[j] interleaved by node.
+    Holds no reference to the grid."""
 
     def __init__(self, grid):
         # imported here: scipy.sparse loads scipy.linalg, which every
@@ -286,6 +287,15 @@ class Derivatives:
         self.d = [sum(c * op for c, op in zip(grid.frame.basis[:, j], axis_ops)
                       if c != 0.0) for j in range(grid.dim)]
         self.dt = [d.T.tocsr() for d in self.d]
+
+    @cached_property
+    def grad(self):
+        """The gradient matrix: row (node, j) is row node of d[j], with
+        the same entries in the same order."""
+        import scipy.sparse as sp
+        n, dim = self.d[0].shape[0], len(self.d)
+        by_node = np.arange(n * dim).reshape(dim, n).T.ravel()
+        return sp.vstack(self.d, format="csr")[by_node]
 
 
 CACHE_SIZE = 8
@@ -321,12 +331,11 @@ def apply_nodal(mat, values):
 def gradient(f):
     """Gradient of a StateField, in physical components:
     values[..., a, j] = d_j f_a."""
-    # stacked from fresh products: writing them into a preallocated
-    # array instead put the potential solve's large temporaries on fresh
-    # pages (glibc heap trimming), about 30% slower at 256x256
-    ops = derivatives(f.grid).d
-    return TensorField(f.grid, np.stack([apply_nodal(d, f.values) for d in ops],
-                                        axis=-1))
+    grid = f.grid
+    out = derivatives(grid).grad @ f.values.reshape(-1, f.values.shape[-1])
+    # rows (node, j) to values[..., a, j]; a copy only for several rows
+    out = out.reshape(grid.shape + (grid.dim, -1)).swapaxes(-1, -2)
+    return TensorField(grid, np.ascontiguousarray(out))
 
 
 def divergence(v):

@@ -18,10 +18,18 @@ lateral measure).  All modes are solved at once by fast diagonalization
 eigenbasis A0 V = W V diag(lam), V^T W V = I, on the solved rows (all
 nodes for Neumann, the interior for Dirichlet) is computed once per
 (node counts, bc) and cached, and each solve is H = V diag(1/(lam +
-mu_k)) V^T b.  V is real, so its two products act on the float64 view
-of the complex mode array, (n0, 2 modes l): two real matrix products
-for all modes and rows.  The sparse D^T (the right-hand side) and A0,
-one CSR matrix (the residual check), act on the same view.
+mu_k)) V^T b.  D changes sign and W stays under the reversal J of the
+normal axis, so A0 commutes with J and V splits into even vectors [y;
+(y_mid); J y] and odd vectors [y; 0; -J y] (Cantoni & Butler, Linear
+Algebra Appl. 13 (1976) 275-288): two half-size eigenbases G[0], G[1].
+A solve folds b to f = b_top + J b_bot (with b_mid) and g = b_top - J
+b_bot, applies G^T, the inverse table and G per half, and unfolds to
+H_top = u + v, J H_bot = u - v: two half-size products per direction,
+half the flops of V.  The bases are real, so the products act on the
+float64 view of the complex mode array, (rows, 2 modes l), for all
+modes at once.  The sparse D^T W (the right-hand side, with the
+weighted lateral symbols i w sigma) and A0, one CSR matrix (the
+residual check), act on the same view.
 D annihilates exactly the constants, so the Neumann operator is singular
 in the lateral modes with mu = 0 (the zero mode and, on even axes, pure
 Nyquist modes).  There the constant eigenvector gets 1/(lam + mu) := 0:
@@ -31,11 +39,13 @@ of A0, about 1e-11 relative at 256 normal nodes).  The right-hand sides of those
 modes are compatible by construction: 1^T D^T(w m) = 0 identically.
 
 Memory: the frame components of the flux, one inline product with the
-frame basis, the eigenbasis coefficients and H-hat of a solve go to one
-work area per thread, kept while the node counts and flux rows stay the
-same and shared by both bcs.  The right-hand side and the residual are
-fresh mode arrays, dropped before the gradient; the returned H and grad
-H are fresh arrays too, so a caller may keep them across later solves.
+frame basis, the folded right-hand side and solution (the fold buffer,
+which then takes the lateral term of the residual), the eigenbasis
+coefficients and H-hat of a solve go to one work area per thread, kept
+while the node counts and flux rows stay the same and shared by both
+bcs.  The right-hand side and the residual are fresh mode arrays,
+dropped before the gradient; the returned H and grad H are fresh arrays
+too, so a caller may keep them across later solves.
 """
 
 import threading
@@ -75,39 +85,59 @@ _MU_TOL = 1e-12
 
 
 class _CellSolverData:
-    """Per-(node counts, bc) data of a solve: lateral symbols, the
-    generalized eigenbasis of the normal operator on the solved rows, and
-    the operator scales of the residual check."""
+    """Per-(node counts, bc) data of a solve: weighted lateral symbols,
+    the parity-folded generalized eigenbasis of the normal operator on
+    the solved rows, and the operator scales of the residual check."""
 
     def __init__(self, grid, bc):
         n0 = grid.n_axes[0]
         self.lat_shape = grid.n_axes[1:]
         self.freq_shape, _, sigma = lateral_modes(grid)
         self.n_modes = sigma.shape[1]
-        # D_lat <-> i sigma per lateral axis; mu = |sigma|^2
-        self.sigma = sigma
-        self.mu = sum(s ** 2 for s in sigma)
         # the lateral cell measure folds into the normal weight vector
         self.w_nu = grid.axis_weights(0) * grid.lateral_measure
-        # the normal derivative: its transpose assembles the rhs, and
-        # A0 = D^T W D applies the normal operator in the residual check
+        # D_lat <-> i sigma per lateral axis, mu = |sigma|^2; the rhs
+        # takes the weighted symbols i w_nu sigma
+        self.mu = sum(s ** 2 for s in sigma)
+        self.wsigma = [1j * np.multiply.outer(self.w_nu, s) for s in sigma]
+        # the normal derivative: D^T W assembles the rhs, and A0 = D^T W D
+        # applies the normal operator in the residual check
         import scipy.sparse as sp  # loaded already by derivatives()
-        d1 = derivatives(grid).axes[0]
-        self.DT = d1.T.tocsr()
-        D = d1.toarray()
-        A0 = D.T @ (self.w_nu[:, None] * D)
+        D = derivatives(grid).axes[0].toarray()
+        DTW = D.T * self.w_nu
+        self.DTW = sp.csr_array(DTW)
+        A0 = DTW @ D
         self.A0 = sp.csr_array(A0)
 
-        # V = W^-1/2 U from eigh(W^-1/2 A0 W^-1/2) on the solved rows
-        # (Dirichlet pins the end slabs): A0 V = W V diag(lam), V^T W V = I
+        # the generalized eigenbasis A0 V = W V diag(lam), V^T W V = I, on
+        # the solved rows (Dirichlet pins the end slabs), in two halves:
+        # A0 commutes with the reversal J, so V = P diag(G[0], G[1]) for
+        # the folding P of even vectors [y; (y_mid); J y] (the middle row
+        # of an odd count is even) and odd vectors [y; 0; -J y]
         self.rows = slice(1, n0 - 1) if bc == BcVariant.DIRICHLET else slice(None)
-        s = 1.0 / np.sqrt(self.w_nu[self.rows])
-        lam, u = np.linalg.eigh(s[:, None] * A0[self.rows, self.rows] * s)
-        self.V = s[:, None] * u
-        self.VT = np.ascontiguousarray(self.V.T)
-        denom = lam[:, None] + self.mu
+        w = self.w_nu[self.rows]
+        n = w.size
+        self.half = half = n // 2
+        i = np.arange(half)
+        P = np.zeros((n, n))
+        P[i, i] = P[n - 1 - i, i] = P[i, n - half + i] = 1.0
+        P[n - 1 - i, n - half + i] = -1.0
+        if n % 2:
+            P[half, half] = 1.0
+        PAP = P.T @ A0[self.rows, self.rows] @ P  # block diagonal
+        wf = np.square(P).T @ w  # P^T W P, diagonal: 2 w_top, w_mid
+        # each half by G = S U from eigh(S PAP S), S = (P^T W P)^-1/2,
+        # so that G holds the 1/sqrt(2) of the folding
+        self.G, lams = [], []
+        for part in (slice(None, n - half), slice(n - half, None)):
+            s = 1.0 / np.sqrt(wf[part])
+            lam, u = np.linalg.eigh(s[:, None] * PAP[part, part] * s)
+            self.G.append(s[:, None] * u)
+            lams.append(lam)
+        # one inverse table, even rows first
+        denom = np.concatenate(lams)[:, None] + self.mu
         if bc == BcVariant.NEUMANN:
-            # the constants: smallest lam, zero up to round-off
+            # the constants: even, smallest lam, zero up to round-off
             denom[0, self.mu <= _MU_TOL] = np.inf
         self.inv = 1.0 / denom
         # the lateral part of the operator, w_nu mu, on the mode array
@@ -119,7 +149,7 @@ class _CellSolverData:
         self.a_norm = (np.max(np.sum(np.abs(A0), axis=1))
                        + float(np.max(self.mu)) * float(np.max(self.w_nu)))
         self.d_norm = np.max(np.sum(np.abs(D), axis=0))
-        self.sig_max = max(float(np.max(np.abs(s))) for s in self.sigma)
+        self.sig_max = max(float(np.max(np.abs(s))) for s in sigma)
 
 
 _cache = {}
@@ -138,12 +168,13 @@ def _solver_data(grid, bc):
 class _WorkArea:
     """The intermediates of one solve for given node counts and flux
     rows, shared by both boundary conditions: the frame components, the
-    eigenbasis coefficients and H-hat."""
+    folded rhs and solution, the eigenbasis coefficients and H-hat."""
 
     def __init__(self, n_axes, rows, n_modes):
         n0 = n_axes[0]
         self.key = (n_axes, rows)
         self.comps = np.empty((len(n_axes),) + n_axes + (rows,))
+        self.fold = np.empty((n0, n_modes * 2 * rows))
         self.coef = np.empty((n0, n_modes * 2 * rows))
         self.Hhat = np.empty((n0, n_modes, rows), dtype=np.complex128)
 
@@ -236,31 +267,45 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
     hats = hats.reshape(grid.dim, n0, data.n_modes, l)
     flux_norm = sum(np.linalg.norm(h) for h in hats)  # for the residual scale
 
-    # variational rhs per mode: D^T(w m_nu) - w sum_ax (i sigma_ax) m_ax
-    hats *= data.w_nu[:, None, None]
-    rhs = _normal_product(data.DT, hats[0])
-    for i, s in enumerate(data.sigma):
-        np.multiply((1j * s)[:, None], hats[i + 1], out=hats[i + 1])
+    # variational rhs per mode: D^T W m_nu - sum_ax (i w sigma_ax) m_ax
+    rhs = _normal_product(data.DTW, hats[0])
+    for i, ws in enumerate(data.wsigma):
+        np.multiply(ws[:, :, None], hats[i + 1], out=hats[i + 1])
         rhs -= hats[i + 1]
     del hats  # the one fresh transform is not needed past the rhs
 
-    # the two eigenbasis products, real, on the float view of the modes
-    rows = data.rows
-    n_rows = data.V.shape[0]
-    coef = work.coef[:n_rows]
-    np.matmul(data.VT, rhs[rows].reshape(n_rows, -1).view(np.float64), out=coef)
-    coef3 = coef.reshape(n_rows, data.n_modes, 2 * l)
+    # the eigenbasis products, real, on the float view of the modes, per
+    # half: fold the rhs to f = b_top + J b_bot (and b_mid), g = b_top -
+    # J b_bot, solve, and unfold u, v to H_top = u + v, J H_bot = u - v
+    rows, half = data.rows, data.half
+    n = data.inv.shape[0]
+    b = rhs[rows].reshape(n, -1).view(np.float64)
+    even, odd = slice(None, n - half), slice(n - half, n)
+    mid = slice(half, n - half)  # the middle row of an odd count
+    fold, coef = work.fold[:n], work.coef[:n]
+    np.add(b[:half], b[::-1][:half], out=fold[:half])
+    np.subtract(b[:half], b[::-1][:half], out=fold[odd])
+    fold[mid] = b[mid]
+    for part, G in zip((even, odd), data.G):
+        np.matmul(G.T, fold[part], out=coef[part])
+    coef3 = coef.reshape(n, data.n_modes, 2 * l)
     coef3 *= data.inv[:, :, None]
+    for part, G in zip((even, odd), data.G):
+        np.matmul(G, coef[part], out=fold[part])
     Hhat = work.Hhat
     if bc == BcVariant.DIRICHLET:
         # the pinned end slabs; a Neumann solve of this shape wrote them
         Hhat[[0, -1]] = 0.0
-    np.matmul(data.V, coef, out=Hhat.reshape(n0, -1).view(np.float64)[rows])
+    out = Hhat.reshape(n0, -1).view(np.float64)[rows]
+    np.add(fold[:half], fold[odd], out=out[:half])
+    np.subtract(fold[:half], fold[odd], out=out[::-1][:half])
+    out[mid] = fold[mid]
 
     # relative residual of the normal equations over the solved rows
     # (Dirichlet pins the end slabs, so the end rows are not equations)
     op = _normal_product(data.A0, Hhat)
-    op += data.w_mu * Hhat
+    op += np.multiply(data.w_mu, Hhat,  # into the fold buffer, now free
+                      out=work.fold.view(np.complex128).reshape(Hhat.shape))
     op -= rhs
     num = np.linalg.norm(op[rows])
     # backward-error scale: the rhs is assembled from the flux by one

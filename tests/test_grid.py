@@ -138,6 +138,28 @@ def test_gradient_matches_per_axis_sum():
         assert err <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("nu, n_axes", [
+    pytest.param([1.0, 0.0], (10, 7), id="straight"),
+    pytest.param([0.6, 0.8], (9, 8), id="tilted"),
+    pytest.param([0.48, 0.6, 0.64], (9, 6, 5), id="3d"),
+])
+def test_gradient_is_one_product_of_the_d_j(nu, n_axes):
+    # the interleaved gradient matrix is built on first use only, and its
+    # one product equals the stacked products of the d_j bit for bit
+    # (the same entries in the same order per row), for 1 and 3 rows
+    g = CellGrid(frame=build_frame(nu), n_axes=n_axes)
+    ops = derivatives(g)
+    assert "grad" not in vars(ops)
+    rng = np.random.default_rng(7)
+    for rows in (1, 3):
+        f = StateField(g, rng.standard_normal(g.shape + (rows,)))
+        ref = np.stack([apply_nodal(d, f.values) for d in ops.d], axis=-1)
+        got = gradient(f).values
+        assert np.array_equal(got, ref)
+        assert got.flags.c_contiguous
+    assert "grad" in vars(ops)
+
+
 def test_laplacian_of_lateral_mode():
     # periodic axis: the central stencil has symbol -sin^2(2 pi k h)/h^2
     g = build_cell_grid(build_frame([1.0, 0.0]), 9, n_lateral=16)

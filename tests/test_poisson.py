@@ -62,12 +62,16 @@ def test_neumann_convergence_to_analytic():
     pytest.param([1.0, 0.0], (9, 7), id="7"),
     pytest.param([0.6, 0.8], (9, 8), id="tilted"),
     pytest.param([0.48, 0.6, 0.64], (9, 6, 5), id="3d"),
+    pytest.param([1.0, 0.0], (10, 8), id="even-8"),
+    pytest.param([0.6, 0.8], (8, 7), id="even-tilted"),
 ])
 def test_matches_dense_least_squares(bc, nu, n_axes):
     # gradH against the dense minimizer of sum w |grad H - M|^2 over the
     # bc class, with grad H built column by column from grid.gradient;
     # an even lateral count adds a Nyquist kernel mode, and the tilted
-    # and 3-D cells check the frame components of the solve
+    # and 3-D cells check the frame components of the solve.  Both bcs
+    # solve an odd row count at 9 normal nodes and an even one at 8 and
+    # 10, so both layouts of the parity-folded eigenbasis are covered
     g = CellGrid(frame=build_frame(nu), n_axes=n_axes)
     rng = np.random.default_rng(n_axes[-1])
     M = TensorField(g, rng.standard_normal(g.shape + (2, g.dim)))
@@ -101,6 +105,50 @@ def test_matches_dense_least_squares(bc, nu, n_axes):
                                      for n in n_axes[1:]])
         for k in kernel:
             assert np.max(np.abs(w @ Hhat[(slice(None),) + k])) <= 1e-12 * scale
+
+
+def _unfolded_basis(data):
+    """The full eigenbasis V = P diag(G[0], G[1]) of the solved rows:
+    even columns [y; (y_mid); J y], odd columns [y; 0; -J y]."""
+    even, odd = data.G
+    n, half = data.inv.shape[0], data.half
+    V = np.zeros((n, n))
+    V[:n - half, :n - half] = even
+    V[n - half:, :n - half] = even[:half][::-1]
+    V[:half, n - half:] = odd
+    V[n - half:, n - half:] = -odd[::-1]
+    return V
+
+
+@pytest.mark.parametrize("bc", BcVariant.CELL_KINDS)
+@pytest.mark.parametrize("n0", [8, 9, 64])
+def test_folded_eigenbasis(bc, n0):
+    # the two half-size bases rebuild the generalized eigenbasis of the
+    # normal operator on the solved rows: A0 V = W V diag(lam) and
+    # V^T W V = I to round-off, the inverse table holds 1/(lam + mu) with
+    # the even rows first, and Neumann has exactly one kernel column,
+    # the constant, whose entry is 0 in the zero mode
+    g = _grid(n0, 4)
+    data = poisson._solver_data(g, bc)
+    rows = data.rows
+    A0 = data.A0.toarray()[rows, rows]
+    w = data.w_nu[rows]
+    V = _unfolded_basis(data)
+    lam = np.einsum("ij,ij->j", V, A0 @ V)
+    scale = np.max(np.sum(np.abs(A0), axis=1)) * np.max(np.abs(V))
+    assert np.max(np.abs(A0 @ V - w[:, None] * V * lam)) <= 1e-12 * scale
+    assert np.max(np.abs(V.T @ (w[:, None] * V) - np.eye(w.size))) <= 1e-12
+    k = 1  # a mode with mu > 0, where no entry is pinned
+    assert data.mu[k] > 0.0
+    assert np.allclose(data.inv[:, k], 1.0 / (lam + data.mu[k]),
+                       rtol=1e-12, atol=0.0)
+    kernel = np.flatnonzero(np.abs(lam) <= 1e-10 * np.max(lam))
+    pinned = np.flatnonzero(data.inv[:, 0] == 0.0)
+    if bc == BcVariant.NEUMANN:
+        assert kernel.tolist() == [0] and pinned.tolist() == [0]
+        assert np.allclose(V[:, 0], V[0, 0], rtol=1e-12, atol=0.0)
+    else:
+        assert kernel.size == 0 and pinned.size == 0
 
 
 def test_residual_check_fires(monkeypatch):

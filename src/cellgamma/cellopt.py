@@ -235,6 +235,7 @@ class CellEvaluation:
     """
 
     def __init__(self, grid, values, specs, bc):
+        BcVariant.check(bc)
         self.grid, self.values, self.specs = grid, values, specs
         self.Kz = _stiffness(grid, values)
         self.A = float(np.sum(values * self.Kz))
@@ -283,24 +284,18 @@ def energy_gradient(profile, L, specs, jump, bc=BcVariant.NEUMANN):
 
 # --- scale optimization ---------------------------------------------------
 
-_LOG2_BRACKET = (-8.0, 8.0)
+_MAX_SCALE = 2.0 ** 8  # L when A = 0, where B / L has no minimum
 
 
 def optimize_scale(A, B):
-    """Closed-form scale for the split E(L) = L A + B / L, clamped to
-    the standard bracket."""
+    """Closed-form scale for the split E(L) = L A + B / L, capped at
+    2^8.  For B = 0 the infimum 0 lies at L -> 0: that returns (0.0,
+    0.0), and the caller's floor applies."""
     if A < 0 or B < 0:
         raise DegenerateScale("negative energy components")
-    if A == 0.0 and B == 0.0:
-        return 1.0, 0.0
-    lo, hi = 2.0 ** _LOG2_BRACKET[0], 2.0 ** _LOG2_BRACKET[1]
-    if A == 0.0:
-        L = hi
-    elif B == 0.0:
-        L = lo
-    else:
-        L = float(np.sqrt(B / A))
-        L = min(max(L, lo), hi)
+    if B == 0.0:
+        return 0.0, 0.0
+    L = min(float(np.sqrt(B / A)), _MAX_SCALE) if A > 0.0 else _MAX_SCALE
     return L, float(L * A + B / L)
 
 
@@ -318,11 +313,11 @@ def _antipodal_axes(a, specs, jump):
     All great circles through +-a have the same length, but not the
     same energy: score each coordinate-aligned plane by the 1D
     transition cost 2 sqrt(W + |(Psi - Psi(phi-)).nu|^2) along the half
-    circle, breaking near-ties toward the plane with the smallest
-    normal-flux excursion (zero excursion keeps div Psi = 0, so the
-    potential solve contributes nothing along the whole path).  The
-    full ranking is returned so that the multistart can seed different
-    members of the degenerate geodesic family."""
+    circle, breaking ties (within 1e-9 relative) toward the plane with
+    the smallest normal-flux excursion (zero excursion keeps div Psi =
+    0, so the potential solve contributes nothing along the whole
+    path).  The full ranking is returned so that the multistart can
+    seed different members of the degenerate geodesic family."""
     theta = np.linspace(0.0, np.pi, 257)
     scored = []
     for k in range(a.size):
@@ -340,7 +335,8 @@ def _antipodal_axes(a, specs, jump):
         cost = np.trapezoid(2.0 * np.sqrt(np.maximum(w + pot, 0.0)), theta)
         excursion = float(np.max(pot))
         scored.append((cost, excursion, k, e))
-    scored.sort(key=lambda s: (s[0], s[1], s[2]))
+    tie = min(s[0] for s in scored) * (1.0 + 1e-9)
+    scored.sort(key=lambda s: (max(s[0], tie), s[1], s[2]))
     return [s[3] for s in scored]
 
 
@@ -460,7 +456,7 @@ def _parabola_step(a, E0, slope, Ea):
 
 
 def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts,
-                start_on_floor=False):
+                on_floor=False):
     """Minimize E(x, L) = L A(x) + B(x) / L over x and the scale L >= lmin
     by preconditioned Polak-Ribiere (PR+) conjugate gradient with
     restarts and Armijo backtracking.  Returns (x, L, E, iterations,
@@ -496,50 +492,38 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts,
       last 10 iterations, or when no descent direction is left.  It
       stops unconverged when the line search fails or after
       ``opts.max_iter`` iterations.
-    - With ``start_on_floor`` L stays at lmin until the run would
-      converge, and is released there if the closed-form scale lies
-      above lmin: the run goes on from the same x at the free scale,
-      with a fresh direction and plateau history, in the same iteration
-      and under the same ``opts.max_iter``.
+    - With ``on_floor`` L stays at lmin for the whole run, and the
+      energy is E(x, lmin).
     - Every dot product (slope, restart, PR+) is one flat ``np.vdot``.
     """
-    pinned = start_on_floor
-
     def scaled(ev):
-        L = lmin if pinned else max(optimize_scale(ev.A, ev.B)[0], lmin)
+        L = lmin if on_floor else max(optimize_scale(ev.A, ev.B)[0], lmin)
         return L, L * ev.A + ev.B / L
 
-    def restart(ev):
-        # the plateau test reads the energies of the last 10 iterations
-        L, E = scaled(ev)
-        g = ev.gradient(L)
-        pg = precondition(g, ev, L)
-        return L, E, g, pg, -pg, deque([E], maxlen=11)
-
-    def descent(g, pg, d, history):
-        """The direction, its slope and whether the run is stationary."""
+    x = x0.copy()
+    ev = evaluate(x)
+    L, E = scaled(ev)
+    g = ev.gradient(L)
+    pg = precondition(g, ev, L)
+    d = -pg
+    alpha = 1.0
+    # the plateau test reads the energies of the last 10 iterations
+    history = deque([E], maxlen=11)
+    converged = False
+    for it in range(1, opts.max_iter + 1):
+        gmax = float(np.max(np.abs(g)))
         flat = (len(history) == 11
                 and (history[0] - history[-1]) <= opts.etol * (1.0 + abs(history[-1])))
+        if gmax <= gtol and flat:
+            converged = True
+            break
         slope = float(np.vdot(g, d))
         if slope >= 0.0:
             d = -pg
             slope = -float(np.vdot(g, pg))
-        return d, slope, slope == 0.0 or (np.max(np.abs(g)) <= gtol and flat)
-
-    x = x0.copy()
-    ev = evaluate(x)
-    L, E, g, pg, d, history = restart(ev)
-    alpha = 1.0
-    converged = False
-    for it in range(1, opts.max_iter + 1):
-        d, slope, stop = descent(g, pg, d, history)
-        if stop and pinned and optimize_scale(ev.A, ev.B)[0] > lmin:
-            pinned = False
-            L, E, g, pg, d, history = restart(ev)
-            d, slope, stop = descent(g, pg, d, history)
-        if stop:
-            converged = True
-            break
+            if slope == 0.0:
+                converged = True
+                break
         a = alpha
         for _ in range(50):
             x_try = retract(x, a * d)
@@ -573,10 +557,10 @@ def minimize_cg(x0, evaluate, precondition, retract, lmin, gtol, opts,
 
 
 def multistart(starts, evaluate, precondition, retract, grid, jump_size,
-               opts, start_on_floor=False):
+               opts, on_floor=False):
     """Run :func:`minimize_cg` from every start, with the gradient
     tolerance ``opts.gtol_scale (1 + jump_size)``, the grid's
-    :func:`resolved_scale_floor` and ``start_on_floor``, and pick the first
+    :func:`resolved_scale_floor` and ``on_floor``, and pick the first
     start whose energy is within a relative 1e-6 of the lowest.  Returns
     that start's (x, L, E, iterations, converged, evaluation) and the start
     energies; raises BadStrategy when there is no start and NotConverged
@@ -586,7 +570,7 @@ def multistart(starts, evaluate, precondition, retract, grid, jump_size,
     gtol = opts.gtol_scale * (1.0 + jump_size)
     lmin = resolved_scale_floor(grid)
     results = [minimize_cg(x0, evaluate, precondition, retract, lmin, gtol,
-                           opts, start_on_floor) for x0 in starts]
+                           opts, on_floor) for x0 in starts]
     energies = [r[2] for r in results]
     best_e = min(energies)
     tie = _TIE_REL * (1.0 + abs(best_e))

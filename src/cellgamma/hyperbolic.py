@@ -22,14 +22,14 @@ F(zeta)|^2 is assembled nodally (trapezoid normal axis, uniform
 periodic axes); target tolerances here are in the percent range, so
 nodal second-order quadrature suffices.
 
-The energy is minimized over (w, L) by the conjugate-gradient driver of
-the cell problems, with directions preconditioned by the inverse of the
-energy's Gauss-Newton operator in w, the flux jacobian replaced by its
-lateral mean at each normal node.  That operator commutes with lateral
-translations, so it is diagonal in the lateral Fourier modes; in each
-mode it is a band of half-width 4 on the interior normal nodes, real
-symmetric after the similarity diag(i^t), and one banded solve takes
-the bands of all modes.
+The energy is minimized over w at L = 4h, the resolved-scale floor, by
+the conjugate-gradient driver of the cell problems, with directions
+preconditioned by the inverse of the energy's Gauss-Newton operator in
+w, the flux jacobian replaced by its lateral mean at each normal node.
+That operator commutes with lateral translations, so it is diagonal in
+the lateral Fourier modes; in each mode it is a band of half-width 4
+on the interior normal nodes, real symmetric after the similarity
+diag(i^t), and one banded solve takes the bands of all modes.
 """
 
 import math
@@ -440,13 +440,12 @@ def _lateral_mode_inverse(grid, g, ev, L):
 
 def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
                               center=0.0):
-    """Minimization over (w, L) from the unperturbed base fields, w = 0.
+    """Minimization over w at L = 4h from the unperturbed base, w = 0.
 
     The start runs through :func:`cellopt.multistart`, which sets the
-    tolerances, with L pinned at the resolved-scale floor, where every
-    tested shock ends, until the run would converge (``start_on_floor``),
+    tolerances, with L on the floor for the whole run (``on_floor``),
     and directions preconditioned by :func:`_lateral_mode_inverse`: the
-    inverse Gauss-Newton operator in w at the current scale, with the
+    inverse Gauss-Newton operator in w at that scale, with the
     lateral mean of the iterate's flux jacobian, one band per lateral
     Fourier mode.  ``opts.strategies``, ``n_random`` and ``amplitude``
     concern the cell only.  Returns the profile zeta with diagnostics.
@@ -470,7 +469,7 @@ def compute_shock_cell_energy(st_jump, flux, entropy, grid, opts=None,
     # relative of w = 0, and a linear flux makes E convex in w
     (_, L, _, it, converged, ev), energies = multistart(
         [np.zeros(grid.shape + (flux.k, flux.N))], evaluate, precondition,
-        np.add, grid, du, opts, start_on_floor=True)
+        np.add, grid, du, opts, on_floor=True)
     rh = validate_rankine_hugoniot(st_jump, flux, 1e-8)
     return ShockSolution(
         profile=StateField(grid, ev.zeta), L_star=L,

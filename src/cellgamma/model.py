@@ -279,7 +279,15 @@ def catalog_lookup(name, params=None):
         _reject_unknown(params, {"speed"})
         if "speed" not in params:
             raise BadParams("linear_advection requires a 'speed' parameter")
-        flux = _linear_advection_flux(params["speed"])
+        speed = params["speed"]
+        items = speed.tolist() if isinstance(speed, np.ndarray) else speed
+        items = items if isinstance(items, (list, tuple)) else [items]
+        if not items or not all(
+                isinstance(c, (int, float, np.integer, np.floating))
+                and not isinstance(c, bool) and np.isfinite(c) for c in items):
+            raise BadParams("linear_advection speed must be a finite number or "
+                            f"a non-empty flat list of them, got {speed!r}")
+        flux = _linear_advection_flux(speed)
         return ModelSpecs(
             name=name, W=_zero_potential(1), Psi=_zero_flux(1, flux.N),
             constraint=ConstraintSet("unconstrained"),

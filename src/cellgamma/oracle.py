@@ -12,6 +12,7 @@ intentionally loose (0.5 - 5 percent); they certify magnitudes.
 import numpy as np
 
 from .errors import BadParams, DimensionTooLarge
+from .model import check_count
 
 
 def _cost_density(specs, jump, states):
@@ -139,6 +140,7 @@ def _sphere_lattice(jump, sampling):
 
 def geodesic_path_1d(jump, specs, sampling=200):
     """Optimal transition path through state space, endpoints exact."""
+    check_count("oracle sampling", sampling, 16)
     m = specs.m
     jump.check_state_length(m)
     if specs.constraint.kind == "unit_sphere":

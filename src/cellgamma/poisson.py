@@ -65,6 +65,12 @@ class BcVariant:
 
     CELL_KINDS = (NEUMANN, DIRICHLET)
 
+    @classmethod
+    def check(cls, bc):
+        """Raise ShapeMismatch unless bc is one of the cell kinds."""
+        if bc not in cls.CELL_KINDS:
+            raise ShapeMismatch(f"unknown cell bc variant {bc!r}")
+
 
 @dataclass
 class PotentialField:
@@ -238,8 +244,7 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
 
     The cell needs at least one lateral axis.
     """
-    if bc not in BcVariant.CELL_KINDS:
-        raise ShapeMismatch(f"unknown cell bc variant {bc!r}")
+    BcVariant.check(bc)
     grid = M.grid
     if grid.dim < 2:
         raise ShapeMismatch("the cell potential solve needs a lateral axis")

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.fft import dst, idst
 
 from cellgamma import oracle
-from cellgamma.cellopt import (CellEvaluation, OptimizerOptions, _from_gauss,
+from cellgamma.cellopt import (CellEvaluation, OptimizerOptions,
+                               _antipodal_axes, _from_gauss,
                                _normal_h1_inverse, _stiffness, _to_gauss,
                                assemble_energy, compute_cell_energy,
                                energy_gradient, init_profiles, minimize_cg,
@@ -147,13 +148,16 @@ def test_admissibility_checks():
 def test_optimize_scale_closed_form():
     L, e = optimize_scale(4.0, 1.0)
     assert abs(L - 0.5) < 1e-15 and abs(e - 4.0) < 1e-15
-    assert optimize_scale(0.0, 0.0) == (1.0, 0.0)
     with pytest.raises(DegenerateScale):
         optimize_scale(-1.0, 1.0)
-    # one part zero (W = 0 models have B = 0): the scale goes to the end
-    # of the bracket that sends the other part's term to its minimum
+    # A = 0: B / L falls without bound, so the scale stops at the cap
     assert optimize_scale(0.0, 2.0) == (256.0, 2.0 / 256.0)
-    assert optimize_scale(3.0, 0.0) == (1.0 / 256.0, 3.0 / 256.0)
+    # B = 0: the infimum 0 lies at L -> 0, and the caller's floor applies
+    assert optimize_scale(3.0, 0.0) == (0.0, 0.0)
+    assert optimize_scale(0.0, 0.0) == (0.0, 0.0)
+    # no lower clamp: a scale below 2^-8 comes back as it is
+    L, e = optimize_scale(1.0, 1e-6)
+    assert abs(L - 1e-3) <= 1e-15 and abs(e - 2e-3) <= 1e-15
 
 
 @pytest.mark.parametrize("bad", [
@@ -303,6 +307,48 @@ def test_no_jump_minimum_zero():
     j = JumpData(phi_plus=[1.0], phi_minus=[1.0], nu=[1.0])
     sol = compute_cell_energy(j, DW, g)
     assert sol.energy.total <= 1e-12
+
+
+def _rotated_wall(degrees):
+    # the micromagnetic wall rotated about e_z: the states stay tangential
+    # to the wall, so every angle is the same cell in a rotated frame
+    th = np.radians(degrees)
+    t = [-np.sin(th), np.cos(th), 0.0]
+    return JumpData(phi_plus=t, phi_minus=[-c for c in t],
+                    nu=[np.cos(th), np.sin(th)])
+
+
+def test_antipodal_start_is_the_bloch_wall_at_every_normal():
+    # the Bloch plane (e_z) and the Neel planes all cost 4; rounding used
+    # to rank a Neel plane first at most angles, so the tanh start and its
+    # energy flipped between the two walls as nu rotated
+    mm = catalog_lookup("micromagnetics_2d")
+    for degrees in 0.5 * np.arange(361):
+        j = _rotated_wall(degrees)
+        e = _antipodal_axes(j.phi_minus, mm, j)[0]
+        assert np.max(np.abs(e - [0.0, 0.0, 1.0])) <= 1e-12
+    opts = OptimizerOptions(n_random=0)
+    e0, e1 = (compute_cell_energy(
+        j, mm, build_cell_grid(build_frame(j.nu), 32, n_lateral=32),
+        opts=opts).energy.total for j in map(_rotated_wall, (0.0, 1.5)))
+    assert abs(e1 - e0) <= 1e-9 * e0
+
+
+@pytest.mark.parametrize("name, params, phi", [
+    ("double_well", {"space_dim": 2}, [1.0]),
+    ("micromagnetics_2d", {}, [0.0, 1.0, 0.0])])
+def test_unknown_cell_bc_rejected(name, params, phi):
+    # the model without a flux never reaches the potential solve, so its
+    # cell used to run with any bc
+    specs = catalog_lookup(name, params)
+    j = JumpData(phi_plus=phi, phi_minus=[-c for c in phi], nu=[1.0, 0.0])
+    g = build_cell_grid(build_frame([1.0, 0.0]), 12, n_lateral=4)
+    prof = init_profiles(j, specs, g, "one_dimensional_tanh")[0]
+    for run in (lambda: compute_cell_energy(j, specs, g, bc="bogus"),
+                lambda: assemble_energy(prof, 0.1, specs, j, bc="bogus"),
+                lambda: energy_gradient(prof, 0.1, specs, j, bc="bogus")):
+        with pytest.raises(ShapeMismatch, match="unknown cell bc variant 'bogus'"):
+            run()
 
 
 def test_init_strategies():
@@ -643,11 +689,11 @@ def test_line_search_stall_stops_unconverged():
     assert np.array_equal(x, x0) and (L, E) == (1.0, 2.0)
 
 
-def test_pinned_scale_released_where_the_free_scale_lies_above_the_floor():
+def test_on_floor_run_keeps_the_scale_at_the_floor():
     # E(x, L) = L (1 + |x - a|^2) + 4 / L has its minimum 4 at x = a and
-    # L = 2, far above the floor 0.01: a run started on the floor reaches
-    # x = a there, is released at its stationary point and converges to
-    # the free run's minimum
+    # L = 2, far above the floor 0.01: the free run reaches it, and a run
+    # on the floor stays at L = 0.01 throughout and ends at x = a with
+    # E = 0.01 + 4 / 0.01
     a = np.array([0.3, -1.2, 2.0])
 
     class Evaluation:
@@ -658,20 +704,20 @@ def test_pinned_scale_released_where_the_free_scale_lies_above_the_floor():
         def gradient(self, L):
             return 2.0 * L * self.r
 
-    for start_on_floor in (False, True):
+    for on_floor, L_end, E_end in ((False, 2.0, 4.0), (True, 0.01, 400.01)):
         scales = []
 
         def precondition(g, ev, L):
             scales.append(L)
             return g
 
-        _, L, E, _, converged, _ = minimize_cg(
+        x, L, E, _, converged, _ = minimize_cg(
             np.zeros(3), Evaluation, precondition, lambda x, step: x + step,
-            0.01, 1e-6, OptimizerOptions(max_iter=500),
-            start_on_floor=start_on_floor)
+            0.01, 1e-6, OptimizerOptions(max_iter=500), on_floor=on_floor)
         assert converged
-        assert abs(L - 2.0) <= 1e-10 and abs(E - 4.0) <= 1e-10
-        assert (scales[0] == 0.01) == start_on_floor
+        assert abs(L - L_end) <= 1e-10 and abs(E - E_end) <= 1e-10 * E_end
+        assert np.max(np.abs(x - a)) <= 1e-6
+        assert all(s == 0.01 for s in scales) == on_floor
 
 
 def test_package_import_leaves_scipy_linalg_and_interpolate_unloaded():

@@ -314,6 +314,18 @@ def test_shock_normal_of_wrong_length_exit_1_one_line(tmp_path, capsys):
         "a flux with N = 1\n")
 
 
+@pytest.mark.parametrize("speed", [[], ["fast"], [None], [[1.0]]])
+def test_bad_advection_speed_exit_1_one_line(tmp_path, capsys, speed):
+    cfg = dict(SHOCK_CONFIG, model={"name": "linear_advection",
+                                    "params": {"speed": speed}})
+    assert main(["shock", "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cellgamma: compute failed: BadParams: "
+                          "linear_advection speed")
+    assert err.count("\n") == 1
+
+
 def test_non_integer_model_dimension_exit_1_one_line(tmp_path, capsys):
     cfg = dict(ORACLE_CONFIG, model={"name": "double_well",
                                      "params": {"space_dim": 2.7}})

@@ -79,9 +79,9 @@ def test_no_jump_energy_zero():
     sol = compute_shock_cell_energy(j, FLUX, ENTROPY, g)
     assert sol.energy.total <= 1e-10
     assert sol.converged
-    # A = B = 0: the closed-form scale is 1, above the floor 4h, so the
-    # pinned start is released at its no-descent exit in iteration 1
-    assert sol.L_star == 1.0 and sol.iterations == 1
+    # A = B = 0: the shock's scale stays on the floor 4h, and the zero
+    # gradient leaves no descent direction in iteration 1
+    assert sol.L_star == resolved_scale_floor(g) and sol.iterations == 1
 
 
 def test_constraint_exact_for_random_w():
@@ -312,6 +312,16 @@ def test_unperturbed_standing_shock_converges(n_normal, n_time):
     assert sol.converged
     assert sol.iterations <= 30
     assert abs(sol.energy.total - 1.3305323) <= 1e-7
+
+
+def test_standing_shock_stays_on_the_floor_below_two_to_the_minus_8():
+    # on 2049 normal nodes the floor 4h lies below 2^-8; the shock runs
+    # there, where L / h = 4 gives the same energy as on coarser cells
+    g = build_shock_grid(STANDING, 2049, n_time=4)
+    sol = compute_shock_cell_energy(STANDING, FLUX, ENTROPY, g)
+    assert sol.L_star == 4.0 * g.spacing(0)
+    assert abs(sol.energy.total / 1.3305322950675056 - 1.0) <= 1e-12
+    assert sol.converged and sol.iterations <= 30
 
 
 def test_tilted_shock_converges_on_the_scale_floor():

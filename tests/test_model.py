@@ -22,6 +22,18 @@ def test_catalog_names():
         catalog_lookup("linear_advection")
 
 
+def test_linear_advection_speed_checked():
+    # an empty, nested, non-numeric or non-finite speed used to reach the
+    # flux as a numpy error, a NaN flux or a silently accepted shape
+    for bad in ([], ["fast"], [None], [[1.0]], [float("nan")], [True],
+                float("inf"), "1.0", None, np.ones((1, 1))):
+        with pytest.raises(BadParams, match="speed"):
+            catalog_lookup("linear_advection", {"speed": bad})
+    for good, n in ((2.0, 1), ([1.0], 1), ((1.0, np.float64(3.0)), 2), ([2], 1),
+                    (np.array([1.0, 0.0]), 2), (np.array(2.0), 1)):
+        assert catalog_lookup("linear_advection", {"speed": good}).flux.N == n
+
+
 @pytest.mark.parametrize("name, key", [("double_well", "space_dim"),
                                        ("quadratic_entropy", "state_dim")])
 def test_dimension_params_must_be_integers(name, key):

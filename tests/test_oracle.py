@@ -83,6 +83,15 @@ def test_sampling_invariance():
     assert abs(e2 - e1) <= 0.005 * (abs(e1) + 1e-12)
 
 
+def test_sampling_below_16_rejected():
+    # at sampling 2 the box lattice joins -1 and 1 directly, and the
+    # double well's oracle read 0 instead of 8/3
+    for bad in (2, 15, 16.0, True):
+        with pytest.raises(BadParams, match="oracle sampling"):
+            geodesic_energy_1d(DW_JUMP, DW, sampling=bad)
+    assert abs(geodesic_energy_1d(DW_JUMP, DW, sampling=16) - 8.0 / 3.0) <= 0.05
+
+
 def test_path_endpoints_exact():
     states = geodesic_path_1d(DW_JUMP, DW)
     assert np.array_equal(states[0], DW_JUMP.phi_minus)

@@ -20,6 +20,8 @@ three terms at one profile; the optimizer and the Gamma sweep's full
 energy both use it.
 """
 
+import math
+import threading
 from collections import deque
 from dataclasses import asdict, dataclass
 
@@ -127,13 +129,30 @@ def _check_admissible(profile, jump, specs):
 
 # --- energy assembly ------------------------------------------------------
 
+def _axis_slices(axis):
+    """Index tuples that, along one array axis, drop the last entry,
+    drop the first, keep only the first and keep only the last."""
+    head = (slice(None),) * axis
+    return tuple(head + (s,) for s in (slice(None, -1), slice(1, None),
+                                       slice(None, 1), slice(-1, None)))
+
+
 def _tridiagonal(values, axis, diag, off):
     """Apply the symmetric tridiagonal stencil (off, diag, off) along one
     grid axis of a nodal array: periodic on lateral axes, with halved
     end-row diagonals on the normal axis."""
     if axis > 0:
-        return diag * values + off * (np.roll(values, 1, axis=axis)
-                                      + np.roll(values, -1, axis=axis))
+        # the neighbour sum v[j - 1] + v[j + 1], wrapping, by slices
+        drop_last, drop_first, first, last = _axis_slices(axis)
+        nbr = np.empty_like(values)
+        nbr[drop_first] = values[drop_last]
+        nbr[first] = values[last]
+        nbr[drop_last] += values[drop_first]
+        nbr[last] += values[first]
+        nbr *= off
+        out = diag * values
+        out += nbr
+        return out
     out = diag * values
     out[0] *= 0.5
     out[-1] *= 0.5
@@ -161,41 +180,98 @@ def _stiffness(grid, values):
     return out
 
 
-def _to_gauss(grid, values):
+class _GaussWorkArea:
+    """The Gauss-point arrays of one evaluation and its gradient for
+    given node counts and state dimension m.
+
+    - ``stages[k]`` is the output of :func:`_to_gauss`'s step k, with
+      the Gauss axes of the last k + 1 grid axes in front; the last
+      stage is ``z``, the interpolant at the Gauss points.  The earlier
+      stages are scratch, so :func:`_from_gauss` writes its steps there.
+    - ``tmp`` (flat, z's size) holds the one temporary of each step of
+      either pass, and W's values between them.
+    - ``coeff`` holds W's gradient coefficients at the Gauss points and
+      ``nodal`` the nodal gradient they scatter to.
+    - ``owner`` is the token of the evaluation whose z the work area
+      holds: every evaluation interpolates into the same arrays.
+    """
+
+    def __init__(self, grid, m):
+        n_axes, d = grid.n_axes, grid.dim
+        self.key = (n_axes, m)
+        elements = (n_axes[0] - 1,) + n_axes[1:]
+        self.stages = [np.empty((3,) * (k + 1) + n_axes[:d - 1 - k]
+                                + elements[d - 1 - k:] + (m,)) for k in range(d)]
+        self.z = self.stages[-1]
+        self.tmp = np.empty(self.z.size)
+        self.coeff = np.empty_like(self.z)
+        self.nodal = np.empty(n_axes + (m,))
+        self.weights = _gauss_weights(grid)  # a function of n_axes alone
+        self.owner = None
+
+    def scratch(self, shape):
+        """A view of the temporary with the given shape."""
+        return self.tmp[:math.prod(shape)].reshape(shape)
+
+
+_local = threading.local()
+
+
+def _gauss_work_area(grid, m):
+    """This thread's Gauss-point work area, replaced when the node counts
+    or the state dimension change."""
+    key = (grid.n_axes, m)
+    work = getattr(_local, "work", None)
+    if work is None or work.key != key:
+        work = _local.work = _GaussWorkArea(grid, m)
+    return work
+
+
+def _to_gauss(grid, values, work):
     """The multilinear interpolant of nodal values at the 3 Gauss points
-    per element along every axis, interpolated one axis at a time: shape
-    (3,) * d + element shape + (m,), Gauss axes in grid-axis order.  The
-    normal axis has n - 1 elements, a lateral axis n (the last wraps)."""
+    per element along every axis, interpolated one axis at a time into
+    ``work.stages``: shape (3,) * d + element shape + (m,), Gauss axes
+    in grid-axis order.  The normal axis has n - 1 elements, a lateral
+    axis n (the last wraps)."""
     # each step puts its Gauss axis in front, so taking the grid axes
     # last to first keeps the one being replaced at array position d - 1
-    p = grid.dim - 1
-    head = (slice(None),) * p
+    drop_last, drop_first, first, last = _axis_slices(grid.dim - 1)
     z = values
-    for ax in reversed(range(grid.dim)):
-        if ax == 0:
-            lo, hi = z[head + (slice(None, -1),)], z[head + (slice(1, None),)]
-        else:
-            lo, hi = z, np.roll(z, -1, axis=p)
+    for ax, out in zip(reversed(range(grid.dim)), work.stages):
         hat = _HAT.reshape((2, 3) + (1,) * z.ndim)
-        z = hat[0] * lo + hat[1] * hi
+        tmp = work.scratch(out.shape)
+        if ax == 0:
+            np.multiply(hat[0], z[drop_last], out=out)
+            np.multiply(hat[1], z[drop_first], out=tmp)
+        else:
+            # hat[1] times z shifted by one element, wrapping
+            np.multiply(hat[0], z, out=out)
+            np.multiply(hat[1], z[drop_first], out=tmp[(slice(None),) + drop_last])
+            np.multiply(hat[1], z[first], out=tmp[(slice(None),) + last])
+        z = np.add(out, tmp, out=out)
     return z
 
 
-def _from_gauss(grid, coeff):
+def _from_gauss(grid, coeff, work):
     """Exact transpose of :func:`_to_gauss`: contract each Gauss axis
-    with the two hat rows and add the results to the element's nodes."""
-    p = grid.dim - 1
-    head = (slice(None),) * p
-    for ax in range(grid.dim):
-        lo, hi = np.tensordot(_HAT, coeff, axes=(1, 0))
+    with the two hat rows (one product into ``work.tmp``) and add the
+    results to the element's nodes, into the scratch stages of ``work``
+    and last into ``work.nodal``, which is returned."""
+    drop_last, drop_first, first, last = _axis_slices(grid.dim - 1)
+    interior = drop_last[:-1] + (slice(1, -1),)  # all but both end nodes
+    for ax, out in enumerate(work.stages[-2::-1] + [work.nodal]):
+        lo, hi = np.dot(_HAT, coeff.reshape(3, -1),
+                        out=work.scratch((2, coeff.size // 3)))
+        lo, hi = lo.reshape(coeff.shape[1:]), hi.reshape(coeff.shape[1:])
         if ax == 0:
-            shape = list(lo.shape)
-            shape[p] += 1
-            coeff = np.zeros(shape)
-            coeff[head + (slice(None, -1),)] += lo
-            coeff[head + (slice(1, None),)] += hi
+            out[first] = lo[first]
+            np.add(lo[drop_first], hi[drop_last], out=out[interior])
+            out[last] = hi[last]
         else:
-            coeff = lo + np.roll(hi, 1, axis=p)
+            # lo plus hi shifted by one node, wrapping
+            np.add(lo[drop_first], hi[drop_last], out=out[drop_first])
+            np.add(lo[first], hi[last], out=out[first])
+        coeff = out
     return coeff
 
 
@@ -232,6 +308,11 @@ class CellEvaluation:
     The energy at scale L is L A + B / L with A = EG = <zeta, K zeta> and
     B = EW + BH, so the energy and the gradient at any scale follow from
     these parts with no further assembly or solve.
+
+    The Gauss-point arrays live in this thread's work area
+    (:class:`_GaussWorkArea`), which the latest evaluation owns; the
+    gradient of an evaluation that no longer owns it interpolates its
+    profile again.
     """
 
     def __init__(self, grid, values, specs, bc):
@@ -239,26 +320,42 @@ class CellEvaluation:
         self.grid, self.values, self.specs = grid, values, specs
         self.Kz = _stiffness(grid, values)
         self.A = float(np.sum(values * self.Kz))
-        self.z, self.w = _to_gauss(grid, values), _gauss_weights(grid)
-        self.EW = float(np.sum(self.w * specs.W.value(self.z)))
+        self._token = object()
+        work = self._interpolate()
+        Wz = specs.W.value(work.z, out=work.scratch(work.z.shape[:-1]))
+        self.EW = float(np.sum(np.multiply(work.weights, Wz, out=Wz)))
         self.BH, self.pot = _nonlocal_term(grid, values, specs, bc)
         self.B = self.EW + self.BH
+
+    def _interpolate(self):
+        """Interpolate the profile into this thread's work area and own it."""
+        work = _gauss_work_area(self.grid, self.specs.m)
+        _to_gauss(self.grid, self.values, work)
+        work.owner = self._token
+        return work
 
     def gradient(self, L):
         """Partial derivatives of the total energy at scale L with
         respect to interior nodal values; pinned slabs get zero rows,
         and under the sphere constraint the tangential (Riemannian)
-        projection is returned."""
+        projection is returned.  The result is a fresh array."""
         grid, specs = self.grid, self.specs
-        gW = _from_gauss(grid, self.w[..., None] * specs.W.gradient(self.z))
-        g = 2.0 * L * self.Kz + gW / L
+        work = _gauss_work_area(grid, specs.m)
+        if work.owner is not self._token:
+            work = self._interpolate()
+        coeff = specs.W.gradient(work.z, out=work.coeff)
+        np.multiply(work.weights[..., None], coeff, out=coeff)
+        gW = _from_gauss(grid, coeff, work)
+        gW /= L
+        g = 2.0 * L * self.Kz
+        g += gW
         if self.pot is not None:
-            g = g + _nonlocal_gradient(grid, self.values, specs, self.pot) / L
+            g += _nonlocal_gradient(grid, self.values, specs, self.pot) / L
         g[0] = 0.0
         g[-1] = 0.0
         if specs.constraint.kind == "unit_sphere":
             v = self.values
-            g = g - np.sum(g * v, axis=-1, keepdims=True) * v
+            g -= np.sum(g * v, axis=-1, keepdims=True) * v
         return g
 
 

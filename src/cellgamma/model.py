@@ -19,7 +19,15 @@ from .errors import BadParams, UnknownModel
 
 @dataclass(frozen=True)
 class ScalarPotential:
-    """Nonnegative energy density W on states, with analytic gradient."""
+    """Nonnegative energy density W on states, with analytic gradient.
+
+    ``value(x, out=None)`` and ``gradient(x, out=None)`` take an output
+    array in the ufunc style: given one, of shape x.shape[:-1] for the
+    value and x.shape for the gradient, they fill it completely and
+    return it; without one they return a fresh array.  ``out`` must not
+    overlap x.  The cell evaluation passes its Gauss-point work area
+    here, so a potential allocates nothing per evaluation.
+    """
 
     m: int
     value: Callable
@@ -167,9 +175,54 @@ class ValidationReport:
 
 # --- catalog building blocks ----------------------------------------------
 
+def _out(out, shape):
+    """A potential's output array: ``out``, or a fresh one of ``shape``."""
+    return np.empty(shape) if out is None else out
+
+
+def _zero_fill(out, shape):
+    out = _out(out, shape)
+    out[...] = 0.0
+    return out
+
+
 def _zero_potential(m):
-    return ScalarPotential(m=m, value=lambda s: np.zeros(s.shape[:-1]),
-                           gradient=lambda s: np.zeros_like(s))
+    return ScalarPotential(
+        m=m, value=lambda s, out=None: _zero_fill(out, np.shape(s)[:-1]),
+        gradient=lambda s, out=None: _zero_fill(out, np.shape(s)))
+
+
+def _double_well_value(s, out=None):
+    """(1 - s^2)^2 of the first state component."""
+    out = np.square(s[..., 0], out=_out(out, np.shape(s)[:-1]))
+    np.subtract(1.0, out, out=out)
+    return np.square(out, out=out)
+
+
+def _double_well_gradient(s, out=None):
+    """-4 s (1 - s^2) in the first state component.  Scaling by -4 is
+    exact, so it may come last."""
+    out = _out(out, np.shape(s))
+    o = np.square(s[..., 0], out=out[..., 0])
+    np.subtract(1.0, o, out=o)
+    o *= s[..., 0]
+    o *= -4.0
+    return out
+
+
+def _anisotropy_value(x, out=None):
+    """m_z^2."""
+    return np.square(x[..., 2], out=_out(out, np.shape(x)[:-1]))
+
+
+def _anisotropy_gradient(x, out=None):
+    """(0, 0, 2 m_z), written into one array: zeroing it whole is a
+    contiguous fill, where zeroing the first two components would run
+    numpy's inner loop two elements at a time."""
+    out = _out(out, np.shape(x))
+    out.fill(0.0)
+    np.multiply(2.0, x[..., 2], out=out[..., 2])
+    return out
 
 
 def _zero_flux(m, N):
@@ -233,24 +286,16 @@ def catalog_lookup(name, params=None):
     if name == "double_well":
         _reject_unknown(params, {"space_dim"})
         N = check_count("space_dim", params.get("space_dim", 1), 1)
-        W = ScalarPotential(
-            m=1,
-            value=lambda s: np.square(1.0 - np.square(s[..., 0])),
-            gradient=lambda s: (-4.0 * s[..., 0] * (1.0 - np.square(s[..., 0])))[..., None],
-        )
+        W = ScalarPotential(m=1, value=_double_well_value,
+                            gradient=_double_well_gradient)
         return ModelSpecs(
             name=name, W=W, Psi=_zero_flux(1, N),
             constraint=ConstraintSet("unconstrained"),
         )
     if name == "micromagnetics_2d":
         _reject_unknown(params, set())
-        W = ScalarPotential(
-            m=3,
-            value=lambda x: np.square(x[..., 2]),
-            gradient=lambda x: np.stack(
-                [np.zeros_like(x[..., 0]), np.zeros_like(x[..., 0]), 2.0 * x[..., 2]],
-                axis=-1),
-        )
+        W = ScalarPotential(m=3, value=_anisotropy_value,
+                            gradient=_anisotropy_gradient)
 
         def psi_value(x):
             return x[..., None, :2].copy()

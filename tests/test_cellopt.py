@@ -1,6 +1,8 @@
 """Cell energy assembly, analytic gradients, scale optimization, and
 the multistart minimizer."""
 
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,8 +12,8 @@ from hypothesis import strategies as st
 from scipy.fft import dst, idst
 
 from cellgamma import oracle
-from cellgamma.cellopt import (CellEvaluation, OptimizerOptions,
-                               _antipodal_axes, _from_gauss,
+from cellgamma.cellopt import (_HAT, CellEvaluation, OptimizerOptions,
+                               _antipodal_axes, _from_gauss, _GaussWorkArea,
                                _normal_h1_inverse, _stiffness, _to_gauss,
                                assemble_energy, compute_cell_energy,
                                energy_gradient, init_profiles, minimize_cg,
@@ -25,8 +27,7 @@ from cellgamma.hyperbolic import (_MARGIN, _ShockEvaluation,
                                   _lateral_mode_inverse, build_base_fields,
                                   build_shock_grid, compute_shock_cell_energy)
 from cellgamma.model import (ConstraintSet, FluxMap, JumpData, ModelSpecs,
-                             ScalarPotential, SpaceTimeJumpData,
-                             catalog_lookup)
+                             SpaceTimeJumpData, catalog_lookup)
 from cellgamma.oracle import finite_difference_gradient
 from cellgamma.poisson import BcVariant
 
@@ -40,18 +41,15 @@ TILTED = SpaceTimeJumpData(u_plus=[0.0], u_minus=[2.0],
 
 def _lateral_flux_specs():
     """Unconstrained scalar model with a nonzero, Neumann-compatible
-    (purely lateral) flux map; exercises the nonlocal adjoint."""
-    W = ScalarPotential(
-        m=1,
-        value=lambda s: np.square(1.0 - np.square(s[..., 0])),
-        gradient=lambda s: (-4.0 * s[..., 0] * (1.0 - np.square(s[..., 0])))[..., None])
+    (purely lateral) flux map and the catalog double well; exercises
+    the nonlocal adjoint."""
     jac = np.zeros((1, 2, 1))
     jac[0, 1, 0] = 1.0
     Psi = FluxMap(
         m=1, l=1, N=2,
         value=lambda s: np.stack([np.zeros_like(s), s], axis=-1),
         jacobian=lambda s: np.broadcast_to(jac, s.shape[:-1] + (1, 2, 1)))
-    return ModelSpecs(name="lateral_flux", W=W, Psi=Psi,
+    return ModelSpecs(name="lateral_flux", W=DW.W, Psi=Psi,
                       constraint=ConstraintSet("unconstrained"))
 
 
@@ -99,14 +97,165 @@ def test_gauss_interpolation_transpose(nu, n_axes):
     g = CellGrid(frame=build_frame(nu), n_axes=n_axes)
     rng = np.random.default_rng(3)
     v = rng.standard_normal(g.shape + (2,))
-    z = _to_gauss(g, v)
+    work = _GaussWorkArea(g, 2)
+    z = _to_gauss(g, v, work)
     el_shape = (n_axes[0] - 1,) + n_axes[1:]
     assert z.shape == (3,) * len(n_axes) + el_shape + (2,)
     c = rng.standard_normal(z.shape)
-    back = _from_gauss(g, c)
+    back = _from_gauss(g, c, work)
     assert back.shape == v.shape
     lhs, rhs = np.sum(z * c), np.sum(v * back)
     assert abs(lhs - rhs) <= 1e-13 * np.sqrt(np.sum(z * z) * np.sum(c * c))
+
+
+def _rolled_tridiagonal(values, axis, diag, off):
+    """The stencil of :func:`cellopt._tridiagonal` with np.roll wraps."""
+    if axis > 0:
+        return diag * values + off * (np.roll(values, 1, axis=axis)
+                                      + np.roll(values, -1, axis=axis))
+    out = diag * values
+    out[0] *= 0.5
+    out[-1] *= 0.5
+    out[1:] += off * values[:-1]
+    out[:-1] += off * values[1:]
+    return out
+
+
+def _rolled_stiffness(grid, values):
+    out = 0.0
+    for ax in range(grid.dim):
+        t = values
+        for b in range(grid.dim):
+            h = grid.spacing(b)
+            if b == ax:
+                t = _rolled_tridiagonal(t, b, 2.0 / h, -1.0 / h)
+            else:
+                t = _rolled_tridiagonal(t, b, 4.0 * h / 6.0, h / 6.0)
+        out = out + t
+    return out
+
+
+def _rolled_to_gauss(grid, values):
+    p = grid.dim - 1
+    head = (slice(None),) * p
+    z = values
+    for ax in reversed(range(grid.dim)):
+        if ax == 0:
+            lo, hi = z[head + (slice(None, -1),)], z[head + (slice(1, None),)]
+        else:
+            lo, hi = z, np.roll(z, -1, axis=p)
+        hat = _HAT.reshape((2, 3) + (1,) * z.ndim)
+        z = hat[0] * lo + hat[1] * hi
+    return z
+
+
+def _rolled_from_gauss(grid, coeff):
+    p = grid.dim - 1
+    head = (slice(None),) * p
+    for ax in range(grid.dim):
+        lo, hi = np.tensordot(_HAT, coeff, axes=(1, 0))
+        if ax == 0:
+            shape = list(lo.shape)
+            shape[p] += 1
+            coeff = np.zeros(shape)
+            coeff[head + (slice(None, -1),)] += lo
+            coeff[head + (slice(1, None),)] += hi
+        else:
+            coeff = lo + np.roll(hi, 1, axis=p)
+    return coeff
+
+
+@pytest.mark.parametrize("nu, n_axes", [
+    ([1.0, 0.0], (9, 1)), ([1.0, 0.0], (9, 2)), ([1.0, 0.0], (9, 3)),
+    ([0.6, 0.8], (11, 7)), ([2 / 3, 2 / 3, 1 / 3], (8, 3, 2))])
+def test_slice_wraps_equal_roll_formulas(nu, n_axes):
+    # the lateral wraps by slices and the contraction by one np.dot give
+    # exactly what np.roll and np.tensordot give, down to lateral counts
+    # of 1 and 2, where a node is its own or its other neighbour's
+    # neighbour
+    g = CellGrid(frame=build_frame(nu), n_axes=n_axes)
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(g.shape + (2,))
+    assert np.array_equal(_stiffness(g, v), _rolled_stiffness(g, v))
+    work = _GaussWorkArea(g, 2)
+    assert np.array_equal(_to_gauss(g, v, work), _rolled_to_gauss(g, v))
+    c = rng.standard_normal(work.stages[-1].shape)
+    assert np.array_equal(_from_gauss(g, c, work), _rolled_from_gauss(g, c))
+
+
+def test_gradient_does_not_depend_on_later_evaluations():
+    # every evaluation interpolates into its thread's one work area; the
+    # gradient of an evaluation whose Gauss points were overwritten, or
+    # whose work area was replaced, must interpolate again
+    mm = catalog_lookup("micromagnetics_2d")
+    jump = JumpData(phi_plus=[0.0, 1.0, 0.0], phi_minus=[0.0, -1.0, 0.0],
+                    nu=[1.0, 0.0])
+    g = build_cell_grid(build_frame([1.0, 0.0]), 12, n_lateral=8)
+    other = build_cell_grid(build_frame([1.0, 0.0]), 10, n_lateral=6)
+    opts = OptimizerOptions(n_random=2)
+    v1, v2 = (p.values for p in init_profiles(jump, mm, g, "random_perturbed", opts))
+    v3 = init_profiles(jump, mm, other, "random_perturbed", opts)[0].values
+    bc, L = BcVariant.NEUMANN, 0.3
+    ref = CellEvaluation(g, v1, mm, bc).gradient(L)
+    ev1 = CellEvaluation(g, v1, mm, bc)
+    parts = (ev1.A, ev1.EW, ev1.BH)
+
+    def on_thread():
+        CellEvaluation(g, v2, mm, bc).gradient(L)
+
+    later = [lambda: CellEvaluation(g, v2, mm, bc),
+             lambda: CellEvaluation(other, v3, mm, bc),
+             lambda: CellEvaluation(g, v2, mm, bc).gradient(L)]
+    for make in later:
+        make()
+        assert np.array_equal(ev1.gradient(L), ref)
+        assert (ev1.A, ev1.EW, ev1.BH) == parts
+    thread = threading.Thread(target=on_thread)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert np.array_equal(ev1.gradient(L), ref)
+    assert (ev1.A, ev1.EW, ev1.BH) == parts
+
+
+def test_gauss_work_areas_are_per_thread():
+    # threads evaluating different profiles at once, most of them on one
+    # shape (a shared work area would mix their Gauss points), each
+    # taking gradients of an earlier evaluation too, get the serial results
+    mm = catalog_lookup("micromagnetics_2d")
+    jump = JumpData(phi_plus=[0.0, 1.0, 0.0], phi_minus=[0.0, -1.0, 0.0],
+                    nu=[1.0, 0.0])
+    grids = [build_cell_grid(build_frame([1.0, 0.0]), n0, n_lateral=n1)
+             for n0, n1 in ((12, 8), (12, 8), (12, 8), (12, 8), (10, 6))]
+    profiles = [init_profiles(jump, mm, g, "random_perturbed",
+                              OptimizerOptions(seed=i, n_random=2))
+                for i, g in enumerate(grids)]
+    bc, L = BcVariant.NEUMANN, 0.3
+    ref = [[CellEvaluation(g, p.values, mm, bc).gradient(L) for p in ps]
+           for g, ps in zip(grids, profiles)]
+    bad = []
+
+    def work(i):
+        g, (p0, p1) = grids[i], profiles[i]
+        for _ in range(40):
+            ev0 = CellEvaluation(g, p0.values, mm, bc)
+            ev1 = CellEvaluation(g, p1.values, mm, bc)
+            for ev, r in ((ev1, ref[i][1]), (ev0, ref[i][0])):
+                if not np.array_equal(ev.gradient(L), r):
+                    bad.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(grids))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
 
 
 def test_constant_no_jump_profile_zero_energy():

@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 
 from cellgamma import grid as cgrid
 from cellgamma import poisson
+from cellgamma.cellopt import CellEvaluation, OptimizerOptions, init_profiles
 from cellgamma.errors import NeumannIncompatible, ShapeMismatch, SolverDiverged
 from cellgamma.grid import (CellGrid, StateField, TensorField, build_cell_grid,
                             build_frame, gradient, inner)
+from cellgamma.model import JumpData, catalog_lookup
 from cellgamma.poisson import (BcVariant, duality_gap, leray_project,
                                nonlocal_energy, solve_cell_poisson)
 
@@ -265,6 +267,22 @@ def test_work_areas_are_per_thread():
     assert bad == []
 
 
+def _traced_peak(call):
+    """Bytes by which the traced memory peaks above its level before
+    ``call()``."""
+    tracing = tracemalloc.is_tracing()  # e.g. under python -X tracemalloc
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 @pytest.mark.parametrize("bc", BcVariant.CELL_KINDS)
 def test_solve_memory_peak(bc):
     # after a warm-up call fills the caches and the work area, a 64x64
@@ -273,18 +291,27 @@ def test_solve_memory_peak(bc):
     g = _grid(64, 64)
     M = TensorField(g, np.random.default_rng(11).standard_normal(g.shape + (1, 2)))
     nonlocal_energy(M, bc, check_compat=False)
-    tracing = tracemalloc.is_tracing()  # e.g. under python -X tracemalloc
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        nonlocal_energy(M, bc, check_compat=False)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    peak = _traced_peak(lambda: nonlocal_energy(M, bc, check_compat=False))
     assert peak <= 9 * g.n_axes[0] * g.n_axes[1] * 8
+
+
+@pytest.mark.parametrize("bc", BcVariant.CELL_KINDS)
+def test_evaluation_memory_peak(bc):
+    # once the Gauss-point and potential work areas exist, a 64x64
+    # micromagnetic evaluation and its gradient allocate only nodal
+    # arrays: Kz, the stiffness and gradient temporaries, the potential
+    # field and the returned gradient.  The traced peak was 18.1 nodal
+    # float64 arrays (a 3-component state is 3 of them); a fresh
+    # Gauss-point array is 9 state arrays, 27 nodal ones
+    mm = catalog_lookup("micromagnetics_2d")
+    jump = JumpData(phi_plus=[0.0, 1.0, 0.0], phi_minus=[0.0, -1.0, 0.0],
+                    nu=[1.0, 0.0])
+    g = _grid(64, 64)
+    v = init_profiles(jump, mm, g, "random_perturbed",
+                      OptimizerOptions(n_random=1))[0].values
+    CellEvaluation(g, v, mm, bc).gradient(0.1)
+    peak = _traced_peak(lambda: CellEvaluation(g, v, mm, bc).gradient(0.1))
+    assert peak <= 24 * g.n_axes[0] * g.n_axes[1] * 8
 
 
 def test_end_fluxes_once_per_neumann_solve(monkeypatch):

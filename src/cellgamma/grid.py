@@ -10,13 +10,13 @@ sparse matrices, built once per node counts and frame
 (:func:`derivatives`).  Along each axis it has second-order central
 rows, one-sided second-order rows at the normal ends and wrapped rows on
 periodic axes; the physical derivatives d_j combine the axis matrices
-through the frame.  The gradient applies the d_j, and the divergence,
-the exact negative weighted adjoint of the gradient, applies their
-transposes.  This makes summation by parts, the Leray projection, and
-the composition laplacian = div(grad) hold to round-off, not just to
-truncation order.  The potential solve and the shock layer use the same
-matrices, and one table of the lateral Fourier modes
-(:func:`lateral_modes`).
+through the frame.  The gradient applies the d_j as one matrix, and
+the divergence, the exact negative weighted adjoint of the gradient,
+applies its weighted transpose.  This makes summation by parts, the
+Leray projection, and the composition laplacian = div(grad) hold to
+round-off, not just to truncation order.  The potential solve and the
+shock layer use the same matrices, and one table of the lateral Fourier
+modes (:func:`lateral_modes`).
 """
 
 import math
@@ -270,8 +270,9 @@ class Derivatives:
     axis, on its nodes; the physical ``d[j]`` = sum_ax basis[ax, j] D_ax
     on the flat nodes, where D_ax is ``axes[ax]`` kron'ed with the
     identities of the other axes; their transposes ``dt[j]``; and, built
-    on first use, ``grad``, the rows of the d[j] interleaved by node.
-    Holds no reference to the grid."""
+    on first use, ``grad``, the rows of the d[j] interleaved by node, and
+    its weighted adjoint ``grad_adjoint``.  Holds no reference to the
+    grid."""
 
     def __init__(self, grid):
         # imported here: scipy.sparse loads scipy.linalg, which every
@@ -287,6 +288,7 @@ class Derivatives:
         self.d = [sum(c * op for c, op in zip(grid.frame.basis[:, j], axis_ops)
                       if c != 0.0) for j in range(grid.dim)]
         self.dt = [d.T.tocsr() for d in self.d]
+        self.weights = grid.node_weights().ravel()
 
     @cached_property
     def grad(self):
@@ -296,6 +298,15 @@ class Derivatives:
         n, dim = self.d[0].shape[0], len(self.d)
         by_node = np.arange(n * dim).reshape(dim, n).T.ravel()
         return sp.vstack(self.d, format="csr")[by_node]
+
+    @cached_property
+    def grad_adjoint(self):
+        """The weighted adjoint grad^T W of :attr:`grad`, W the node
+        weights repeated per component: column (node, j) is column node
+        of d[j]^T times the weight of that node."""
+        import scipy.sparse as sp
+        w = np.repeat(self.weights, len(self.d))
+        return (sp.diags_array(w) @ self.grad).T.tocsr()
 
 
 CACHE_SIZE = 8
@@ -338,10 +349,20 @@ def gradient(f):
     return TensorField(grid, np.ascontiguousarray(out))
 
 
+def gradient_adjoint(grid, values):
+    """The weighted adjoint of :func:`gradient` applied to nodal tensor
+    values (..., l, N): the nodal (..., l) array sum_j d_j^T W v[..., j],
+    one product of :attr:`Derivatives.grad_adjoint`."""
+    rows = values.shape[-2]
+    # values[..., a, j] to rows (node, j); a copy only for several rows
+    v = values.reshape(-1, rows, grid.dim).swapaxes(1, 2).reshape(-1, rows)
+    return (derivatives(grid).grad_adjoint @ v).reshape(grid.shape + (rows,))
+
+
 def divergence(v):
     """Divergence of a TensorField, defined as the exact negative weighted
     adjoint of :func:`gradient` under the quadrature inner product:
-    -W^-1 sum_j d_j^T W v[..., j].
+    -W^-1 grad^T W v.
 
     With this definition <grad u, V>_w = -<u, div V>_w holds to round-off
     for all fields, which is what makes the Poisson solve variational and
@@ -349,9 +370,7 @@ def divergence(v):
     """
     grid = v.grid
     w = grid.node_weights()[..., None]
-    ops = derivatives(grid).dt
-    out = sum(apply_nodal(ops[j], w * v.values[..., j]) for j in range(grid.dim))
-    return StateField(grid, -out / w)
+    return StateField(grid, -gradient_adjoint(grid, v.values) / w)
 
 
 def laplacian(f):

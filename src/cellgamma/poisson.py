@@ -8,12 +8,18 @@ module.  That makes the duality identities (projection orthogonality,
 energy identity, Dirichlet <= Neumann) hold to round-off rather than to
 truncation order.
 
-Method: real FFT along the lateral periodic axes; per lateral mode k of
-:func:`grid.lateral_modes` the normal operator is A0 + mu_k W, with mu_k
-= |sigma_k|^2 for the mode's central-difference symbols, A0 = D^T W D, D
-the grid's normal derivative matrix (one-sided-closed,
-:func:`grid.derivatives`) and W the normal quadrature weights (times the
-lateral measure).  All modes are solved at once by fast diagonalization
+Method: the right-hand side grad^T W M' of the normal equations, M' the
+flux less the mean-flux shift, is one sparse product
+(:func:`grid.gradient_adjoint`) and one real FFT along the lateral
+periodic axes.  The shift goes on the flux, not on the zero mode of the
+rhs: subtracted there, its round-off (eps |M|, not eps |M'|) would fall
+in the Neumann kernel and fail the residual check of a near-constant
+normal flux.  Per lateral mode k of :func:`grid.lateral_modes` the
+normal operator is A0 + mu_k W, with mu_k = |sigma_k|^2 for the mode's
+central-difference symbols, A0 = D^T W D, D the grid's normal derivative
+matrix (one-sided-closed, :func:`grid.derivatives`) and W the normal
+quadrature weights (times the lateral measure).  All modes are solved at
+once by fast diagonalization
 (Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199): the generalized
 eigenbasis A0 V = W V diag(lam), V^T W V = I, on the solved rows (all
 nodes for Neumann, the interior for Dirichlet) is computed once per
@@ -27,9 +33,7 @@ b_bot, applies G^T, the inverse table and G per half, and unfolds to
 H_top = u + v, J H_bot = u - v: two half-size products per direction,
 half the flops of V.  The bases are real, so the products act on the
 float64 view of the complex mode array, (rows, 2 modes l), for all
-modes at once.  The sparse D^T W (the right-hand side, with the
-weighted lateral symbols i w sigma) and A0, one CSR matrix (the
-residual check), act on the same view.
+modes at once, as does A0, one CSR matrix, in the residual check.
 D annihilates exactly the constants, so the Neumann operator is singular
 in the lateral modes with mu = 0 (the zero mode and, on even axes, pure
 Nyquist modes).  There the constant eigenvector gets 1/(lam + mu) := 0:
@@ -38,16 +42,17 @@ to the constants in every kernel mode (to round-off times the condition
 of A0, about 1e-11 relative at 256 normal nodes).  The right-hand sides of those
 modes are compatible by construction: 1^T D^T(w m) = 0 identically.
 
-Memory: the frame components of the flux, one inline product with the
-frame basis, the folded right-hand side and solution (the fold buffer,
-which then takes the lateral term of the residual), the eigenbasis
-coefficients and H-hat of a solve go to one work area per thread, kept
-while the node counts and flux rows stay the same and shared by both
-bcs.  The right-hand side and the residual are fresh mode arrays,
-dropped before the gradient; the returned H and grad H are fresh arrays
-too, so a caller may keep them across later solves.
+Memory: the shifted flux M', the folded right-hand side and solution
+(the fold buffer, which then takes the lateral term of the residual),
+the eigenbasis coefficients and H-hat of a solve go to one work area
+per thread, kept while the node counts and flux rows stay the same and
+shared by both bcs.  The product grad^T W M', its transform (the
+right-hand side) and the residual are fresh, dropped before the
+gradient; the returned H and grad H are fresh too, so a caller may keep
+them across later solves.
 """
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -56,7 +61,7 @@ import scipy.fft
 
 from .errors import NeumannIncompatible, ShapeMismatch, SolverDiverged
 from .grid import (StateField, TensorField, apply_nodal, cached, derivatives,
-                   gradient, inner, lateral_modes)
+                   gradient, gradient_adjoint, inner, lateral_modes)
 
 
 class BcVariant:
@@ -91,9 +96,9 @@ _MU_TOL = 1e-12
 
 
 class _CellSolverData:
-    """Per-(node counts, bc) data of a solve: weighted lateral symbols,
-    the parity-folded generalized eigenbasis of the normal operator on
-    the solved rows, and the operator scales of the residual check."""
+    """Per-(node counts, bc) data of a solve: the lateral symbols, the
+    parity-folded generalized eigenbasis of the normal operator on the
+    solved rows, and the operator scales of the residual check."""
 
     def __init__(self, grid, bc):
         n0 = grid.n_axes[0]
@@ -102,17 +107,12 @@ class _CellSolverData:
         self.n_modes = sigma.shape[1]
         # the lateral cell measure folds into the normal weight vector
         self.w_nu = grid.axis_weights(0) * grid.lateral_measure
-        # D_lat <-> i sigma per lateral axis, mu = |sigma|^2; the rhs
-        # takes the weighted symbols i w_nu sigma
+        # D_lat <-> i sigma per lateral axis, mu = |sigma|^2
         self.mu = sum(s ** 2 for s in sigma)
-        self.wsigma = [1j * np.multiply.outer(self.w_nu, s) for s in sigma]
-        # the normal derivative: D^T W assembles the rhs, and A0 = D^T W D
-        # applies the normal operator in the residual check
+        # A0 = D^T W D applies the normal operator in the residual check
         import scipy.sparse as sp  # loaded already by derivatives()
         D = derivatives(grid).axes[0].toarray()
-        DTW = D.T * self.w_nu
-        self.DTW = sp.csr_array(DTW)
-        A0 = DTW @ D
+        A0 = (D.T * self.w_nu) @ D
         self.A0 = sp.csr_array(A0)
 
         # the generalized eigenbasis A0 V = W V diag(lam), V^T W V = I, on
@@ -149,13 +149,16 @@ class _CellSolverData:
         # the lateral part of the operator, w_nu mu, on the mode array
         self.w_mu = self.w_nu[:, None, None] * self.mu[:, None]
 
-        # residual scales: the norm of the full operator, and the largest
-        # column sum of |D| with the largest lateral symbol (the rhs is one
-        # application of the derivatives to the flux)
+        # residual scales: the norm of the full operator, and the rhs's
+        # round-off floor per unit of |M'| (|rhs| may cancel to 0): the
+        # largest column sum of |D| plus the largest lateral symbol, times
+        # sqrt(n_lat / 2), the least 2-norm gain of a lateral rfftn
         self.a_norm = (np.max(np.sum(np.abs(A0), axis=1))
                        + float(np.max(self.mu)) * float(np.max(self.w_nu)))
-        self.d_norm = np.max(np.sum(np.abs(D), axis=0))
-        self.sig_max = max(float(np.max(np.abs(s))) for s in sigma)
+        sig_max = max(float(np.max(np.abs(s))) for s in sigma)
+        self.b_norm = ((np.max(np.sum(np.abs(D), axis=0)) + sig_max)
+                       * float(np.max(self.w_nu))
+                       * math.sqrt(0.5 * math.prod(self.lat_shape)))
 
 
 _cache = {}
@@ -173,13 +176,13 @@ def _solver_data(grid, bc):
 
 class _WorkArea:
     """The intermediates of one solve for given node counts and flux
-    rows, shared by both boundary conditions: the frame components, the
+    rows, shared by both boundary conditions: the shifted flux, the
     folded rhs and solution, the eigenbasis coefficients and H-hat."""
 
     def __init__(self, n_axes, rows, n_modes):
         n0 = n_axes[0]
         self.key = (n_axes, rows)
-        self.comps = np.empty((len(n_axes),) + n_axes + (rows,))
+        self.flux = np.empty(n_axes + (rows, len(n_axes)))
         self.fold = np.empty((n0, n_modes * 2 * rows))
         self.coef = np.empty((n0, n_modes * 2 * rows))
         self.Hhat = np.empty((n0, n_modes, rows), dtype=np.complex128)
@@ -201,6 +204,11 @@ def _normal_product(mat, modes):
     """A normal-axis matrix applied to a complex mode array, as real
     products on its float64 view; a fresh mode array."""
     return apply_nodal(mat, modes.view(np.float64)).view(np.complex128)
+
+
+def _norm(a):
+    """The 2-norm of an array, as the square root of one dot."""
+    return math.sqrt(np.vdot(a, a).real)
 
 
 def _end_fluxes(grid, values):
@@ -259,25 +267,18 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
     lat_axes = tuple(range(1, grid.dim))
     work = _work_area(grid, l, data.n_modes)
 
-    comps = work.comps  # the frame components, comps[ax] = M . basis[ax]
-    np.matmul(grid.frame.basis, M.values.reshape(-1, grid.dim).T,
-              out=comps.reshape(grid.dim, -1))
+    # variational rhs grad^T W M', M' = M - c x nu with c = (bot + top) / 2:
+    # one product and one lateral transform
+    flux = M.values
     if shift_mean_flux:
-        # M - c x nu, c = (bot + top) / 2, has the frame components
-        # comps[ax] - c (nu . b_ax)
-        c = np.multiply.outer(grid.frame.basis @ grid.frame.nu, 0.5 * (top + bot))
-        comps -= c.reshape((grid.dim,) + (1,) * grid.dim + (l,))
-    # the frame components lead, so the lateral axes move up by one
-    hats = scipy.fft.rfftn(comps, axes=[ax + 1 for ax in lat_axes])
-    hats = hats.reshape(grid.dim, n0, data.n_modes, l)
-    flux_norm = sum(np.linalg.norm(h) for h in hats)  # for the residual scale
-
-    # variational rhs per mode: D^T W m_nu - sum_ax (i w sigma_ax) m_ax
-    rhs = _normal_product(data.DTW, hats[0])
-    for i, ws in enumerate(data.wsigma):
-        np.multiply(ws[:, :, None], hats[i + 1], out=hats[i + 1])
-        rhs -= hats[i + 1]
-    del hats  # the one fresh transform is not needed past the rhs
+        # one strided pass per (row, component): broadcasting the (rows,
+        # dim) shift over the nodes runs a 2-element inner loop, 4x slower
+        flux = work.flux
+        shift = np.multiply.outer(0.5 * (top + bot), grid.frame.nu)
+        for (a, j), s in np.ndenumerate(shift):
+            np.subtract(M.values[..., a, j], s, out=flux[..., a, j])
+    rhs = scipy.fft.rfftn(gradient_adjoint(grid, flux), axes=lat_axes)
+    rhs = rhs.reshape(n0, data.n_modes, l)
 
     # the eigenbasis products, real, on the float view of the modes, per
     # half: fold the rhs to f = b_top + J b_bot (and b_mid), g = b_top -
@@ -293,8 +294,8 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
     fold[mid] = b[mid]
     for part, G in zip((even, odd), data.G):
         np.matmul(G.T, fold[part], out=coef[part])
-    coef3 = coef.reshape(n, data.n_modes, 2 * l)
-    coef3 *= data.inv[:, :, None]
+    coefz = coef.view(np.complex128).reshape(n, data.n_modes, l)
+    coefz *= data.inv[:, :, None]
     for part, G in zip((even, odd), data.G):
         np.matmul(G, coef[part], out=fold[part])
     Hhat = work.Hhat
@@ -312,14 +313,9 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
     op += np.multiply(data.w_mu, Hhat,  # into the fold buffer, now free
                       out=work.fold.view(np.complex128).reshape(Hhat.shape))
     op -= rhs
-    num = np.linalg.norm(op[rows])
-    # backward-error scale: the rhs is assembled from the flux by one
-    # application of the derivatives, so its own round-off floor is set by
-    # the flux magnitude, not by |rhs| (which may cancel to zero for
-    # divergence-free inputs)
-    b_scale = (data.d_norm + data.sig_max) * float(np.max(data.w_nu)) * flux_norm
-    den = (np.linalg.norm(rhs[rows]) + data.a_norm * np.linalg.norm(Hhat)
-           + b_scale + 1e-300)
+    num = _norm(op[rows])
+    den = (_norm(rhs[rows]) + data.a_norm * _norm(Hhat)
+           + data.b_norm * _norm(flux) + 1e-300)
     residual = float(num / den)
     if not residual <= RESIDUAL_TOL:  # also catches NaN
         raise SolverDiverged(f"relative residual {residual:.3e} above target")

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,8 @@ from cellgamma import poisson
 from cellgamma.cellopt import CellEvaluation, OptimizerOptions, init_profiles
 from cellgamma.errors import NeumannIncompatible, ShapeMismatch, SolverDiverged
 from cellgamma.grid import (CellGrid, StateField, TensorField, build_cell_grid,
-                            build_frame, gradient, inner)
+                            build_frame, derivatives, gradient, inner,
+                            lateral_modes)
 from cellgamma.model import JumpData, catalog_lookup
 from cellgamma.poisson import (BcVariant, duality_gap, leray_project,
                                nonlocal_energy, solve_cell_poisson)
@@ -151,6 +153,121 @@ def test_folded_eigenbasis(bc, n0):
         assert np.allclose(V[:, 0], V[0, 0], rtol=1e-12, atol=0.0)
     else:
         assert kernel.size == 0 and pinned.size == 0
+
+
+def _frame_hats(M, c):
+    """The lateral transforms of the frame components M . basis[ax] of
+    M - c x nu, (dim, normal nodes, modes, rows)."""
+    g = M.grid
+    comps = np.einsum("...aj,kj->k...a", M.values, g.frame.basis)
+    comps -= np.multiply.outer(g.frame.basis @ g.frame.nu, c).reshape(
+        (g.dim,) + (1,) * g.dim + (M.rows,))
+    hats = scipy.fft.rfftn(comps, axes=range(2, g.dim + 1))
+    return hats.reshape(g.dim, g.n_axes[0], -1, M.rows)
+
+
+def _spectral_solve(M, bc, c):
+    """The rhs assembled in the lateral modes from the frame components
+    of M - c x nu (D^T W on the normal component, -i w sigma per lateral
+    axis), and H and grad H from it through the unfolded eigenbasis and
+    the inverse table of the solver data."""
+    g = M.grid
+    data = poisson._solver_data(g, bc)
+    hats = _frame_hats(M, c)
+    w_nu = g.axis_weights(0) * g.lateral_measure
+    D = derivatives(g).axes[0].toarray()
+    rhs = ((D.T * w_nu) @ hats[0].reshape(g.n_axes[0], -1)).reshape(hats[0].shape)
+    for s, hat in zip(lateral_modes(g)[2], hats[1:]):
+        rhs -= 1j * w_nu[:, None, None] * s[:, None] * hat
+    V = _unfolded_basis(data)
+    Hhat = np.zeros_like(rhs)
+    coef = np.einsum("ij,i...->j...", V, rhs[data.rows]) * data.inv[:, :, None]
+    Hhat[data.rows] = np.einsum("ij,j...->i...", V, coef)
+    H = scipy.fft.irfftn(Hhat.reshape((g.n_axes[0],) + data.freq_shape + (M.rows,)),
+                         s=g.n_axes[1:], axes=range(1, g.dim))
+    return rhs, H, gradient(StateField(g, H)).values
+
+
+def _rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shift", [True, False], ids=["shift", "no-shift"])
+@pytest.mark.parametrize("bc", BcVariant.CELL_KINDS)
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("nu, n_axes", [
+    pytest.param([1.0, 0.0], (17, 12), id="straight"),
+    pytest.param([0.6, 0.8], (16, 9), id="tilted"),
+    pytest.param([0.48, 0.6, 0.64], (9, 6, 5), id="3d"),
+])
+def test_rhs_matches_spectral_formula(monkeypatch, nu, n_axes, rows, bc, shift):
+    # the one product grad^T W (M - c x nu) and its one transform against
+    # the rhs built in the lateral modes from the frame components, and H
+    # and grad H against the solve of that rhs
+    g = CellGrid(frame=build_frame(nu), n_axes=n_axes)
+    M = TensorField(g, np.random.default_rng(rows).standard_normal(
+        g.shape + (rows, g.dim)))
+    c = np.zeros(rows)
+    if shift:
+        bot, top = poisson._end_fluxes(g, M.values)
+        c = 0.5 * (bot + top)
+    rhs, H, gradH = _spectral_solve(M, bc, c)
+    transforms = []
+    rfftn = scipy.fft.rfftn
+
+    def kept(*args, **kwargs):
+        transforms.append(rfftn(*args, **kwargs))
+        return transforms[-1]
+
+    monkeypatch.setattr(scipy.fft, "rfftn", kept)
+    pot = solve_cell_poisson(M, bc, check_compat=False, shift_mean_flux=shift)
+    monkeypatch.undo()
+    # the one array the solve got from rfftn is the rhs it solved
+    assert len(transforms) == 1
+    assert _rel_err(transforms[0].reshape(rhs.shape), rhs) <= 1e-12
+    assert _rel_err(pot.H.values, H) <= 1e-12
+    assert _rel_err(pot.gradH.values, gradH) <= 1e-12
+
+
+@pytest.mark.parametrize("nu, n_axes", [
+    pytest.param([1.0, 0.0], (17, 12), id="straight"),
+    pytest.param([0.6, 0.8], (16, 9), id="tilted"),
+    pytest.param([0.48, 0.6, 0.64], (9, 6, 5), id="3d"),
+])
+def test_residual_flux_scale_not_above_frame_transforms(nu, n_axes):
+    # the residual check's flux scale b_norm |M - c x nu| is no larger than
+    # the one of the frame components, (largest column sum of |D| plus the
+    # largest lateral symbol) max w times the sum of the norms of the
+    # lateral transforms of the frame components of M - c x nu (Parseval),
+    # so the check is at least as strict; on random fluxes with and
+    # without the shift, and on constant normal fluxes plus noise from 0
+    # to 1e-6, where the shift removes almost all of M: there too every
+    # solve must pass the check
+    g = CellGrid(frame=build_frame(nu), n_axes=n_axes)
+    rng = np.random.default_rng(12)
+    D = derivatives(g).axes[0].toarray()
+    sig_max = max(np.max(np.abs(s)) for s in lateral_modes(g)[2])
+    w_max = np.max(g.axis_weights(0) * g.lateral_measure)
+    frame_scale = (np.max(np.sum(np.abs(D), axis=0)) + sig_max) * w_max
+    cases = []
+    for rows in (1, 2):
+        m = rng.standard_normal(g.shape + (rows, g.dim))
+        cases += [(m, False), (m, True)]
+        for noise in (0.0, 1e-12, 1e-8, 1e-6):
+            cases.append((np.multiply.outer(rng.standard_normal(rows), g.frame.nu)
+                           + noise * rng.standard_normal(g.shape + (rows, g.dim)),
+                           True))
+    for m, shift in cases:
+        M = TensorField(g, m)
+        c = np.zeros(M.rows)
+        if shift:
+            bot, top = poisson._end_fluxes(g, m)
+            c = 0.5 * (bot + top)
+        flux = np.linalg.norm(m - np.multiply.outer(c, g.frame.nu))
+        frame = frame_scale * sum(np.linalg.norm(h) for h in _frame_hats(M, c))
+        for bc in BcVariant.CELL_KINDS:
+            assert poisson._solver_data(g, bc).b_norm * flux <= frame
+            solve_cell_poisson(M, bc, check_compat=False, shift_mean_flux=shift)
 
 
 def test_residual_check_fires(monkeypatch):

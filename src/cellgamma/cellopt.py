@@ -21,7 +21,6 @@ energy both use it.
 """
 
 import math
-import threading
 from collections import deque
 from dataclasses import asdict, dataclass
 
@@ -29,7 +28,8 @@ import numpy as np
 
 from .errors import (BadParams, BadStrategy, DegenerateScale, InadmissibleProfile,
                      NotConverged)
-from .grid import StateField, TensorField, check_normal, smooth_noise
+from .grid import (StateField, TensorField, cached, check_normal, smooth_noise,
+                   work_area)
 from .model import check_count
 from .poisson import BcVariant, nonlocal_energy
 
@@ -198,7 +198,6 @@ class _GaussWorkArea:
 
     def __init__(self, grid, m):
         n_axes, d = grid.n_axes, grid.dim
-        self.key = (n_axes, m)
         elements = (n_axes[0] - 1,) + n_axes[1:]
         self.stages = [np.empty((3,) * (k + 1) + n_axes[:d - 1 - k]
                                 + elements[d - 1 - k:] + (m,)) for k in range(d)]
@@ -206,7 +205,6 @@ class _GaussWorkArea:
         self.tmp = np.empty(self.z.size)
         self.coeff = np.empty_like(self.z)
         self.nodal = np.empty(n_axes + (m,))
-        self.weights = _gauss_weights(grid)  # a function of n_axes alone
         self.owner = None
 
     def scratch(self, shape):
@@ -214,17 +212,10 @@ class _GaussWorkArea:
         return self.tmp[:math.prod(shape)].reshape(shape)
 
 
-_local = threading.local()
-
-
 def _gauss_work_area(grid, m):
-    """This thread's Gauss-point work area, replaced when the node counts
-    or the state dimension change."""
-    key = (grid.n_axes, m)
-    work = getattr(_local, "work", None)
-    if work is None or work.key != key:
-        work = _local.work = _GaussWorkArea(grid, m)
-    return work
+    """This thread's Gauss-point work area (:func:`grid.work_area`),
+    replaced when the node counts or the state dimension change."""
+    return work_area("gauss", (grid.n_axes, m), lambda: _GaussWorkArea(grid, m))
 
 
 def _to_gauss(grid, values, work):
@@ -277,11 +268,16 @@ def _from_gauss(grid, coeff, work):
 
 def _gauss_weights(grid):
     """Quadrature weights of :func:`_to_gauss`'s points, broadcastable
-    over its leading Gauss and element axes."""
-    w = np.ones(())
-    for ax in range(grid.dim):
-        w = np.multiply.outer(w, grid.spacing(ax) * _GAUSS_W)
-    return w.reshape(w.shape + (1,) * grid.dim)
+    over its leading Gauss and element axes: a read-only table per node
+    counts (:func:`grid.cached`)."""
+    def build():
+        w = np.ones(())
+        for ax in range(grid.dim):
+            w = np.multiply.outer(w, grid.spacing(ax) * _GAUSS_W)
+        w = w.reshape(w.shape + (1,) * grid.dim)
+        w.setflags(write=False)
+        return w
+    return cached("gauss weights", grid.n_axes, build)
 
 
 def _nonlocal_term(grid, values, specs, bc):
@@ -323,7 +319,7 @@ class CellEvaluation:
         self._token = object()
         work = self._interpolate()
         Wz = specs.W.value(work.z, out=work.scratch(work.z.shape[:-1]))
-        self.EW = float(np.sum(np.multiply(work.weights, Wz, out=Wz)))
+        self.EW = float(np.sum(np.multiply(_gauss_weights(grid), Wz, out=Wz)))
         self.BH, self.pot = _nonlocal_term(grid, values, specs, bc)
         self.B = self.EW + self.BH
 
@@ -344,7 +340,7 @@ class CellEvaluation:
         if work.owner is not self._token:
             work = self._interpolate()
         coeff = specs.W.gradient(work.z, out=work.coeff)
-        np.multiply(work.weights[..., None], coeff, out=coeff)
+        np.multiply(_gauss_weights(grid)[..., None], coeff, out=coeff)
         gW = _from_gauss(grid, coeff, work)
         gW /= L
         g = 2.0 * L * self.Kz
@@ -441,9 +437,9 @@ def _tanh_profile(jump, specs, grid, plane_rank=0):
     t = grid.coords_normal()
     sig = smoothstep(t / 0.15)
     if specs.constraint.kind == "unit_sphere":
-        # rotate along a great circle; straight-line interpolation
-        # followed by normalization degenerates to a step for
-        # (near-)antipodal states
+        # rotate along a great circle, cos(omega sig) a + sin(omega sig) e;
+        # straight-line interpolation followed by normalization
+        # degenerates to a step for (near-)antipodal states
         a = jump.phi_minus
         b = jump.phi_plus
         cosO = float(np.clip(a @ b, -1.0, 1.0))
@@ -452,14 +448,17 @@ def _tanh_profile(jump, specs, grid, plane_rank=0):
             # geodesic, so score the coordinate-aligned candidates and
             # let plane_rank select a member of the degenerate family
             axes = _antipodal_axes(a, specs, jump)
-            e = axes[min(plane_rank, len(axes) - 1)]
-            ang = np.pi * sig
-            v = np.cos(ang)[..., None] * a + np.sin(ang)[..., None] * e
+            omega, e = np.pi, axes[min(plane_rank, len(axes) - 1)]
         else:
-            omega = np.arccos(cosO)
-            so = np.sin(omega)
-            v = (np.sin((1.0 - sig) * omega)[..., None] * a
-                 + np.sin(sig * omega)[..., None] * b) / so
+            # the angle in Kahan's form, exactly 0 when the states
+            # coincide, and the unit part of b orthogonal to a, 0 when
+            # there is none
+            omega = 2.0 * math.atan2(np.linalg.norm(b - a), np.linalg.norm(b + a))
+            e = b - cosO * a
+            norm = np.linalg.norm(e)
+            e = e / norm if norm > 0.0 else e
+        ang = omega * sig
+        v = np.cos(ang)[..., None] * a + np.sin(ang)[..., None] * e
         v[0] = a
         v[-1] = b
         return v

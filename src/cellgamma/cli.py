@@ -29,7 +29,7 @@ from .errors import ComputeFailed, ConfigInvalid
 from .gamma import DomainSpec, run_gamma_sweep, write_sweep_csv
 from .grid import TensorField, build_cell_grid, build_frame
 from .hyperbolic import build_shock_grid, compute_shock_cell_energy
-from .model import JumpData, SpaceTimeJumpData, catalog_lookup
+from .model import CATALOG_NAMES, JumpData, SpaceTimeJumpData, catalog_lookup
 from .oracle import geodesic_energy_1d
 from .poisson import BcVariant, duality_gap, nonlocal_energy
 from .report import config_hash, emit_report, emit_timing
@@ -140,10 +140,8 @@ def _run_oracle(config, out_dir):
 
 
 def _run_catalog(config, out_dir):
-    names = ["double_well", "micromagnetics_2d", "burgers",
-             "linear_advection", "quadratic_entropy"]
     rows = []
-    for name in names:
+    for name in CATALOG_NAMES:
         params = {"speed": [1.0]} if name == "linear_advection" else {}
         specs = catalog_lookup(name, params)
         rows.append({

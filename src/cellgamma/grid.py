@@ -17,9 +17,15 @@ Leray projection, and the composition laplacian = div(grad) hold to
 round-off, not just to truncation order.  The potential solve and the
 shock layer use the same matrices, and one table of the lateral Fourier
 modes (:func:`lateral_modes`).
+
+State kept between calls lives here too: per-grid tables in one
+bounded store per kind (:func:`cached`), and per-thread work areas, one
+per kind (:func:`work_area`).
 """
 
 import math
+import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -310,24 +316,37 @@ class Derivatives:
 
 
 CACHE_SIZE = 8
-_cache = {}
+_stores = defaultdict(dict)
+_threads = threading.local()
 
 
-def cached(cache, key, build):
-    """``cache[key]``, from ``build()`` on a miss; above CACHE_SIZE
-    entries the oldest is evicted."""
-    value = cache.get(key)
+def cached(kind, key, build):
+    """The table of one kind for ``key``, from ``build()`` on a miss.
+    Each kind has one bounded store: above CACHE_SIZE entries its oldest
+    is evicted."""
+    store = _stores[kind]
+    value = store.get(key)
     if value is None:
-        value = cache[key] = build()
-        if len(cache) > CACHE_SIZE:
-            cache.pop(next(iter(cache)), None)
+        value = store[key] = build()
+        if len(store) > CACHE_SIZE:
+            store.pop(next(iter(store)), None)
     return value
+
+
+def work_area(kind, key, build):
+    """This thread's work area of one kind, from ``build()`` when the
+    thread has none of that kind yet or built it for another key."""
+    areas = _threads.__dict__
+    keyed = areas.get(kind)
+    if keyed is None or keyed[0] != key:
+        keyed = areas[kind] = (key, build())
+    return keyed[1]
 
 
 def derivatives(grid):
     """The :class:`Derivatives` of a grid, cached by its node counts and
     its frame, so grids of one shape and frame share them."""
-    return cached(_cache, (grid.n_axes, grid.frame.basis.tobytes()),
+    return cached("derivatives", (grid.n_axes, grid.frame.basis.tobytes()),
                   lambda: Derivatives(grid))
 
 

@@ -131,10 +131,8 @@ def time_derivative(grid, values):
 def constraint_residual(grid, zeta_values, gamma_values):
     """Max norm of d_s zeta + div_y gamma (should be ~ round-off for
     every candidate produced by the potential parametrization)."""
-    res = time_derivative(grid, zeta_values)
-    for j in range(gamma_values.shape[-1]):
-        res = res + _phys_diff(grid, gamma_values[..., j], j)
-    return float(np.max(np.abs(res)))
+    return float(np.max(np.abs(time_derivative(grid, zeta_values)
+                               + space_divergence(grid, gamma_values))))
 
 
 # --- base fields -----------------------------------------------------------
@@ -372,9 +370,6 @@ class _LateralModes:
         self.flux = (2.0 * cross * h * self.flux).reshape(n_space, -1, 9)
 
 
-_mode_cache = {}
-
-
 def _lateral_mode_inverse(grid, g, ev, L):
     """Apply the inverse of the shock energy's Gauss-Newton operator in
     w at scale L to a gradient in w, with the flux jacobian replaced by
@@ -402,7 +397,7 @@ def _lateral_mode_inverse(grid, g, ev, L):
     # every import of the package would pay
     from scipy.linalg.lapack import dpbsv
     k, n_space = ev.flux.k, ev.flux.N
-    modes = cached(_mode_cache, (grid.n_axes, grid.frame.basis.tobytes(), k),
+    modes = cached("shock modes", (grid.n_axes, grid.frame.basis.tobytes(), k),
                    lambda: _LateralModes(grid, k))
     n, m = grid.n_axes[0], _MARGIN
     n_int, n_groups = n - 2 * m, modes.shape[4]

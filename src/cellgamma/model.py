@@ -276,12 +276,13 @@ def _reject_unknown(params, allowed):
         raise BadParams(f"unknown parameters {sorted(extra)}")
 
 
-def catalog_lookup(name, params=None):
-    """Return the ModelSpecs bundle for a built-in model.
+CATALOG_NAMES = ("double_well", "micromagnetics_2d", "burgers",
+                 "linear_advection", "quadratic_entropy")
 
-    Known names: double_well, micromagnetics_2d, burgers,
-    linear_advection, quadratic_entropy.
-    """
+
+def catalog_lookup(name, params=None):
+    """Return the ModelSpecs bundle for a built-in model, one of
+    :data:`CATALOG_NAMES`."""
     params = dict(params or {})
     if name == "double_well":
         _reject_unknown(params, {"space_dim"})

@@ -45,15 +45,14 @@ modes are compatible by construction: 1^T D^T(w m) = 0 identically.
 Memory: the shifted flux M', the folded right-hand side and solution
 (the fold buffer, which then takes the lateral term of the residual),
 the eigenbasis coefficients and H-hat of a solve go to one work area
-per thread, kept while the node counts and flux rows stay the same and
-shared by both bcs.  The product grad^T W M', its transform (the
-right-hand side) and the residual are fresh, dropped before the
-gradient; the returned H and grad H are fresh too, so a caller may keep
-them across later solves.
+per thread (:func:`grid.work_area`), kept while the node counts and
+flux rows stay the same and shared by both bcs.  The product grad^T W
+M', its transform (the right-hand side) and the residual are fresh,
+dropped before the gradient; the returned H and grad H are fresh too,
+so a caller may keep them across later solves.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +60,8 @@ import scipy.fft
 
 from .errors import NeumannIncompatible, ShapeMismatch, SolverDiverged
 from .grid import (StateField, TensorField, apply_nodal, cached, derivatives,
-                   gradient, gradient_adjoint, inner, lateral_modes)
+                   gradient, gradient_adjoint, inner, lateral_modes,
+                   work_area)
 
 
 class BcVariant:
@@ -161,17 +161,15 @@ class _CellSolverData:
                        * math.sqrt(0.5 * math.prod(self.lat_shape)))
 
 
-_cache = {}
-
-
 def _solver_data(grid, bc):
     """The solver data of a grid's node counts and bc, built on a miss
-    and kept in a bounded cache (:func:`grid.cached`).
+    and kept in a bounded store (:func:`grid.cached`).
 
     The data depend on the grid only through its node counts, so
     straight and tilted grids of one shape share an entry.
     """
-    return cached(_cache, (grid.n_axes, bc), lambda: _CellSolverData(grid, bc))
+    return cached("poisson solver", (grid.n_axes, bc),
+                  lambda: _CellSolverData(grid, bc))
 
 
 class _WorkArea:
@@ -181,23 +179,10 @@ class _WorkArea:
 
     def __init__(self, n_axes, rows, n_modes):
         n0 = n_axes[0]
-        self.key = (n_axes, rows)
         self.flux = np.empty(n_axes + (rows, len(n_axes)))
         self.fold = np.empty((n0, n_modes * 2 * rows))
         self.coef = np.empty((n0, n_modes * 2 * rows))
         self.Hhat = np.empty((n0, n_modes, rows), dtype=np.complex128)
-
-
-_local = threading.local()
-
-
-def _work_area(grid, rows, n_modes):
-    """This thread's work area, replaced when the shape changes."""
-    key = (grid.n_axes, rows)
-    work = getattr(_local, "work", None)
-    if work is None or work.key != key:
-        work = _local.work = _WorkArea(grid.n_axes, rows, n_modes)
-    return work
 
 
 def _normal_product(mat, modes):
@@ -265,7 +250,8 @@ def solve_cell_poisson(M, bc, check_compat=True, shift_mean_flux=True):
     n0 = grid.n_axes[0]
     l = M.rows
     lat_axes = tuple(range(1, grid.dim))
-    work = _work_area(grid, l, data.n_modes)
+    work = work_area("poisson", (grid.n_axes, l),
+                     lambda: _WorkArea(grid.n_axes, l, data.n_modes))
 
     # variational rhs grad^T W M', M' = M - c x nu with c = (bot + top) / 2:
     # one product and one lateral transform

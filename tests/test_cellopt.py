@@ -3,6 +3,7 @@ the multistart minimizer."""
 
 import sys
 import threading
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -458,6 +459,23 @@ def test_no_jump_minimum_zero():
     assert sol.energy.total <= 1e-12
 
 
+@pytest.mark.parametrize("bc", BcVariant.CELL_KINDS)
+@pytest.mark.parametrize("phi", [[1.0, 0.0, 0.0], [0.6, 0.8, 0.0],
+                                 [0.0, 1.0, 0.0]])
+def test_sphere_cell_without_jump_stays_constant(phi, bc):
+    # phi+ = phi-: every start is the constant state, built without a
+    # division by sin(omega) = 0, and the run stops at once on the floor
+    mm = catalog_lookup("micromagnetics_2d")
+    j = JumpData(phi_plus=phi, phi_minus=phi, nu=[1.0, 0.0])
+    g = build_cell_grid(build_frame([1.0, 0.0]), 32, n_lateral=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = compute_cell_energy(j, mm, g, bc)
+    assert sol.energy.total == 0.0
+    assert sol.converged and sol.iterations == 1
+    assert sol.L_star == resolved_scale_floor(g)
+
+
 def _rotated_wall(degrees):
     # the micromagnetic wall rotated about e_z: the states stay tangential
     # to the wall, so every angle is the same cell in a rotated frame
@@ -661,6 +679,34 @@ def test_one_potential_solve_per_line_search_trial(monkeypatch):
         assert run["trials"] >= run["iterations"] > 1
         assert run["solves"] == run["trials"] + 1
     assert counts["solves"] == counts["trials"] + len(runs)
+
+
+def test_potential_work_area_leaves_the_gauss_one(monkeypatch):
+    # the potential solve's work area and the cell's live side by side in
+    # one thread; if the solve replaced the cell's, every gradient would
+    # interpolate its profile again, with the same results
+    import cellgamma.cellopt as co
+    mm = catalog_lookup("micromagnetics_2d")
+    j = JumpData(phi_plus=[0.0, 1.0, 0.0], phi_minus=[0.0, -1.0, 0.0],
+                 nu=[1.0, 0.0])
+    g = build_cell_grid(build_frame([1.0, 0.0]), 16, n_lateral=8)
+    counts = {"evaluations": 0, "interpolations": 0}
+    real_init, real_to_gauss = co.CellEvaluation.__init__, co._to_gauss
+
+    def init(self, *args):
+        counts["evaluations"] += 1
+        real_init(self, *args)
+
+    def to_gauss(*args):
+        counts["interpolations"] += 1
+        return real_to_gauss(*args)
+
+    monkeypatch.setattr(co.CellEvaluation, "__init__", init)
+    monkeypatch.setattr(co, "_to_gauss", to_gauss)
+    sol = co.compute_cell_energy(j, mm, g, BcVariant.NEUMANN,
+                                 OptimizerOptions(n_random=0))
+    assert sol.iterations > 1
+    assert counts["interpolations"] == counts["evaluations"]
 
 
 def _mean_gauss_newton(grid, ev, L):

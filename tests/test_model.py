@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cellgamma.errors import BadParams, UnknownModel
-from cellgamma.model import (JumpData, SpaceTimeJumpData, catalog_lookup,
-                             fd_relative_error, validate_jump_data,
-                             validate_rankine_hugoniot)
+from cellgamma.model import (CATALOG_NAMES, JumpData, SpaceTimeJumpData,
+                             catalog_lookup, fd_relative_error,
+                             validate_jump_data, validate_rankine_hugoniot)
 
 
 def test_catalog_names():
@@ -14,6 +14,9 @@ def test_catalog_names():
                  "quadratic_entropy"):
         catalog_lookup(name)
     catalog_lookup("linear_advection", {"speed": [1.0, 2.0]})
+    for name in CATALOG_NAMES:
+        speed = {"speed": [1.0]} if name == "linear_advection" else None
+        assert catalog_lookup(name, speed).name == name
     with pytest.raises(UnknownModel):
         catalog_lookup("nope")
     with pytest.raises(BadParams):

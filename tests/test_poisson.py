@@ -458,21 +458,22 @@ def test_per_grid_caches_bounded():
     for g in grids:
         for bc in BcVariant.CELL_KINDS:
             solve_cell_poisson(TensorField(g, np.zeros(g.shape + (1, 2))), bc)
-    assert len(poisson._cache) == cgrid.CACHE_SIZE
-    assert len(cgrid._cache) == cgrid.CACHE_SIZE
-    keys, dkeys = list(poisson._cache), list(cgrid._cache)
+    solver, derivs = cgrid._stores["poisson solver"], cgrid._stores["derivatives"]
+    assert len(solver) == cgrid.CACHE_SIZE
+    assert len(derivs) == cgrid.CACHE_SIZE
+    keys, dkeys = list(solver), list(derivs)
     # a straight grid of a cached shape shares its derivatives
     again = build_cell_grid(frame, grids[-1].n_axes[0], 4)
     assert cgrid.derivatives(again) is cgrid.derivatives(grids[-1])
-    assert list(cgrid._cache) == dkeys
+    assert list(derivs) == dkeys
     # a tilted one reuses its solver entries but not its derivatives
     tilted = build_cell_grid(build_frame([0.6, 0.8]), grids[-1].n_axes[0], 4)
     solve_cell_poisson(TensorField(tilted, np.zeros(tilted.shape + (1, 2))),
                        BcVariant.NEUMANN)
-    assert list(poisson._cache) == keys
-    assert (tilted.n_axes, BcVariant.NEUMANN) in poisson._cache
+    assert list(solver) == keys
+    assert (tilted.n_axes, BcVariant.NEUMANN) in solver
     assert cgrid.derivatives(tilted) is not cgrid.derivatives(grids[-1])
-    assert list(cgrid._cache) == dkeys[1:] + [
+    assert list(derivs) == dkeys[1:] + [
         (tilted.n_axes, tilted.frame.basis.tobytes())]
     del grids, g
     gc.collect()
